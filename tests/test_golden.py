@@ -1,0 +1,56 @@
+"""Byte-identity gate: the metrics CSV row and the `--trace` file of a few
+desk runs are pinned by sha256.  A refactor or speed-up must leave them
+unchanged; a change that alters them on purpose updates the table and
+says why."""
+
+import hashlib
+
+import pytest
+
+from tap3sim.cli import write_trace_file
+from tap3sim.metrics import CSV_COLUMNS, report_from_result
+from tap3sim.routing import ProtocolKind
+from tap3sim.sim import desk_profile, run_scenario
+
+# (protocol, seed, pause) -> (csv sha256, trace sha256)
+GOLDEN = {
+    ("tap3", 1, 0.0): (
+        "b88f54fcecfac928d4666b00dcc42d069e177ef82e5fc9314369a3f8e2cd6e96",
+        "89b9953141e5e0f8e151ac2e49ef2b786ebfae94ccc23a83c6c3ac3b33e2577e"),
+    ("tap3", 1, 30.0): (
+        "fbee1a79dbec493587310088aedfb4b7d94fbaa4e3d383372b80578cde21b585",
+        "838935eb6f8aa8f02fa363de43157f53d70c31506721fb1882a7df16160ed245"),
+    ("tap3", 2, 0.0): (
+        "7fa6f59a696fc0ceb400fa15c779a8dc4448e5e2b2933770bb79d4e801b1b033",
+        "586a0f91ed9eb81b55fe65af4046bfd03f4bd1216ac097e7d5a9ff46e50bf3a1"),
+    ("tap3", 2, 30.0): (
+        "faed0bda8449f480fa6f5aba54f58a1cc95f1c425111208a15fd87be912ebe21",
+        "84aff3d96778f9127c8a59d84b2a0fdc6185528d70eda64f0d61ffe874194bf0"),
+    ("tap3", 3, 0.0): (
+        "01f0e09f8041262cf693a2326d4b32e0dd9252f4b1613426fc54f5c4152c16e2",
+        "eeafde88774d58802c1b57dc94bd65f7af930c7e71579d15ef076701340f4d64"),
+    ("tap3", 3, 30.0): (
+        "78cd78eab6b567869f342b61c59fb76a2b2730e9388271b0d8cd9d0b693f84ba",
+        "2e653383d97eddfd0b1c198dee7ea1f32154c13f72b5c6c36fd250e7f7b20a7e"),
+    ("smprf", 1, 0.0): (
+        "5bb2fa98674caf68a9787138eb85510648222d3fdc74eede9e9fa07a0b233117",
+        "1922bc927b1b93f70ced23f442999e0d9c67486cf5943aa9e90c527206d58bcc"),
+    ("mprf", 1, 0.0): (
+        "3cd4528fb69fbee38a3c15fa92a920fddc7a173ff57b6565b34ea98beb5ad936",
+        "40ba4bb36c5171e713f3426882ff26cfc0556aee56516a7dbe09a875974f7e54"),
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("protocol,seed,pause", sorted(GOLDEN))
+def test_desk_outputs_byte_identical(tmp_path, protocol, seed, pause):
+    cfg = desk_profile(ProtocolKind(protocol), pause, seed)
+    result = run_scenario(cfg, trace=True, check_privacy=True)
+    csv_text = CSV_COLUMNS + "\n" + report_from_result(result).csv_row() + "\n"
+    trace = tmp_path / "run.trace"
+    write_trace_file(str(trace), result)
+    assert (sha(csv_text.encode()), sha(trace.read_bytes())) == \
+        GOLDEN[(protocol, seed, pause)]
