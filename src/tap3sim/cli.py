@@ -2,9 +2,14 @@
 
 Subcommands: `run` (single scenario, metrics CSV + optional trace file),
 `sweep` (protocol x pause x seed grid with CSV and optional SVG plots) and
-`audit` (replay the evidence logs recorded in a trace file through the
-log-audit checks).  Exit codes: 0 success, 1 validation error, 2 run
-failure.
+`audit`.  `audit` rebuilds the evidence logs recorded in a trace file and
+re-runs every recorded path audit through `logaudit.audit_route`, the same
+audit the simulation runs live.  The destination must prove Received and
+Replied for the source's route request; each relay must prove Received
+plus Forwarded (or Dropped, on a broken link) for every audited data
+packet.  The replayed rows therefore equal the trace's live audit rows.
+
+Exit codes: 0 success, 1 validation error, 2 run failure.
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ def _cmd_sweep(args) -> int:
 
 def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     """Rebuild the recorded evidence logs and re-run every recorded path
-    audit through the destination check and attacker scans."""
+    audit through `logaudit.audit_route`, as the live simulation did."""
     published = {}
     for nid, entries in export.get("nodes", {}).items():
         log = logaudit.NodeLog()
@@ -145,10 +150,7 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
         reports.append(logaudit.audit_route(
             route_logs, published.get(record["dst"]),
             [logaudit.entry_from_list(e) for e in record["control"]],
-            [logaudit.entry_from_list(e) for e in record["data"]],
-            [],
-            logaudit.destination_rules(), logaudit.intermediary_rules(),
-            logaudit.combined_rules()))
+            [logaudit.entry_from_list(e) for e in record["data"]]))
     return reports
 
 

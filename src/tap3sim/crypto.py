@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -30,10 +29,6 @@ class MasterKey:
     def __post_init__(self):
         if len(self.bytes) != DIGEST_LEN:
             raise ValueError("master key must be 32 bytes")
-
-    @classmethod
-    def generate(cls) -> "MasterKey":
-        return cls(os.urandom(DIGEST_LEN))
 
     @classmethod
     def from_seed(cls, seed: int, node_id: NodeId) -> "MasterKey":
@@ -117,10 +112,6 @@ class PseudonymChain:
     def advanced(self) -> "PseudonymChain":
         return PseudonymChain(self.key, self.seed_identity, self.direction,
                               self.index + 1, prf(self.key, self.current.digest))
-
-
-def advance_chain(chain: PseudonymChain) -> PseudonymChain:
-    return chain.advanced()
 
 
 class TrapdoorIndex:

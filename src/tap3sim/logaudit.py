@@ -1,11 +1,15 @@
 """Per-node forwarding logs, Merkle commitments and route audits.
 
 Every node keeps an append-only log of the packets it handled and commits
-it to a Merkle root.  A source audits a route by deriving the records each
-participant must be able to prove (via inference rules over its own log)
-and checking inclusion proofs against the published roots.  Three checks
-compose: destination verification, reverse-scan active-attacker location,
-and forward-scan passive-dropper listing.
+it to a Merkle root.  A source audits a route from its own log: for every
+packet it Forwarded, the destination must prove Received and Replied, and
+a relay must prove Received plus Forwarded (or, in the passive scan, a
+Dropped record for a broken link).  Each required record is one
+(packet id, event) lookup in the published log and one inclusion proof
+against its root.  Three checks compose: destination verification,
+reverse-scan active-attacker location, and forward-scan passive-dropper
+listing.  The simulator's live audits and the replay of a trace both run
+`audit_route`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .crypto import Pseudonym
 
@@ -72,8 +76,7 @@ class MerkleTree:
     """Binary hash tree over ordered leaves; odd node promoted unhashed."""
 
     def __init__(self, leaves: Sequence[bytes]):
-        self.leaves = list(leaves)
-        self.levels = [list(self.leaves)]
+        self.levels = [list(leaves)]
         level = self.levels[0]
         while len(level) > 1:
             nxt = []
@@ -107,22 +110,34 @@ class MerkleTree:
         return node == root
 
 
-def build_root(entries: Sequence[LogEntry]) -> bytes:
-    return MerkleTree([leaf_hash(e) for e in entries]).root
-
-
 @dataclass(frozen=True)
 class MerkleCommitment:
-    leaves: tuple[bytes, ...]
     root: bytes
+
+
+class Expected(NamedTuple):
+    """A record the audited node must prove: one (packet id, event) key."""
+    packet_id: int
+    event: EventKind
 
 
 @dataclass
 class PublishedLog:
     """What an audited node hands the auditor: its committed root plus the
-    entries it claims, each with an inclusion proof."""
+    entries it claims, keyed by (packet id, event), each with an inclusion
+    proof."""
     commitment: MerkleCommitment
-    claimed: list[tuple[LogEntry, list[tuple[bytes, bool]]]]
+    claimed: dict[tuple[int, EventKind],
+                  tuple[LogEntry, list[tuple[bytes, bool]]]]
+
+    def proves(self, packet_id: int, event: EventKind) -> bool:
+        """True iff a claimed (packet_id, event) entry verifies against the
+        published root."""
+        hit = self.claimed.get((packet_id, event))
+        if hit is None:
+            return False
+        entry, proof = hit
+        return MerkleTree.verify(self.commitment.root, leaf_hash(entry), proof)
 
 
 class DuplicateEntryError(Exception):
@@ -156,70 +171,31 @@ class NodeLog:
         self._leaves.append(leaf_hash(entry))
 
     def commitment(self) -> MerkleCommitment:
-        return MerkleCommitment(tuple(self._leaves),
-                                MerkleTree(self._leaves).root)
+        return MerkleCommitment(MerkleTree(self._leaves).root)
 
     def publish(self) -> PublishedLog:
         tree = MerkleTree(self._leaves)
-        claimed = [(e, tree.proof(i)) for i, e in enumerate(self.entries)]
-        return PublishedLog(MerkleCommitment(tuple(tree.leaves), tree.root), claimed)
+        claimed = {(e.packet_id, e.event): (e, tree.proof(i))
+                   for i, e in enumerate(self.entries)}
+        return PublishedLog(MerkleCommitment(tree.root), claimed)
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Conjunctive match over LogEntry fields; None is a wildcard."""
-    node_alias: Optional[Pseudonym] = None
-    packet_id: Optional[int] = None
-    event: Optional[EventKind] = None
-    sseq: Optional[int] = None
-    oseq: Optional[int] = None
-    dseq: Optional[int] = None
-    prev_hop_alias: Optional[Pseudonym] = None
-
-    def matches(self, entry: LogEntry) -> bool:
-        return ((self.node_alias is None or self.node_alias == entry.node_alias)
-                and (self.packet_id is None or self.packet_id == entry.packet_id)
-                and (self.event is None or self.event == entry.event)
-                and (self.sseq is None or self.sseq == entry.sseq)
-                and (self.oseq is None or self.oseq == entry.oseq)
-                and (self.dseq is None or self.dseq == entry.dseq)
-                and (self.prev_hop_alias is None
-                     or self.prev_hop_alias == entry.prev_hop_alias))
-
-    def bound(self, packet_id: int) -> "Pattern":
-        return Pattern(self.node_alias, packet_id, self.event, self.sseq,
-                       self.oseq, self.dseq, self.prev_hop_alias)
+# Records each role must prove for every packet the auditor forwarded.
+DESTINATION_EVENTS = (EventKind.RECEIVED, EventKind.REPLIED)
+RELAY_EVENTS = (EventKind.RECEIVED, EventKind.FORWARDED)
 
 
-@dataclass(frozen=True)
-class Rule:
-    """If every lhs pattern is present in the auditor's log, the rhs record
-    must exist at the audited node.  With bind_packet the rule instantiates
-    once per packet id satisfying the lhs."""
-    lhs: tuple[Pattern, ...]
-    rhs: Pattern
-    bind_packet: bool = True
-
-    def __post_init__(self):
-        if not self.lhs:
-            raise ValueError("rule lhs must be non-empty")
+def _forwarded_pids(observed: Sequence[LogEntry]) -> list[int]:
+    return sorted({e.packet_id for e in observed
+                   if e.event is EventKind.FORWARDED})
 
 
-def apply_rules(rules: Sequence[Rule],
-                observed: Sequence[LogEntry]) -> list[Pattern]:
-    """Expected record patterns, in rule order then packet-id order."""
-    out: list[Pattern] = []
-    for rule in rules:
-        if rule.bind_packet:
-            pids = sorted({e.packet_id for e in observed})
-            for pid in pids:
-                if all(any(p.bound(pid).matches(e) for e in observed)
-                       for p in rule.lhs):
-                    out.append(rule.rhs.bound(pid))
-        else:
-            if all(any(p.matches(e) for e in observed) for p in rule.lhs):
-                out.append(rule.rhs)
-    return out
+def apply_rules(events: Sequence[EventKind],
+                observed: Sequence[LogEntry]) -> list[Expected]:
+    """One expected record per event and per packet id the auditor's own
+    log shows as Forwarded, in event order then packet-id order."""
+    pids = _forwarded_pids(observed)
+    return [Expected(pid, event) for event in events for pid in pids]
 
 
 FELLOW = "FELLOW"
@@ -227,91 +203,54 @@ NOT_FELLOW = "NOT_FELLOW"
 TARGET = "Target"
 
 
-def _proves(published: PublishedLog, pattern: Pattern) -> bool:
-    root = published.commitment.root
-    for entry, proof in published.claimed:
-        if pattern.matches(entry) and MerkleTree.verify(root, leaf_hash(entry), proof):
-            return True
-    return False
+# Stands in for a node that published nothing: it proves no record.
+_SILENT = PublishedLog(MerkleCommitment(EMPTY_ROOT), {})
 
 
-def hash_verify(published: PublishedLog,
-                expected: Sequence[Pattern]) -> str:
-    """FELLOW iff every expected pattern matches a committed leaf whose
-    inclusion proof verifies against the published root."""
-    if published is None:
-        return NOT_FELLOW
-    for pattern in expected:
-        if not _proves(published, pattern):
-            return NOT_FELLOW
-    return FELLOW
+def _proves_all(published: Optional[PublishedLog],
+                expected: Sequence[Expected]) -> bool:
+    proves = (published or _SILENT).proves
+    return all(proves(*record) for record in expected)
 
 
-def check_destination(tau_c: Sequence[LogEntry], rules_to_dest: Sequence[Rule],
+def check_destination(tau_c: Sequence[LogEntry], events: Sequence[EventKind],
                       dest_published: Optional[PublishedLog]) -> str:
-    if dest_published is None:
-        return NOT_FELLOW
-    collection = apply_rules(rules_to_dest, tau_c)
-    outcome = FELLOW
-    for pattern in collection:
-        if not _proves(dest_published, pattern):
-            outcome = NOT_FELLOW
-            break
-    return outcome
+    if _proves_all(dest_published, apply_rules(events, tau_c)):
+        return FELLOW
+    return NOT_FELLOW
 
 
 def detect_active_attacker(route_logs: Sequence[Optional[PublishedLog]],
-                           tau_c: Sequence[LogEntry],
-                           rules_to_mid: Sequence[Rule]):
+                           tau_c: Sequence[LogEntry]):
     """Reverse scan of the intermediaries.  The deepest node whose records
     all verify locates the forger immediately downstream of it; if even the
     last intermediary verifies the destination itself lied."""
     n = len(route_logs)
     if n == 0:
         raise ValueError("no intermediaries")
-    collection = apply_rules(rules_to_mid, tau_c)
+    expected = apply_rules(RELAY_EVENTS, tau_c)
     for m in range(n, 0, -1):
-        published = route_logs[m - 1]
-        flag = 0
-        for pattern in collection:
-            if published is None or not _proves(published, pattern):
-                flag = 1
-                break
-        if flag == 0:
-            if m == n:
-                return TARGET
-            return m + 1
+        if _proves_all(route_logs[m - 1], expected):
+            return TARGET if m == n else m + 1
     return 1
 
 
 def detect_passive_attackers(route_logs: Sequence[Optional[PublishedLog]],
-                             tau_c: Sequence[LogEntry],
-                             tau_d: Sequence[LogEntry],
-                             rules_combined: Sequence[Rule]) -> list[int]:
-    """Forward scan; a node is fake when it cannot prove the records
-    expected of it.  Each hop is only held to the packets its verified
-    upstream actually passed on, so droppers do not taint honest nodes
+                             tau_c: Sequence[LogEntry]) -> list[int]:
+    """Forward scan; a relay is fake when, for some packet its verified
+    upstream passed on, it cannot prove Received plus either Forwarded or
+    a Dropped (link-failure) record.  Each hop is only held to the packets
+    its upstream Forwarded, so droppers do not taint honest nodes
     downstream of them."""
-    if not route_logs:
-        return []
-    observed = list(tau_c) + list(tau_d)
-    collection = apply_rules(rules_combined, observed)
-    audited_pids = sorted({p.packet_id for p in collection if p.packet_id is not None})
-    unbound = [p for p in collection if p.packet_id is None]
+    pids = _forwarded_pids(tau_c)
     fake: list[int] = []
     for j, published in enumerate(route_logs, start=1):
-        expected = [p.bound(pid) for pid in audited_pids
-                    for p in collection if p.packet_id == pid] + unbound
-        for pattern in expected:
-            if published is None or not _proves(published, pattern):
-                fake.append(j)
-                break
-        if published is None:
-            audited_pids = []
-            continue
-        audited_pids = [pid for pid in audited_pids
-                        if _proves(published,
-                                   Pattern(packet_id=pid, event=EventKind.FORWARDED))]
+        proves = (published or _SILENT).proves
+        if not all(proves(pid, EventKind.RECEIVED)
+                   and (proves(pid, EventKind.FORWARDED)
+                        or proves(pid, EventKind.DROPPED)) for pid in pids):
+            fake.append(j)
+        pids = [pid for pid in pids if proves(pid, EventKind.FORWARDED)]
     return fake
 
 
@@ -333,22 +272,19 @@ class AuditReport:
 def audit_route(route_logs: Sequence[Optional[PublishedLog]],
                 dest_published: Optional[PublishedLog],
                 tau_c_control: Sequence[LogEntry],
-                tau_c_data: Sequence[LogEntry],
-                tau_d: Sequence[LogEntry],
-                rules_to_dest: Sequence[Rule],
-                rules_to_mid: Sequence[Rule],
-                rules_combined: Sequence[Rule]) -> AuditReport:
+                tau_c_data: Sequence[LogEntry]) -> AuditReport:
     """Destination check first; its verdict dispatches to the active-attack
     scan (reverse) or the passive-dropper scan (forward)."""
-    verdict = check_destination(tau_c_control, rules_to_dest, dest_published)
+    verdict = check_destination(tau_c_control, DESTINATION_EVENTS,
+                                dest_published)
     if verdict != FELLOW:
         if not route_logs:
             return AuditReport(NOT_FELLOW, target_lied=True)
-        result = detect_active_attacker(route_logs, tau_c_control, rules_to_mid)
+        result = detect_active_attacker(route_logs, tau_c_control)
         if result == TARGET:
             return AuditReport(NOT_FELLOW, target_lied=True)
         return AuditReport(NOT_FELLOW, active_attacker=result)
-    passive = detect_passive_attackers(route_logs, tau_c_data, tau_d, rules_combined)
+    passive = detect_passive_attackers(route_logs, tau_c_data)
     return AuditReport(FELLOW, passive_attackers=passive)
 
 
@@ -364,25 +300,3 @@ def entry_from_list(data: Sequence) -> LogEntry:
                     EventKind(int(data[2])), int(data[3]), int(data[4]),
                     int(data[5]), Pseudonym(bytes.fromhex(data[6])),
                     float(data[7]))
-
-
-def intermediary_rules() -> list[Rule]:
-    """A relayed packet must appear as Received and as Forwarded."""
-    sent = Pattern(event=EventKind.FORWARDED)
-    return [
-        Rule(lhs=(sent,), rhs=Pattern(event=EventKind.RECEIVED)),
-        Rule(lhs=(sent,), rhs=Pattern(event=EventKind.FORWARDED)),
-    ]
-
-
-def destination_rules() -> list[Rule]:
-    """The destination must have received the request and replied to it."""
-    sent = Pattern(event=EventKind.FORWARDED)
-    return [
-        Rule(lhs=(sent,), rhs=Pattern(event=EventKind.RECEIVED)),
-        Rule(lhs=(sent,), rhs=Pattern(event=EventKind.REPLIED)),
-    ]
-
-
-def combined_rules() -> list[Rule]:
-    return intermediary_rules()

@@ -43,11 +43,6 @@ class PacketKind(Enum):
     RREP_ACK = "RREP_ACK"
     DATA = "DATA"
     RERR = "RERR"
-    COMMIT = "COMMIT"
-    AUDIT_REQ = "AUDIT_REQ"
-    AUDIT_RESP = "AUDIT_RESP"
-
-CONTROL_KINDS = frozenset(k for k in PacketKind if k is not PacketKind.DATA)
 
 
 @dataclass
@@ -129,8 +124,7 @@ def packet_size(pkt: Packet) -> int:
 
 @dataclass
 class RouteEntry:
-    """Per-node forwarding state for one flow alias and path."""
-    fellow_alias: Optional[Pseudonym]
+    """Per-node forwarding state for one flow round and path."""
     next_hop: NodeId
     prev_hop: NodeId
     path_id: int

@@ -71,10 +71,6 @@ class TrainingWindow:
         return self.threshold
 
 
-def train_threshold(window: TrainingWindow) -> float:
-    return window.train()
-
-
 def classify(sample: SeqVector, window: TrainingWindow) -> Verdict:
     if not window.trained or not window.samples:
         raise WindowNotTrainedError("window not trained")

@@ -256,7 +256,6 @@ class DestFlowState:
     trapdoor: Optional[TrapdoorIndex]
     static_pd: Optional[Pseudonym]
     dseq: int = 0
-    data_count: int = 0
     candidates: dict[int, list] = field(default_factory=dict)
     reply_scheduled: set[int] = field(default_factory=set)
     rreq_info: dict[int, Packet] = field(default_factory=dict)
@@ -341,10 +340,6 @@ class RunResult:
     audit_passive: set[int] = field(default_factory=set)
     positions_ok: bool = True
     audit_export: Optional[dict] = None
-
-    @property
-    def delay_sum(self) -> float:
-        return sum(self.delays)
 
 
 def _stream(seed: int, tag: str) -> random.Random:
@@ -752,7 +747,7 @@ class Simulation:
             pkt = pkt.copy()
             pkt.dseq += int(atk.param)
         node.fwd_routes[(pkt.flow_id, pkt.round, pkt.path_id)] = RouteEntry(
-            pkt.forward_alias, frm, rev.prev_hop, pkt.path_id, self.now)
+            frm, rev.prev_hop, pkt.path_id, self.now)
         fwd = pkt.copy()
         fwd.hop_count += 1
         self.transmit(node.id, rev.prev_hop, fwd, control=True)
@@ -888,9 +883,6 @@ class Simulation:
             if self.config.protocol is ProtocolKind.TAP3:
                 node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt,
                                self.now, prev_alias)
-            ds = node.dest_flows.get(pkt.flow_id)
-            if ds is not None:
-                ds.data_count += 1
             return
         atk = node.attacker
         active = atk is not None and self.now >= self.attack_start
@@ -966,14 +958,11 @@ class Simulation:
 
     def run_audits(self, flow: Flow) -> None:
         cutoff = self.now - AUDIT_SETTLE
-        cache: dict[int, tuple[logaudit.PublishedLog, dict]] = {}
+        cache: dict[int, logaudit.PublishedLog] = {}
 
-        def published(nid: int) -> tuple[logaudit.PublishedLog, dict]:
+        def published(nid: int) -> logaudit.PublishedLog:
             if nid not in cache:
-                pub = self.nodes[nid].log.publish()
-                index = {(e.packet_id, e.event): (e, proof)
-                         for e, proof in pub.claimed}
-                cache[nid] = (pub, index)
+                cache[nid] = self.nodes[nid].log.publish()
             return cache[nid]
 
         for key in sorted(flow.audit_queue):
@@ -983,45 +972,27 @@ class Simulation:
                 continue
             relays = slot["relays"]
             self._charge_audit_traffic(flow, relays)
-            rnd = key[0]
-            tau_ctl = flow.tau_c_control.get(rnd, [])
+            tau_ctl = flow.tau_c_control.get(key[0], [])
+            audited_set = set(audit_pids)
+            tau_data = [e for e in slot["tau_c"] if e.packet_id in audited_set]
             if self.trace:
-                audited_set = set(audit_pids)
                 self._audit_records.append({
                     "flow": flow.flow_id, "dst": flow.dst, "relays": relays,
                     "control": [logaudit.entry_to_list(e) for e in tau_ctl],
-                    "data": [logaudit.entry_to_list(e) for e in slot["tau_c"]
-                             if e.packet_id in audited_set]})
-            dest_pub, _ = published(flow.dst)
-            verdict = logaudit.check_destination(
-                tau_ctl, logaudit.destination_rules(), dest_pub)
-            if verdict != logaudit.FELLOW:
-                if not relays:
-                    guilty = logaudit.TARGET
-                else:
-                    guilty = logaudit.detect_active_attacker(
-                        [published(r)[0] for r in relays], tau_ctl,
-                        logaudit.intermediary_rules())
-                if guilty == logaudit.TARGET:
-                    flow.suspects.add(flow.dst)
-                    self.result.audit_active.add(flow.dst)
-                else:
-                    nid = relays[min(guilty, len(relays)) - 1]
-                    flow.suspects.add(nid)
-                    self.result.audit_active.add(nid)
-                report = logaudit.AuditReport(logaudit.NOT_FELLOW)
+                    "data": [logaudit.entry_to_list(e) for e in tau_data]})
+            report = logaudit.audit_route(
+                [published(r) for r in relays], published(flow.dst),
+                tau_ctl, tau_data)
+            if report.verdict != logaudit.FELLOW:
+                nid = (flow.dst if report.target_lied
+                       else relays[report.active_attacker - 1])
+                flow.suspects.add(nid)
+                self.result.audit_active.add(nid)
             else:
-                accused = self._audit_path_passive(relays, audit_pids,
-                                                   published)
-                report = logaudit.AuditReport(
-                    logaudit.FELLOW, passive_attackers=sorted(accused))
-                accused_ids = {relays[pos - 1] for pos in accused}
-                for nid in accused_ids:
-                    flow.suspects.add(nid)
-                    self.result.audit_passive.add(nid)
-                for nid in relays:
-                    if nid not in accused_ids:
-                        flow.suspects.discard(nid)
+                accused = {relays[pos - 1] for pos in report.passive_attackers}
+                flow.suspects.difference_update(relays)
+                flow.suspects.update(accused)
+                self.result.audit_passive.update(accused)
             if self.trace:
                 self.result.audit_rows.append(report.csv_row(flow.flow_id))
             keep = [p for p in slot["pids"] if slot["times"][p] >= cutoff]
@@ -1034,36 +1005,6 @@ class Simulation:
         if any(r in flow.suspects for p in flow.paths for r in p.relays):
             if flow.discovery_outstanding is None:
                 self.start_discovery(flow)
-
-    @staticmethod
-    def _prove(pub: logaudit.PublishedLog, index: dict, pid: int,
-               event: EventKind) -> bool:
-        hit = index.get((pid, event))
-        if hit is None:
-            return False
-        entry, proof = hit
-        return logaudit.MerkleTree.verify(pub.commitment.root,
-                                          logaudit.leaf_hash(entry), proof)
-
-    def _audit_path_passive(self, relays: list[int], audit_pids: list[int],
-                            published) -> list[int]:
-        """Forward scan over the relays of one path.  A relay must prove
-        Received plus either Forwarded or a Dropped (link-failure) record
-        for every packet its verified upstream passed on."""
-        accused = []
-        audited = sorted(audit_pids)
-        for pos, nid in enumerate(relays, start=1):
-            pub, index = published(nid)
-            for pid in audited:
-                got = self._prove(pub, index, pid, EventKind.RECEIVED)
-                moved = self._prove(pub, index, pid, EventKind.FORWARDED)
-                dropped = self._prove(pub, index, pid, EventKind.DROPPED)
-                if not (got and (moved or dropped)):
-                    accused.append(pos)
-                    break
-            audited = [pid for pid in audited
-                       if self._prove(pub, index, pid, EventKind.FORWARDED)]
-        return accused
 
     # -- main loop ----------------------------------------------------------
 

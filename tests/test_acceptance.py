@@ -116,17 +116,15 @@ def test_criterion_5_audit_localization():
     active_ok = all(
         logaudit.detect_active_attacker(
             make_active_scenario(n, forger)[1],
-            make_active_scenario(n, forger)[0],
-            logaudit.intermediary_rules()) == forger
+            make_active_scenario(n, forger)[0]) == forger
         for n in range(3, 9) for forger in range(1, n + 1))
     passive_ok = True
     for n in range(1, 7):
         cases = ([{s} for s in range(1, n + 1)]
                  + [set(p) for p in itertools.combinations(range(1, n + 1), 2)])
         for droppers in cases:
-            tau_c, tau_d, logs = passive_scenario(n, droppers)
-            got = logaudit.detect_passive_attackers(
-                logs, tau_c, tau_d, logaudit.combined_rules())
+            tau_c, logs = passive_scenario(n, droppers)
+            got = logaudit.detect_passive_attackers(logs, tau_c)
             passive_ok = passive_ok and got == sorted(droppers)
     rng = random.Random(5)
     honest_ok = True

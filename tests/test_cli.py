@@ -75,9 +75,14 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
     assert (plots / "pdr_percent.svg").exists()
 
 
+def replayed_rows(result):
+    paths = result.audit_export["paths"]
+    return [report.csv_row(record["flow"]) for record, report
+            in zip(paths, replay_audits(result.audit_export), strict=True)]
+
+
 def test_replayed_audits_match_honest_runs():
-    # static topology: the strict replayed scan has no notion of honest
-    # link-break drops, so it must only see clean Received/Forwarded logs
+    # static topology without attackers: every recorded path audit is clean
     cfg = replace(desk_profile(seed=2), sim_duration=80.0, attackers=[],
                   max_speed=0.0)
     result = run_scenario(cfg, trace=True)
@@ -86,3 +91,11 @@ def test_replayed_audits_match_honest_runs():
     assert reports
     assert all(r.verdict == FELLOW for r in reports)
     assert not any(r.passive_attackers for r in reports)
+    assert replayed_rows(result) == result.audit_rows
+    # mobile desk runs with all three attackers: relays that lose a link
+    # log Dropped, and the replay reproduces every live audit row
+    for seed in range(1, 6):
+        result = run_scenario(desk_profile(seed=seed), trace=True)
+        assert result.audit_rows
+        assert "\n".join(replayed_rows(result)) == \
+            "\n".join(result.audit_rows), seed

@@ -10,7 +10,6 @@ from tap3sim.crypto import (
     PseudonymChain,
     Pseudonym,
     TrapdoorIndex,
-    advance_chain,
     derive_pairwise_key,
     encode_node_id,
     hmac_tag,
@@ -60,10 +59,10 @@ def test_chain_advance_matches_direct_prf():
     chain = PseudonymChain.start(key, 9, ChainDirection.FORWARD_OF_SOURCE)
     assert chain.index == 1
     assert chain.current == prf(key, encode_node_id(9))
-    c2 = advance_chain(chain)
+    c2 = chain.advanced()
     assert c2.index == 2
     assert c2.current == prf(key, chain.current.digest)
-    c3 = advance_chain(c2)
+    c3 = c2.advanced()
     direct = prf(key, prf(key, chain.current.digest).digest)
     assert c3.current == direct
 
@@ -74,7 +73,7 @@ def test_chain_100_advances_distinct():
     seen = set()
     for _ in range(100):
         seen.add(chain.current.digest)
-        chain = advance_chain(chain)
+        chain = chain.advanced()
     assert len(seen) == 100
 
 
@@ -87,7 +86,7 @@ def test_trapdoor_completeness_over_window():
     for i in range(1, 17):
         match = trapdoor_check(index, c.current)
         assert match == (ChainDirection.FORWARD_OF_DESTINATION, i)
-        c = advance_chain(c)
+        c = c.advanced()
 
 
 def test_trapdoor_refill_extends_window():
@@ -99,7 +98,7 @@ def test_trapdoor_refill_extends_window():
     # walk far past the initial window; refill keeps lookups matching
     for i in range(1, 41):
         assert trapdoor_check(index, c.current) == (c.direction, i)
-        c = advance_chain(c)
+        c = c.advanced()
 
 
 def test_trapdoor_soundness_random_candidates():
@@ -119,7 +118,7 @@ def test_trapdoor_wrong_key_no_match():
     index = TrapdoorIndex(window=8)
     index.track(PseudonymChain.start(k2, 5, ChainDirection.FORWARD_OF_DESTINATION))
     chain = PseudonymChain.start(k1, 5, ChainDirection.FORWARD_OF_DESTINATION)
-    chain = advance_chain(advance_chain(chain))  # PD_3 under the other key
+    chain = chain.advanced().advanced()  # PD_3 under the other key
     assert trapdoor_check(index, chain.current) is None
 
 
@@ -135,7 +134,7 @@ def test_unlinkability_bit_balance_and_prefixes():
         v = int.from_bytes(d, "big")
         for bit in range(256):
             counts[bit] += (v >> bit) & 1
-        chain = advance_chain(chain)
+        chain = chain.advanced()
     assert len(prefixes) == n
     for c in counts:
         assert 0.45 <= c / n <= 0.55

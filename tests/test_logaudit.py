@@ -5,7 +5,9 @@ import pytest
 
 from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
+    DESTINATION_EVENTS,
     EMPTY_ROOT,
+    RELAY_EVENTS,
     AuditReport,
     DuplicateEntryError,
     EventKind,
@@ -14,21 +16,13 @@ from tap3sim.logaudit import (
     MerkleTree,
     NOT_FELLOW,
     NodeLog,
-    Pattern,
-    PublishedLog,
-    Rule,
     TARGET,
     TimestampRegressionError,
     apply_rules,
     audit_route,
-    build_root,
     check_destination,
-    combined_rules,
-    destination_rules,
     detect_active_attacker,
     detect_passive_attackers,
-    hash_verify,
-    intermediary_rules,
     leaf_hash,
     serialize_entry,
 )
@@ -41,6 +35,10 @@ def alias(n: int) -> Pseudonym:
 def entry(node=1, pid=10, event=EventKind.RECEIVED, sseq=1, oseq=2, dseq=3,
           prev=0, ts=0.0):
     return LogEntry(alias(node), pid, event, sseq, oseq, dseq, alias(prev), ts)
+
+
+def build_root(entries):
+    return MerkleTree([leaf_hash(e) for e in entries]).root
 
 
 # ---- Merkle construction ----------------------------------------------------
@@ -124,30 +122,27 @@ def test_apply_rules_binds_per_packet():
     observed = [entry(pid=5, event=EventKind.FORWARDED, ts=0.0),
                 entry(pid=9, event=EventKind.FORWARDED, ts=1.0),
                 entry(pid=7, event=EventKind.RECEIVED, ts=2.0)]
-    rules = [Rule(lhs=(Pattern(event=EventKind.FORWARDED),),
-                  rhs=Pattern(event=EventKind.RECEIVED))]
-    out = apply_rules(rules, observed)
+    out = apply_rules((EventKind.RECEIVED,), observed)
     assert [p.packet_id for p in out] == [5, 9]
     assert all(p.event == EventKind.RECEIVED for p in out)
 
 
 def test_apply_rules_unmatched_lhs_absent():
-    rules = [Rule(lhs=(Pattern(event=EventKind.REPLIED),),
-                  rhs=Pattern(event=EventKind.RECEIVED))]
-    assert apply_rules(rules, [entry(event=EventKind.FORWARDED)]) == []
+    # nothing is expected of packets the auditor never Forwarded
+    assert apply_rules((EventKind.RECEIVED,),
+                       [entry(event=EventKind.RECEIVED)]) == []
 
 
 def test_apply_rules_monotone():
     rng = random.Random(3)
-    rules = intermediary_rules()
     observed = [entry(pid=i, event=rng.choice(list(EventKind)), ts=float(i))
                 for i in range(20)]
-    small = apply_rules(rules, observed[:10])
-    big = apply_rules(rules, observed)
+    small = apply_rules(RELAY_EVENTS, observed[:10])
+    big = apply_rules(RELAY_EVENTS, observed)
     assert set(small) <= set(big)
 
 
-# ---- hash_verify ------------------------------------------------------------
+# ---- PublishedLog.proves ----------------------------------------------------
 
 def honest_published(entries):
     log = NodeLog()
@@ -159,8 +154,8 @@ def honest_published(entries):
 def test_hash_verify_completeness_and_soundness():
     entries = [entry(pid=i, event=EventKind.RECEIVED, ts=float(i)) for i in range(6)]
     pub = honest_published(entries)
-    assert hash_verify(pub, [Pattern(packet_id=3, event=EventKind.RECEIVED)]) == FELLOW
-    assert hash_verify(pub, [Pattern(packet_id=99)]) == NOT_FELLOW
+    assert pub.proves(3, EventKind.RECEIVED)
+    assert not any(pub.proves(99, event) for event in EventKind)
 
 
 def test_hash_verify_detects_post_commit_tamper():
@@ -168,14 +163,16 @@ def test_hash_verify_detects_post_commit_tamper():
     pub = honest_published(entries)
     # node edits an entry afterwards but presents the stale proof
     forged = entry(pid=2, sseq=777, ts=2.0)
-    pub.claimed[2] = (forged, pub.claimed[2][1])
-    assert hash_verify(pub, [Pattern(packet_id=2)]) == NOT_FELLOW
+    key = (2, EventKind.RECEIVED)
+    pub.claimed[key] = (forged, pub.claimed[key][1])
+    assert not pub.proves(*key)
 
 
 def test_hash_verify_malformed_proof_is_failure():
     pub = honest_published([entry(pid=1, ts=0.0)])
-    pub.claimed[0] = (pub.claimed[0][0], [(b"short", "x")])
-    assert hash_verify(pub, [Pattern(packet_id=1)]) == NOT_FELLOW
+    key = (1, EventKind.RECEIVED)
+    pub.claimed[key] = (pub.claimed[key][0], [(b"short", "x")])
+    assert not pub.proves(*key)
 
 
 # ---- route audit scenarios --------------------------------------------------
@@ -218,14 +215,14 @@ def source_tau(pids):
 def test_check_destination_honest_and_omission():
     pids = [1, 2, 3]
     tau_c = source_tau(pids)
-    assert check_destination(tau_c, destination_rules(), dest_log(pids)) == FELLOW
-    assert check_destination(tau_c, destination_rules(),
+    assert check_destination(tau_c, DESTINATION_EVENTS, dest_log(pids)) == FELLOW
+    assert check_destination(tau_c, DESTINATION_EVENTS,
                              dest_log(pids, omit_reply=True)) == NOT_FELLOW
-    assert check_destination(tau_c, destination_rules(), None) == NOT_FELLOW
+    assert check_destination(tau_c, DESTINATION_EVENTS, None) == NOT_FELLOW
 
 
 def test_check_destination_vacuous_without_rules():
-    assert check_destination(source_tau([1]), [], dest_log([])) == FELLOW
+    assert check_destination(source_tau([1]), (), dest_log([])) == FELLOW
 
 
 def make_active_scenario(n, forger):
@@ -248,7 +245,7 @@ def test_detect_active_exhaustive_placement():
     for n in range(3, 9):
         for forger in range(1, n + 1):
             tau_c, logs = make_active_scenario(n, forger)
-            got = detect_active_attacker(logs, tau_c, intermediary_rules())
+            got = detect_active_attacker(logs, tau_c)
             assert got == forger, (n, forger, got)
 
 
@@ -256,12 +253,12 @@ def test_detect_active_all_verify_returns_target():
     pids = [1, 2]
     tau_c = source_tau(pids)
     logs = [relay_log(p, pids) for p in range(1, 6)]
-    assert detect_active_attacker(logs, tau_c, intermediary_rules()) == TARGET
+    assert detect_active_attacker(logs, tau_c) == TARGET
 
 
 def test_detect_active_empty_route_rejected():
     with pytest.raises(ValueError):
-        detect_active_attacker([], source_tau([1]), intermediary_rules())
+        detect_active_attacker([], source_tau([1]))
 
 
 def passive_scenario(n, droppers):
@@ -278,50 +275,66 @@ def passive_scenario(n, droppers):
             surviving = [p for p in surviving if p not in dropped]
         else:
             logs.append(relay_log(pos, surviving))
-    tau_d = [LogEntry(alias(99), pid, EventKind.RECEIVED, 1, 2, 3, alias(98),
-                      float(i)) for i, pid in enumerate(surviving)]
-    return tau_c, tau_d, logs
+    return tau_c, logs
 
 
 def test_detect_passive_honest_route_empty():
-    tau_c, tau_d, logs = passive_scenario(5, set())
-    assert detect_passive_attackers(logs, tau_c, tau_d, combined_rules()) == []
+    tau_c, logs = passive_scenario(5, set())
+    assert detect_passive_attackers(logs, tau_c) == []
 
 
 def test_detect_passive_pair_positions():
-    tau_c, tau_d, logs = passive_scenario(5, {2, 4})
-    assert detect_passive_attackers(logs, tau_c, tau_d, combined_rules()) == [2, 4]
+    tau_c, logs = passive_scenario(5, {2, 4})
+    assert detect_passive_attackers(logs, tau_c) == [2, 4]
 
 
 def test_detect_passive_exhaustive_single_and_pairs():
     for n in range(1, 7):
         for singles in range(1, n + 1):
-            tau_c, tau_d, logs = passive_scenario(n, {singles})
-            got = detect_passive_attackers(logs, tau_c, tau_d, combined_rules())
+            tau_c, logs = passive_scenario(n, {singles})
+            got = detect_passive_attackers(logs, tau_c)
             assert got == [singles], (n, singles, got)
         for pair in itertools.combinations(range(1, n + 1), 2):
-            tau_c, tau_d, logs = passive_scenario(n, set(pair))
-            got = detect_passive_attackers(logs, tau_c, tau_d, combined_rules())
+            tau_c, logs = passive_scenario(n, set(pair))
+            got = detect_passive_attackers(logs, tau_c)
             assert got == sorted(pair), (n, pair, got)
 
 
+def test_detect_passive_link_break_is_not_an_accusation():
+    # relay 2 received packet 2 but lost its link: it proves Dropped in
+    # place of Forwarded, and relay 3 is not held to that packet
+    pids = [1, 2, 3]
+    logs = [relay_log(1, pids)]
+    log = NodeLog()
+    for i, pid in enumerate(pids):
+        log.append(LogEntry(alias(2), pid, EventKind.RECEIVED, 1, 2, 3,
+                            alias(1), float(i)))
+        moved = EventKind.DROPPED if pid == 2 else EventKind.FORWARDED
+        log.append(LogEntry(alias(2), pid, moved, 1, 2, 3, alias(1),
+                            float(i)))
+    logs.append(log.publish())
+    logs.append(relay_log(3, [1, 3]))
+    assert detect_passive_attackers(logs, source_tau(pids)) == []
+    # without the Dropped record the same relay is accused
+    logs[1] = relay_log(2, pids, drop={2})
+    assert detect_passive_attackers(logs, source_tau(pids)) == [2]
+
+
 def test_detect_passive_empty_route():
-    assert detect_passive_attackers([], source_tau([1]), [], combined_rules()) == []
+    assert detect_passive_attackers([], source_tau([1])) == []
 
 
 def run_audit(n, active=None, passive=frozenset(), omit_reply=False):
     pids = [1, 2, 3]
     if active:
         tau_c_ctl, logs = make_active_scenario(n, active)
-        tau_c_data, tau_d = tau_c_ctl, []
+        tau_c_data = tau_c_ctl
         dest = dest_log([], omit_reply=True)
     else:
-        tau_c_data, tau_d, logs = passive_scenario(n, passive)
+        tau_c_data, logs = passive_scenario(n, passive)
         tau_c_ctl = source_tau(pids)
         dest = dest_log(pids, omit_reply=omit_reply)
-    return audit_route(logs, dest, tau_c_ctl, tau_c_data, tau_d,
-                       destination_rules(), intermediary_rules(),
-                       combined_rules())
+    return audit_route(logs, dest, tau_c_ctl, tau_c_data)
 
 
 def test_audit_route_honest():

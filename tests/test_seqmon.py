@@ -12,7 +12,6 @@ from tap3sim.seqmon import (
     classify,
     distance,
     mean_vector,
-    train_threshold,
 )
 
 
@@ -79,7 +78,7 @@ def test_train_threshold_matches_enumeration_oracle():
         w = window_of(samples)
         mean = mean_vector(samples)
         oracle = max(distance(s, mean) for s in samples)
-        assert abs(train_threshold(w) - oracle) <= 1e-9 * max(1.0, oracle)
+        assert abs(w.train() - oracle) <= 1e-9 * max(1.0, oracle)
 
 
 def test_classify_training_samples_normal():
