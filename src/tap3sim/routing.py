@@ -47,6 +47,10 @@ class PacketKind(Enum):
 
 @dataclass
 class Packet:
+    """One frame.  Once handed to `Simulation.transmit` a frame is
+    read-only: every receiver of a broadcast gets the same object, and a
+    handler that changes a field (hop count, route record, an attacker's
+    sequence number) does so on its own `copy()`."""
     kind: PacketKind
     flow_id: int
     packet_id: int
@@ -67,9 +71,8 @@ class Packet:
     tag: bytes = b""
 
     def copy(self) -> "Packet":
-        c = Packet(**{k: v for k, v in self.__dict__.items()
-                      if k != "route_record"},
-                   )
+        c = object.__new__(Packet)
+        c.__dict__.update(self.__dict__)
         c.route_record = list(self.route_record)
         return c
 

@@ -205,6 +205,10 @@ def random_waypoint_step(state: MobilityState, now: float,
 
 
 class Mobility:
+    """Random-waypoint movement of one node.  `position(t)` must be asked
+    for non-decreasing `t`; the legs a node walks depend only on its rng,
+    never on which times are asked for."""
+
     def __init__(self, rng: random.Random, start: tuple[float, float],
                  area: tuple[float, float], max_speed: float,
                  pause_time: float):
@@ -215,30 +219,37 @@ class Mobility:
         speed = max_speed * (1.0 - rng.random()) if not self.static else 0.0
         self.state = MobilityState(start, (wx, wy), speed, 0.0, 0.0,
                                    area, max_speed, pause_time)
+        self._begin_leg()
 
-    def _arrival(self) -> float:
+    def _begin_leg(self) -> None:
+        """Constants of the current leg: its length (floored to keep the
+        interpolation finite), the arrival time and the end of the pause."""
         s = self.state
         d = math.dist(s.position, s.waypoint)
-        if s.speed <= 0.0:
-            return math.inf
-        return s.leg_start + d / s.speed
+        self._length = max(d, 1e-12)
+        self._arrive = (math.inf if s.speed <= 0.0
+                        else s.leg_start + d / s.speed)
+        self._leave = self._arrive + s.pause_time
+        self._dx = s.waypoint[0] - s.position[0]
+        self._dy = s.waypoint[1] - s.position[1]
 
     def position(self, t: float) -> tuple[float, float]:
         if self.static:
             return self.state.position
         while True:
             s = self.state
-            arrive = self._arrival()
-            if t < arrive:
-                frac = (t - s.leg_start) * s.speed / max(
-                    math.dist(s.position, s.waypoint), 1e-12)
-                frac = min(max(frac, 0.0), 1.0)
-                return (s.position[0] + frac * (s.waypoint[0] - s.position[0]),
-                        s.position[1] + frac * (s.waypoint[1] - s.position[1]))
-            if t <= arrive + s.pause_time:
+            if t < self._arrive:
+                frac = (t - s.leg_start) * s.speed / self._length
+                if frac < 0.0:
+                    frac = 0.0
+                elif frac > 1.0:
+                    frac = 1.0
+                x, y = s.position
+                return (x + frac * self._dx, y + frac * self._dy)
+            if t <= self._leave:
                 return s.waypoint
-            self.state = random_waypoint_step(s, arrive + s.pause_time,
-                                              self.rng)
+            self.state = random_waypoint_step(s, self._leave, self.rng)
+            self._begin_leg()
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +292,7 @@ class SimNode:
         self.batch: list[seqmon.SeqVector] = []
         self.next_merge = math.inf
         self.prev_counters: dict[tuple, tuple[int, int]] = {}
+        self.log_duplicates = 0
 
     def log_event(self, pid: int, event: EventKind, pkt: Packet, now: float,
                   prev_alias: Pseudonym, forge: bool = False) -> None:
@@ -290,7 +302,7 @@ class SimNode:
         try:
             self.log.append(entry)
         except logaudit.DuplicateEntryError:
-            pass
+            self.log_duplicates += 1
 
 
 @dataclass
@@ -340,6 +352,7 @@ class RunResult:
     audit_passive: set[int] = field(default_factory=set)
     positions_ok: bool = True
     audit_export: Optional[dict] = None
+    log_duplicates: int = 0     # evidence-log appends refused as duplicates
 
 
 def _stream(seed: int, tag: str) -> random.Random:
@@ -358,6 +371,8 @@ class Simulation:
         self.trace = trace
         self.check_privacy = check_privacy and config.protocol.uses_pseudonyms
         self.now = 0.0
+        self._positions_at = -math.inf
+        self._positions: list[Optional[tuple[float, float]]] = []
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
@@ -434,8 +449,29 @@ class Simulation:
         self._next_pid += 1
         return self._next_pid
 
+    def _positions_now(self) -> list[Optional[tuple[float, float]]]:
+        """The node positions already computed at `self.now`, None where
+        not yet.  Kept until the clock moves, which is sound because it
+        never moves back (see `run`)."""
+        if self._positions_at != self.now:
+            self._positions_at = self.now
+            self._positions = [None] * len(self.nodes)
+        return self._positions
+
     def position(self, nid: int) -> tuple[float, float]:
-        return self.nodes[nid].mobility.position(self.now)
+        known = self._positions_now()
+        pos = known[nid]
+        if pos is None:
+            pos = known[nid] = self.nodes[nid].mobility.position(self.now)
+        return pos
+
+    def positions(self) -> list[tuple[float, float]]:
+        """Every node's position at `self.now`."""
+        now = self.now
+        self._positions = [
+            pos if pos is not None else node.mobility.position(now)
+            for pos, node in zip(self._positions_now(), self.nodes)]
+        return self._positions
 
     def link(self, a: int, b: int) -> tuple[bool, float]:
         d = math.dist(self.position(a), self.position(b))
@@ -462,7 +498,8 @@ class Simulation:
                  control: bool) -> bool:
         """Queue a frame on the sender's radio.  Unicast returns False when
         the next hop is out of range (link-layer sensing); broadcast reaches
-        every in-range neighbor."""
+        every in-range neighbor.  Every receiver gets `pkt` itself: frames
+        are read-only once transmitted (see `Packet`)."""
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
         ttx = packet_size(pkt) * 8.0 / LINK_RATE_BPS
@@ -479,17 +516,19 @@ class Simulation:
             self._privacy_scan(pkt)
         self._trace(start, pkt, sender, -1 if to is None else to)
         if to is None:
-            for other in self.nodes:
-                if other.id == sender:
+            positions = self.positions()
+            here = positions[sender]
+            radio_range = self.config.radio_range
+            for other, there in enumerate(positions):
+                if other == sender:
                     continue
-                ok, dist = self.link(sender, other.id)
-                if ok:
+                dist = math.dist(here, there)
+                if dist <= radio_range:
                     arrival = start + ttx + dist / SPEED_OF_LIGHT
-                    self.schedule(arrival, self._receiver(other.id, pkt.copy(),
-                                                          sender))
+                    self.schedule(arrival, self._receiver(other, pkt, sender))
         else:
             arrival = start + ttx + dist / SPEED_OF_LIGHT
-            self.schedule(arrival, self._receiver(to, pkt.copy(), sender))
+            self.schedule(arrival, self._receiver(to, pkt, sender))
         return True
 
     def _receiver(self, nid: int, pkt: Packet, frm: int):
@@ -646,7 +685,7 @@ class Simulation:
             ds = node.dest_flows[pkt.flow_id]
             cands = ds.candidates.setdefault(pkt.round, [])
             cands.append((pkt.hop_count, self.now, list(pkt.route_record)))
-            ds.rreq_info.setdefault(pkt.round, pkt.copy())
+            ds.rreq_info.setdefault(pkt.round, pkt)
             if pkt.round not in ds.reply_scheduled:
                 ds.reply_scheduled.add(pkt.round)
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
@@ -798,7 +837,7 @@ class Simulation:
             return
         entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
         if entry is not None:
-            self.transmit(node.id, entry.next_hop, pkt.copy(), control=True)
+            self.transmit(node.id, entry.next_hop, pkt, control=True)
 
     # -- data plane ---------------------------------------------------------
 
@@ -931,7 +970,7 @@ class Simulation:
             return
         entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
         if entry is not None:
-            self.transmit(node.id, entry.prev_hop, pkt.copy(), control=True)
+            self.transmit(node.id, entry.prev_hop, pkt, control=True)
 
     # -- audits -------------------------------------------------------------
 
@@ -1016,8 +1055,15 @@ class Simulation:
             t, _, fn = heapq.heappop(self._events)
             if t > cfg.sim_duration:
                 break
-            self.now = max(self.now, t)
+            if t < self.now:
+                raise RuntimeError(
+                    f"event scheduled at {t!r} precedes the clock {self.now!r}")
+            self.now = t
             fn()
+        # Events past the end never run.  Their closures refer back to the
+        # simulation, so dropping them lets a finished run be freed at once
+        # instead of at the cycle collector's next full pass.
+        self._events.clear()
         self.now = cfg.sim_duration
         for node in self.nodes:
             x, y = node.mobility.position(cfg.sim_duration)
@@ -1030,6 +1076,7 @@ class Simulation:
                 self.result.buffered_end += 1
         self.result.in_flight_end = sum(
             1 for s in self.packet_state.values() if s == "in_flight")
+        self.result.log_duplicates = sum(n.log_duplicates for n in self.nodes)
         if self.trace and cfg.protocol is ProtocolKind.TAP3:
             self.result.audit_export = {
                 "nodes": {str(n.id): [logaudit.entry_to_list(e)

@@ -1,10 +1,14 @@
 import collections
+import itertools
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tap3sim.routing import PacketKind, ProtocolKind
+from tap3sim.logaudit import EventKind
+from tap3sim.routing import Packet, PacketKind, ProtocolKind
 from tap3sim.sim import (
     DESK_CONFIG_TEXT,
     LINK_RATE_BPS,
@@ -14,6 +18,7 @@ from tap3sim.sim import (
     Mobility,
     MobilityState,
     ScenarioConfig,
+    Simulation,
     desk_profile,
     parse_config,
     random_waypoint_step,
@@ -80,6 +85,43 @@ def test_positions_stay_inside_area():
         x, y = mob.position(float(t))
         assert 0.0 <= x <= 300.0
         assert 0.0 <= y <= 300.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pause=st.sampled_from([0.0, 0.5, 7.0]),
+       steps=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=300),
+       keep=st.integers(2, 9))
+def test_mobility_is_independent_of_query_pattern(seed, pause, steps, keep):
+    """A node walks the same legs whether it is asked for its position at
+    every instant or only now and then: asking on a dense increasing grid
+    and on a sparse subset of it gives bit-equal positions, and each one
+    equals the interpolation written out from the current leg."""
+    def walker():
+        return Mobility(random.Random(seed), (10.0, 290.0), (300.0, 300.0),
+                        max_speed=25.0, pause_time=pause)
+
+    times = list(itertools.accumulate(steps))
+    dense, sparse = walker(), walker()
+    at_dense = []
+    for t in times:
+        at_dense.append(dense.position(t))
+        assert at_dense[-1] == leg_position(dense.state, t)
+    for i in range(0, len(times), keep):
+        assert sparse.position(times[i]) == at_dense[i]
+    for x, y in at_dense:
+        assert 0.0 <= x <= 300.0 and 0.0 <= y <= 300.0
+
+
+def leg_position(s: MobilityState, t: float) -> tuple[float, float]:
+    """Reference: position at `t` on leg `s`, recomputed from scratch."""
+    length = math.dist(s.position, s.waypoint)
+    if t >= s.leg_start + length / s.speed:
+        return s.waypoint
+    frac = (t - s.leg_start) * s.speed / max(length, 1e-12)
+    frac = min(max(frac, 0.0), 1.0)
+    return (s.position[0] + frac * (s.waypoint[0] - s.position[0]),
+            s.position[1] + frac * (s.waypoint[1] - s.position[1]))
 
 
 def test_waypoint_step_draws_valid_leg():
@@ -218,3 +260,52 @@ def test_desk_scenario_detects_all_attacker_kinds():
     accused = ({s for _, s in res.classifier_flags}
                | res.audit_active | res.audit_passive)
     assert {0, 1, 2} <= accused
+
+
+# ---------------------------------------------------------------------------
+# frames, clock and evidence-log invariants
+
+
+@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.MPRF])
+def test_received_frames_are_never_mutated(monkeypatch, protocol):
+    """Every receiver is handed the very frame that was transmitted (one
+    object per broadcast), and no handler changes it."""
+    sent = {}
+    fanout = collections.Counter()
+    transmit, dispatch = Simulation.transmit, Simulation.dispatch
+
+    def recording_transmit(self, sender, to, pkt, control):
+        sent[id(pkt)] = pkt     # keeps the frame alive, so ids stay unique
+        return transmit(self, sender, to, pkt, control)
+
+    def checked_dispatch(self, nid, pkt, frm):
+        assert sent.get(id(pkt)) is pkt
+        fanout[id(pkt)] += 1
+        before = dict(pkt.__dict__, route_record=tuple(pkt.route_record))
+        dispatch(self, nid, pkt, frm)
+        assert dict(pkt.__dict__, route_record=tuple(pkt.route_record)) \
+            == before
+
+    monkeypatch.setattr(Simulation, "transmit", recording_transmit)
+    monkeypatch.setattr(Simulation, "dispatch", checked_dispatch)
+    run_scenario(desk_profile(protocol, seed=1))
+    assert max(fanout.values()) > 1
+
+
+def test_event_in_the_past_is_an_error():
+    cfg = replace(desk_profile(seed=1), sim_duration=10.0)
+    sim = Simulation(cfg)
+    sim.schedule(5.0, lambda: sim.schedule(4.0, lambda: None))
+    with pytest.raises(RuntimeError, match="precedes the clock"):
+        sim.run()
+
+
+def test_log_duplicates_are_counted():
+    assert run_scenario(desk_profile(seed=1)).log_duplicates == 0
+    sim = Simulation(replace(desk_profile(seed=1), sim_duration=60.0))
+    node = sim.nodes[5]
+    pkt = Packet(PacketKind.DATA, 0, 10 ** 9)  # no real packet has this id
+    for _ in range(2):
+        node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, 0.0,
+                       node.log_alias)
+    assert sim.run().log_duplicates == 1
