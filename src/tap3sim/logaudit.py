@@ -5,11 +5,11 @@ it to a Merkle root.  A source audits a route from its own log: for every
 packet it Forwarded, the destination must prove Received and Replied, and
 a relay must prove Received plus Forwarded (or, in the passive scan, a
 Dropped record for a broken link).  Each required record is one
-(packet id, event) lookup in the published log and one inclusion proof
-against its root.  Three checks compose: destination verification,
-reverse-scan active-attacker location, and forward-scan passive-dropper
-listing.  The simulator's live audits and the replay of a trace both run
-`audit_route`.
+(packet id, event) lookup in the published snapshot and one inclusion
+proof, built when the auditor asks for it, against the snapshot's root.
+Three checks compose: destination verification, reverse-scan
+active-attacker location, and forward-scan passive-dropper listing.  The
+simulator's live audits and the replay of a trace both run `audit_route`.
 """
 
 from __future__ import annotations
@@ -73,29 +73,73 @@ EMPTY_ROOT = hashlib.sha256(EMPTY_TAG).digest()
 
 
 class MerkleTree:
-    """Binary hash tree over ordered leaves; odd node promoted unhashed."""
+    """Append-only binary hash tree over ordered leaves; odd node promoted
+    unhashed.  The hash of every complete 2^k-leaf block is cached once,
+    when its last leaf arrives, and never changes afterwards.  The root and
+    any inclusion proof of the first n leaves are rebuilt from those blocks
+    plus the O(log n) nodes on the right edge of the size-n tree, so they
+    equal what a tree built from scratch over those n leaves gives."""
 
-    def __init__(self, leaves: Sequence[bytes]):
-        self.levels = [list(leaves)]
-        level = self.levels[0]
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(_interior(level[i], level[i + 1]))
-            if len(level) % 2:
-                nxt.append(level[-1])
-            self.levels.append(nxt)
-            level = nxt
-        self.root = level[0] if level else EMPTY_ROOT
+    def __init__(self, leaves: Sequence[bytes] = ()):
+        # blocks[k][j] hashes leaves [j * 2^k, (j + 1) * 2^k)
+        self.blocks: list[list[bytes]] = [[]]
+        for leaf in leaves:
+            self.append(leaf)
 
-    def proof(self, index: int) -> list[tuple[bytes, bool]]:
-        """Inclusion proof: (sibling, sibling_is_left) pairs, leaf to root."""
+    def __len__(self) -> int:
+        return len(self.blocks[0])
+
+    def append(self, leaf: bytes) -> None:
+        level = self.blocks[0]
+        level.append(leaf)
+        k = 0
+        while not len(level) % 2:
+            node = _interior(level[-2], level[-1])
+            k += 1
+            if k == len(self.blocks):
+                self.blocks.append([])
+            level = self.blocks[k]
+            level.append(node)
+
+    def _edge(self, size: int, k: int) -> bytes:
+        """The last node of level k of the size-`size` tree when it is
+        incomplete: the complete blocks of size's low k bits, folded from
+        the right."""
+        node = None
+        for b in range(k):
+            if size >> b & 1:
+                block = self.blocks[b][(size >> b) - 1]
+                node = block if node is None else _interior(block, node)
+        return node
+
+    def root_at(self, size: int) -> bytes:
+        """Root of the tree over the first `size` leaves."""
+        if not 0 <= size <= len(self):
+            raise IndexError(f"size {size} outside 0..{len(self)}")
+        return self._edge(size, size.bit_length()) if size else EMPTY_ROOT
+
+    @property
+    def root(self) -> bytes:
+        return self.root_at(len(self))
+
+    def proof(self, index: int,
+              size: Optional[int] = None) -> list[tuple[bytes, bool]]:
+        """Inclusion proof of leaf `index` in the tree over the first `size`
+        leaves (all of them by default): (sibling, sibling_is_left) pairs,
+        leaf to root."""
+        n = len(self) if size is None else size
+        if not 0 <= index < n <= len(self):
+            raise IndexError(f"leaf {index} outside a tree of {n}")
         out = []
-        for level in self.levels[:-1]:
-            sib = index ^ 1
-            if sib < len(level):
-                out.append((level[sib], sib < index))
-            index //= 2
+        k = 0
+        while n > 1 << k:
+            node = index >> k
+            sib = node ^ 1
+            if (sib + 1) << k <= n:
+                out.append((self.blocks[k][sib], sib < node))
+            elif sib << k < n:
+                out.append((self._edge(n, k), False))
+            k += 1
         return out
 
     @staticmethod
@@ -121,23 +165,26 @@ class Expected(NamedTuple):
     event: EventKind
 
 
-@dataclass
+@dataclass(frozen=True)
 class PublishedLog:
-    """What an audited node hands the auditor: its committed root plus the
-    entries it claims, keyed by (packet id, event), each with an inclusion
-    proof."""
+    """What an audited node hands the auditor: its root over the first
+    `size` entries of its log.  The auditor then asks for one record at a
+    time, by (packet id, event); the node answers with the entry and its
+    inclusion proof at that size.  Entries appended later are not part of
+    the snapshot."""
     commitment: MerkleCommitment
-    claimed: dict[tuple[int, EventKind],
-                  tuple[LogEntry, list[tuple[bytes, bool]]]]
+    log: NodeLog
+    size: int
 
     def proves(self, packet_id: int, event: EventKind) -> bool:
-        """True iff a claimed (packet_id, event) entry verifies against the
-        published root."""
-        hit = self.claimed.get((packet_id, event))
-        if hit is None:
+        """True iff the snapshot holds a (packet_id, event) entry whose
+        inclusion proof verifies against the published root."""
+        index = self.log.claim_index(packet_id, event, self.size)
+        if index is None:
             return False
-        entry, proof = hit
-        return MerkleTree.verify(self.commitment.root, leaf_hash(entry), proof)
+        proof = self.log.tree.proof(index, self.size)
+        return MerkleTree.verify(self.commitment.root,
+                                 leaf_hash(self.log.entries[index]), proof)
 
 
 class DuplicateEntryError(Exception):
@@ -149,35 +196,50 @@ class TimestampRegressionError(Exception):
 
 
 class NodeLog:
-    """Append-only evidence log; leaf hashes are kept so commitments are
-    recomputed only when asked for."""
+    """Append-only evidence log committed to an append-only Merkle tree.
+    A (packet id, event) claim names the last entry that carries it."""
 
     def __init__(self):
         self.entries: list[LogEntry] = []
-        self._leaves: list[bytes] = []
-        self._keys: set[tuple[bytes, int, EventKind]] = set()
+        self.tree = MerkleTree()
+        self._claims: dict[tuple[int, EventKind], int] = {}
+        # entry index -> index of the earlier entry with the same claim
+        self._shadowed: dict[int, int] = {}
         self._last_ts = float("-inf")
 
     def append(self, entry: LogEntry) -> None:
         if entry.timestamp < self._last_ts:
             raise TimestampRegressionError(
                 f"timestamp {entry.timestamp} precedes {self._last_ts}")
-        key = (entry.node_alias.digest, entry.packet_id, entry.event)
-        if key in self._keys:
-            raise DuplicateEntryError(f"duplicate entry {key}")
-        self._keys.add(key)
+        claim = (entry.packet_id, entry.event)
+        earlier = self._claims.get(claim)
+        i = earlier
+        while i is not None:
+            if self.entries[i].node_alias.digest == entry.node_alias.digest:
+                raise DuplicateEntryError(
+                    f"duplicate entry {(entry.node_alias.digest, *claim)}")
+            i = self._shadowed.get(i)
+        index = len(self.entries)
+        if earlier is not None:
+            self._shadowed[index] = earlier
+        self._claims[claim] = index
         self._last_ts = entry.timestamp
         self.entries.append(entry)
-        self._leaves.append(leaf_hash(entry))
+        self.tree.append(leaf_hash(entry))
 
-    def commitment(self) -> MerkleCommitment:
-        return MerkleCommitment(MerkleTree(self._leaves).root)
+    def claim_index(self, packet_id: int, event: EventKind,
+                    size: int) -> Optional[int]:
+        """Index of the last (packet_id, event) entry among the first
+        `size`, or None."""
+        index = self._claims.get((packet_id, event))
+        while index is not None and index >= size:
+            index = self._shadowed.get(index)
+        return index
 
     def publish(self) -> PublishedLog:
-        tree = MerkleTree(self._leaves)
-        claimed = {(e.packet_id, e.event): (e, tree.proof(i))
-                   for i, e in enumerate(self.entries)}
-        return PublishedLog(MerkleCommitment(tree.root), claimed)
+        size = len(self.entries)
+        return PublishedLog(MerkleCommitment(self.tree.root_at(size)),
+                            self, size)
 
 
 # Records each role must prove for every packet the auditor forwarded.
@@ -204,7 +266,7 @@ TARGET = "Target"
 
 
 # Stands in for a node that published nothing: it proves no record.
-_SILENT = PublishedLog(MerkleCommitment(EMPTY_ROOT), {})
+_SILENT = NodeLog().publish()
 
 
 def _proves_all(published: Optional[PublishedLog],
@@ -246,11 +308,12 @@ def detect_passive_attackers(route_logs: Sequence[Optional[PublishedLog]],
     fake: list[int] = []
     for j, published in enumerate(route_logs, start=1):
         proves = (published or _SILENT).proves
+        forwarded = {pid for pid in pids if proves(pid, EventKind.FORWARDED)}
         if not all(proves(pid, EventKind.RECEIVED)
-                   and (proves(pid, EventKind.FORWARDED)
-                        or proves(pid, EventKind.DROPPED)) for pid in pids):
+                   and (pid in forwarded or proves(pid, EventKind.DROPPED))
+                   for pid in pids):
             fake.append(j)
-        pids = [pid for pid in pids if proves(pid, EventKind.FORWARDED)]
+        pids = [pid for pid in pids if pid in forwarded]
     return fake
 
 

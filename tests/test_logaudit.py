@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
@@ -83,6 +85,68 @@ def test_tamper_trials_change_root():
         assert MerkleTree(forged_leaves).root != root
 
 
+def reference_tree(leaves):
+    """From-scratch level-by-level construction: hash neighbour pairs and
+    promote an odd last node unhashed.  Returns the root and every proof."""
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        nxt = [hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
+               for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        levels.append(nxt)
+    root = levels[-1][0] if leaves else EMPTY_ROOT
+    proofs = []
+    for index in range(len(leaves)):
+        proof, i = [], index
+        for level in levels[:-1]:
+            if i ^ 1 < len(level):
+                proof.append((level[i ^ 1], i ^ 1 < i))
+            i //= 2
+        proofs.append(proof)
+    return root, proofs
+
+
+# 0, 1, the powers of two up to 64 and their neighbours
+EDGE_SIZES = sorted({0, 1} | {m for k in range(1, 7)
+                             for m in (2 ** k - 1, 2 ** k, 2 ** k + 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(snapshots=st.lists(st.integers(0, 70), max_size=6),
+       extra=st.integers(0, 9),
+       events=st.lists(st.sampled_from(list(EventKind)), min_size=80,
+                       max_size=80))
+@example(snapshots=EDGE_SIZES, extra=3, events=[EventKind.RECEIVED] * 80)
+def test_incremental_tree_equals_from_scratch(snapshots, extra, events):
+    snapshots = sorted(set(snapshots))
+    total = (snapshots[-1] if snapshots else 0) + extra
+    entries = [entry(node=i % 7, pid=i, event=events[i], ts=float(i))
+               for i in range(total)]
+    leaves = [leaf_hash(e) for e in entries]
+    log = NodeLog()
+    published = {}
+    for i, e in enumerate(entries):
+        if i in snapshots:
+            published[i] = log.publish()
+        log.append(e)
+    if total in snapshots:
+        published[total] = log.publish()
+    # every snapshot is checked after all the appends that follow it
+    for n, pub in published.items():
+        root, proofs = reference_tree(leaves[:n])
+        scratch = MerkleTree(leaves[:n])
+        assert pub.size == n
+        assert pub.commitment.root == root == scratch.root
+        assert log.tree.root_at(n) == root
+        for i in range(n):
+            assert log.tree.proof(i, n) == proofs[i] == scratch.proof(i)
+            assert pub.proves(i, events[i])
+        for i in range(n, total):
+            assert not pub.proves(i, events[i])
+
+
 def test_inclusion_proofs_verify():
     entries = [entry(pid=i, ts=float(i)) for i in range(13)]
     tree = MerkleTree([leaf_hash(e) for e in entries])
@@ -96,10 +160,10 @@ def test_inclusion_proofs_verify():
 def test_append_updates_root_and_rejects_duplicates():
     log = NodeLog()
     log.append(entry(pid=1, ts=0.0))
-    c1 = log.commitment()
+    c1 = log.publish().commitment
     assert c1.root == leaf_hash(entry(pid=1, ts=0.0))
     log.append(entry(pid=2, ts=1.0))
-    c2 = log.commitment()
+    c2 = log.publish().commitment
     assert c2.root != c1.root
     with pytest.raises(DuplicateEntryError):
         log.append(entry(pid=1, ts=2.0))
@@ -159,20 +223,62 @@ def test_hash_verify_completeness_and_soundness():
 
 
 def test_hash_verify_detects_post_commit_tamper():
-    entries = [entry(pid=i, ts=float(i)) for i in range(5)]
-    pub = honest_published(entries)
-    # node edits an entry afterwards but presents the stale proof
-    forged = entry(pid=2, sseq=777, ts=2.0)
+    log = NodeLog()
+    for i in range(5):
+        log.append(entry(pid=i, ts=float(i)))
+    pub = log.publish()
     key = (2, EventKind.RECEIVED)
-    pub.claimed[key] = (forged, pub.claimed[key][1])
+    index = log.claim_index(*key, pub.size)
+    stale_proof = log.tree.proof(index, pub.size)
+    assert pub.proves(*key)
+    # node edits an entry afterwards, in place: the proof still comes from
+    # the committed hashes, the leaf from the forged entry
+    forged = entry(pid=2, sseq=777, ts=2.0)
+    log.entries[index] = forged
     assert not pub.proves(*key)
+    assert not MerkleTree.verify(pub.commitment.root, leaf_hash(forged),
+                                 stale_proof)
 
 
-def test_hash_verify_malformed_proof_is_failure():
+def test_hash_verify_malformed_proof_is_failure(monkeypatch):
     pub = honest_published([entry(pid=1, ts=0.0)])
     key = (1, EventKind.RECEIVED)
-    pub.claimed[key] = (pub.claimed[key][0], [(b"short", "x")])
-    assert not pub.proves(*key)
+    assert pub.proves(*key)
+    # the node answers with a malformed proof; `proves` must reject it
+    for malformed in ([(b"short", "x")], [(None, False)], [("text", True)],
+                      [(b"x" * 32,)]):
+        monkeypatch.setattr(MerkleTree, "proof",
+                            lambda self, index, size=None: malformed)
+        assert not pub.proves(*key), malformed
+
+
+def test_claim_names_last_entry_in_snapshot():
+    # two aliases of one node log the same (packet id, event); each
+    # snapshot proves the last such entry it holds
+    log = NodeLog()
+    log.append(entry(node=1, pid=5, ts=0.0))
+    first = log.publish()
+    log.append(entry(node=2, pid=5, ts=1.0))
+    second = log.publish()
+    assert log.claim_index(5, EventKind.RECEIVED, first.size) == 0
+    assert log.claim_index(5, EventKind.RECEIVED, second.size) == 1
+    assert first.proves(5, EventKind.RECEIVED)
+    assert second.proves(5, EventKind.RECEIVED)
+    # the duplicate check reaches past the later alias to the first entry
+    with pytest.raises(DuplicateEntryError):
+        log.append(entry(node=1, pid=5, ts=2.0))
+    log.entries[1] = entry(node=2, pid=5, sseq=9, ts=1.0)
+    assert first.proves(5, EventKind.RECEIVED)
+    assert not second.proves(5, EventKind.RECEIVED)
+
+
+def test_proof_outside_tree_is_an_error():
+    tree = MerkleTree([leaf_hash(entry(pid=i)) for i in range(3)])
+    for index, size in [(3, None), (-1, None), (2, 2), (0, 4)]:
+        with pytest.raises(IndexError):
+            tree.proof(index, size)
+    with pytest.raises(IndexError):
+        tree.root_at(4)
 
 
 # ---- route audit scenarios --------------------------------------------------
