@@ -8,6 +8,7 @@ exclusion and round-robin dispersal over the usable path set).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -50,7 +51,11 @@ class Packet:
     """One frame.  Once handed to `Simulation.transmit` a frame is
     read-only: every receiver of a broadcast gets the same object, and a
     handler that changes a field (hop count, route record, an attacker's
-    sequence number) does so on its own `copy()`."""
+    sequence number) does so on its own `copy()`.  A broadcast (always a
+    route request) is not delivered to a node that already holds its key
+    and is not the flow's destination: that node would drop the copy
+    unread, and it still holds the key when the copy would arrive, so
+    leaving the copy out changes nothing (see `SimNode.ignores_rreq`)."""
     kind: PacketKind
     flow_id: int
     packet_id: int
@@ -92,11 +97,18 @@ _T_ROUTE = 0x87
 _T_TAG = 0x88
 
 _KIND_CODE = {k: i + 1 for i, k in enumerate(PacketKind)}
+# the eight tagged 32-bit sequence fields, the misc byte (hop count) and the
+# route-record header (length); then one tagged 16-bit id per route entry
+_FIXED = struct.Struct(">" + "BI" * 8 + "BB" + "BB")
+_ROUTE_ENTRY = struct.Struct(">BH")
+_U32 = 0xFFFFFFFF
 
 
 def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
     """Canonical control-header encoding, used for tagging, privacy checks
-    and size accounting."""
+    and size accounting.  Sequence fields keep their low 32 bits, the hop
+    count and the route-record length their low 8 and each route entry its
+    low 16."""
     parts = [bytes([_T_KIND, _KIND_CODE[pkt.kind]])]
     if pkt.forward_alias is not None:
         parts.append(bytes([_T_FWD]) + pkt.forward_alias.digest)
@@ -106,16 +118,16 @@ def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
         parts.append(bytes([_T_SRC]) + encode_node_id(pkt.src_addr))
     if pkt.dst_addr is not None:
         parts.append(bytes([_T_DST]) + encode_node_id(pkt.dst_addr))
-    seqs = b""
-    for v in (pkt.sseq, pkt.oseq, pkt.dseq, pkt.req_oseq, pkt.packet_id,
-              pkt.flow_id, pkt.round, pkt.path_id):
-        seqs += bytes([_T_SEQ]) + (v & 0xFFFFFFFF).to_bytes(4, "big")
-    parts.append(seqs)
-    parts.append(bytes([_T_MISC, pkt.hop_count & 0xFF]))
-    route = bytes([_T_ROUTE, len(pkt.route_record) & 0xFF])
-    for nid in pkt.route_record:
-        route += bytes([_T_ROUTE]) + (nid & 0xFFFF).to_bytes(2, "big")
-    parts.append(route)
+    route = pkt.route_record
+    parts.append(_FIXED.pack(
+        _T_SEQ, pkt.sseq & _U32, _T_SEQ, pkt.oseq & _U32,
+        _T_SEQ, pkt.dseq & _U32, _T_SEQ, pkt.req_oseq & _U32,
+        _T_SEQ, pkt.packet_id & _U32, _T_SEQ, pkt.flow_id & _U32,
+        _T_SEQ, pkt.round & _U32, _T_SEQ, pkt.path_id & _U32,
+        _T_MISC, pkt.hop_count & 0xFF, _T_ROUTE, len(route) & 0xFF))
+    if route:
+        entry = _ROUTE_ENTRY.pack
+        parts.extend([entry(_T_ROUTE, nid & 0xFFFF) for nid in route])
     if include_tag and pkt.tag:
         parts.append(bytes([_T_TAG]) + pkt.tag)
     return b"".join(parts)

@@ -38,7 +38,7 @@ from .routing import (
     ProtocolKind,
     RouteEntry,
     header_bytes,
-    packet_size,
+    packet_size,  # noqa: F401 -- benchmarks/probes.py wraps it here
     pick_disjoint_paths,
     select_paths,
 )
@@ -104,15 +104,17 @@ class ScenarioConfig:
     attackers: list[AttackerSpec] = field(default_factory=list)
 
     def validate(self) -> None:
-        bad = []
+        bad = [f"{name} must be finite" for name in _NUMERIC_FIELDS
+               if not _finite(getattr(self, name))]
         for name in ("area_x", "area_y", "node_count", "max_speed",
                      "sim_duration", "pkt_rate", "pkt_size", "radio_range"):
             v = getattr(self, name)
-            if v < 0 or (v == 0 and name not in ("max_speed",)):
+            if _finite(v) and (v < 0 or (v == 0 and name != "max_speed")):
                 bad.append(f"{name} must be positive")
         if self.flows < 0:
             bad.append("flows must be non-negative")
-        if self.pause_time < 0 or self.pause_time > self.sim_duration:
+        if (_finite(self.pause_time) and _finite(self.sim_duration)
+                and not 0 <= self.pause_time <= self.sim_duration):
             bad.append("pause_time must lie in [0, sim_duration]")
         if self.node_count < 2:
             bad.append("node_count must be at least 2")
@@ -122,9 +124,11 @@ class ScenarioConfig:
         for a in self.attackers:
             if not 0 <= a.node_id < self.node_count:
                 bad.append(f"attacker {a.node_id} outside node set")
-            if a.kind is AttackKind.PASSIVE_DROP and not 0 < a.param <= 1:
+            if not _finite(a.param):
+                bad.append(f"attacker {a.node_id} parameter must be finite")
+            elif a.kind is AttackKind.PASSIVE_DROP and not 0 < a.param <= 1:
                 bad.append("passivedrop fraction must be in (0, 1]")
-            if a.kind is not AttackKind.PASSIVE_DROP and a.param <= 0:
+            elif a.kind is not AttackKind.PASSIVE_DROP and a.param <= 0:
                 bad.append(f"{a.kind.value} parameter must be > 0")
         if self.node_count - len(self.attackers) < 2 * self.flows:
             bad.append("not enough honest nodes for the requested flows")
@@ -134,6 +138,18 @@ class ScenarioConfig:
             raise ConfigError(bad)
 
 
+_NUMERIC_FIELDS = ("area_x", "area_y", "node_count", "max_speed",
+                   "pause_time", "sim_duration", "flows", "pkt_rate",
+                   "pkt_size", "radio_range", "rng_seed")
+
+
+def _finite(v) -> bool:
+    """False for an infinite or NaN float: `float()` parses "inf" and
+    "nan", which no range check catches (NaN compares false to anything)
+    and which make a run loop forever or fail mid-way."""
+    return not isinstance(v, float) or math.isfinite(v)
+
+
 _PROTO_BY_NAME = {p.value: p for p in ProtocolKind}
 
 
@@ -141,10 +157,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Line-based `key = value` scenario file; unknown keys are errors."""
     cfg = ScenarioConfig()
     problems = []
-    fields = {f: type(getattr(cfg, f)) for f in
-              ("area_x", "area_y", "node_count", "max_speed", "pause_time",
-               "sim_duration", "flows", "pkt_rate", "pkt_size", "radio_range",
-               "rng_seed")}
+    fields = {f: type(getattr(cfg, f)) for f in _NUMERIC_FIELDS}
     cfg.attackers = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -293,6 +306,17 @@ class SimNode:
         self.next_merge = math.inf
         self.prev_counters: dict[tuple, tuple[int, int]] = {}
         self.log_duplicates = 0
+
+    def ignores_rreq(self, key: tuple, flow_id: int) -> bool:
+        """True when a route request with this key would change nothing
+        here: the node already holds the key and is not the flow's
+        destination, so it drops the copy (RFC 3561 section 6.5).  The
+        set of held keys only grows, so a copy that is inert when it is
+        sent is still inert when it arrives.  Skipping the copy also
+        skips raising `max_dseq_seen` to its `dseq`, which is sound
+        because every copy of one key carries the same `dseq` and a node
+        raised the field to it when it took the key."""
+        return key in self.seen_rreq and flow_id not in self.dest_flows
 
     def log_event(self, pid: int, event: EventKind, pkt: Packet, now: float,
                   prev_alias: Pseudonym, forge: bool = False) -> None:
@@ -449,60 +473,56 @@ class Simulation:
         self._next_pid += 1
         return self._next_pid
 
-    def _positions_now(self) -> list[Optional[tuple[float, float]]]:
-        """The node positions already computed at `self.now`, None where
-        not yet.  Kept until the clock moves, which is sound because it
-        never moves back (see `run`)."""
+    def position(self, nid: int) -> tuple[float, float]:
+        """Where node `nid` is at `self.now`.  Positions are kept until the
+        clock moves, which is sound because it never moves back (see
+        `run`)."""
         if self._positions_at != self.now:
             self._positions_at = self.now
             self._positions = [None] * len(self.nodes)
-        return self._positions
-
-    def position(self, nid: int) -> tuple[float, float]:
-        known = self._positions_now()
-        pos = known[nid]
+        pos = self._positions[nid]
         if pos is None:
-            pos = known[nid] = self.nodes[nid].mobility.position(self.now)
+            pos = self._positions[nid] = \
+                self.nodes[nid].mobility.position(self.now)
         return pos
-
-    def positions(self) -> list[tuple[float, float]]:
-        """Every node's position at `self.now`."""
-        now = self.now
-        self._positions = [
-            pos if pos is not None else node.mobility.position(now)
-            for pos, node in zip(self._positions_now(), self.nodes)]
-        return self._positions
 
     def link(self, a: int, b: int) -> tuple[bool, float]:
         d = math.dist(self.position(a), self.position(b))
         return d <= self.config.radio_range, d
 
-    def _privacy_scan(self, pkt: Packet) -> None:
+    def _privacy_scan(self, pkt: Packet, hdr: bytes) -> None:
         if pkt.kind not in (PacketKind.RREQ, PacketKind.RREP,
                             PacketKind.RREP_ACK):
             return
         flow = self.flows[pkt.flow_id]
-        hdr = header_bytes(pkt)
         self.result.privacy_checks += 1
         for nid in (flow.src, flow.dst):
             if encode_node_id(nid) in hdr:
                 self.result.privacy_violations += 1
 
-    def _trace(self, t: float, pkt: Packet, frm: int, to: int) -> None:
+    def _trace(self, t: float, pkt: Packet, frm: int, to: int,
+               size: int) -> None:
         if self.trace:
             self.result.packet_rows.append(
                 f"{t:.6f},{pkt.kind.value},{frm},{to},{pkt.packet_id},"
-                f"{pkt.path_id},{packet_size(pkt)}")
+                f"{pkt.path_id},{size}")
 
     def transmit(self, sender: int, to: Optional[int], pkt: Packet,
                  control: bool) -> bool:
         """Queue a frame on the sender's radio.  Unicast returns False when
-        the next hop is out of range (link-layer sensing); broadcast reaches
-        every in-range neighbor.  Every receiver gets `pkt` itself: frames
-        are read-only once transmitted (see `Packet`)."""
+        the next hop is out of range (link-layer sensing).  A broadcast is
+        always a route request; it reaches every in-range neighbor except
+        one that would ignore it (`SimNode.ignores_rreq`), whose position
+        is then not even looked up.  Such a copy would only be dropped on
+        arrival, so leaving it unscheduled changes no state, and every
+        other event keeps its time and its order.  Every receiver gets `pkt` itself: frames are read-only
+        once transmitted (see `Packet`).  The header is encoded once, for
+        the size, the privacy scan and the trace."""
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
-        ttx = packet_size(pkt) * 8.0 / LINK_RATE_BPS
+        hdr = header_bytes(pkt)
+        size = len(hdr) + pkt.payload_size
+        ttx = size * 8.0 / LINK_RATE_BPS
         if to is not None:
             ok, dist = self.link(sender, to)
             if not ok:
@@ -513,16 +533,19 @@ class Simulation:
         else:
             self.result.data_tx += 1
         if self.check_privacy:
-            self._privacy_scan(pkt)
-        self._trace(start, pkt, sender, -1 if to is None else to)
+            self._privacy_scan(pkt, hdr)
+        self._trace(start, pkt, sender, -1 if to is None else to, size)
         if to is None:
-            positions = self.positions()
-            here = positions[sender]
+            if pkt.kind is not PacketKind.RREQ:
+                raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
+            key = self._rreq_key(pkt)
+            flow_id = pkt.flow_id
+            here = self.position(sender)
             radio_range = self.config.radio_range
-            for other, there in enumerate(positions):
-                if other == sender:
+            for other, rx in enumerate(self.nodes):
+                if other == sender or rx.ignores_rreq(key, flow_id):
                     continue
-                dist = math.dist(here, there)
+                dist = math.dist(here, self.position(other))
                 if dist <= radio_range:
                     arrival = start + ttx + dist / SPEED_OF_LIGHT
                     self.schedule(arrival, self._receiver(other, pkt, sender))
@@ -644,6 +667,7 @@ class Simulation:
             src_node.log_alias, pid, EventKind.FORWARDED, pkt.sseq, pkt.oseq,
             pkt.dseq, src_node.log_alias, self.now)]
         src_node.seen_rreq.add(self._rreq_key(pkt))
+        src_node.max_dseq_seen = max(src_node.max_dseq_seen, pkt.dseq)
         flow.discovery_outstanding = rnd
         self.transmit(flow.src, None, pkt, control=True)
         self.schedule(self.now + RREP_WAIT, lambda: self.discovery_check(flow, rnd))
@@ -678,6 +702,8 @@ class Simulation:
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
         key = self._rreq_key(pkt)
+        if node.ignores_rreq(key, pkt.flow_id):
+            return
         first_copy = key not in node.seen_rreq
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
         flow = self.flows[pkt.flow_id]

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from tap3sim.crypto import Pseudonym, encode_node_id
 from tap3sim.routing import (
     Packet,
@@ -63,6 +65,67 @@ def test_header_changes_with_sequence_fields():
     bumped = pkt.copy()
     bumped.dseq += 1
     assert header_bytes(bumped, include_tag=False) != base
+
+
+def loop_header_bytes(pkt, include_tag=True):
+    """Reference: the header written out field by field, one byte string
+    per field, with the masks spelled out."""
+    parts = [bytes([0x80, list(PacketKind).index(pkt.kind) + 1])]
+    if pkt.forward_alias is not None:
+        parts.append(bytes([0x81]) + pkt.forward_alias.digest)
+    if pkt.reverse_alias is not None:
+        parts.append(bytes([0x82]) + pkt.reverse_alias.digest)
+    if pkt.src_addr is not None:
+        parts.append(bytes([0x83]) + encode_node_id(pkt.src_addr))
+    if pkt.dst_addr is not None:
+        parts.append(bytes([0x84]) + encode_node_id(pkt.dst_addr))
+    seqs = b""
+    for v in (pkt.sseq, pkt.oseq, pkt.dseq, pkt.req_oseq, pkt.packet_id,
+              pkt.flow_id, pkt.round, pkt.path_id):
+        seqs += bytes([0x85]) + (v & 0xFFFFFFFF).to_bytes(4, "big")
+    parts.append(seqs)
+    parts.append(bytes([0x86, pkt.hop_count & 0xFF]))
+    route = bytes([0x87, len(pkt.route_record) & 0xFF])
+    for nid in pkt.route_record:
+        route += bytes([0x87]) + (nid & 0xFFFF).to_bytes(2, "big")
+    parts.append(route)
+    if include_tag and pkt.tag:
+        parts.append(bytes([0x88]) + pkt.tag)
+    return b"".join(parts)
+
+
+WIDE = st.integers(-2 ** 40, 2 ** 40)     # negative and over 32 bits
+ALIAS = st.none() | st.binary(min_size=32, max_size=32).map(Pseudonym)
+ADDRESS = st.none() | st.integers(0, 2 ** 64 - 1)
+# short records of any ids, or records longer than 255 entries whose ids
+# stride over 16 bits (drawn as start, stride, length: long lists are slow
+# to draw element by element)
+ROUTE = (st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=6)
+         | st.tuples(st.integers(0, 2 ** 20), st.integers(1, 4099),
+                     st.integers(250, 300)).map(
+             lambda t: [t[0] + i * t[1] for i in range(t[2])]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(PacketKind)),
+       seqs=st.tuples(*[WIDE] * 8), hop_count=st.integers(-300, 1000),
+       route=ROUTE, fwd=ALIAS, rev=ALIAS, src=ADDRESS, dst=ADDRESS,
+       tag=st.binary(max_size=40), include_tag=st.booleans())
+@example(kind=PacketKind.RREQ, seqs=(-1, 2 ** 32, 2 ** 32 + 5, -2 ** 31,
+                                     0, 7, 2 ** 40, -7),
+         hop_count=256, route=list(range(65530, 65530 + 257)),
+         fwd=Pseudonym(bytes(32)), rev=None, src=None, dst=2 ** 63,
+         tag=b"t" * 32, include_tag=True)
+def test_header_bytes_matches_field_by_field_encoding(
+        kind, seqs, hop_count, route, fwd, rev, src, dst, tag, include_tag):
+    sseq, oseq, dseq, req_oseq, packet_id, flow_id, rnd, path_id = seqs
+    pkt = Packet(kind, flow_id, packet_id, round=rnd, forward_alias=fwd,
+                 reverse_alias=rev, src_addr=src, dst_addr=dst, sseq=sseq,
+                 oseq=oseq, dseq=dseq, req_oseq=req_oseq,
+                 hop_count=hop_count, path_id=path_id, route_record=route,
+                 tag=tag)
+    assert header_bytes(pkt, include_tag) == \
+        loop_header_bytes(pkt, include_tag)
 
 
 def test_packet_size_is_header_plus_payload():

@@ -5,14 +5,17 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tap3sim.cli import write_trace_file
 from tap3sim.logaudit import EventKind
-from tap3sim.routing import Packet, PacketKind, ProtocolKind
+from tap3sim.metrics import report_from_result
+from tap3sim.routing import Packet, PacketKind, ProtocolKind, header_bytes
 from tap3sim.sim import (
     DESK_CONFIG_TEXT,
     LINK_RATE_BPS,
     SPEED_OF_LIGHT,
+    AttackerSpec,
     AttackKind,
     ConfigError,
     Mobility,
@@ -58,6 +61,39 @@ def test_validate_names_offending_fields():
         cfg.validate()
     text = " ".join(exc.value.problems)
     assert "node_count" in text and "pkt_rate" in text
+
+
+NON_FINITE = [("sim_duration", math.inf), ("area_x", math.nan),
+              ("area_y", -math.inf), ("radio_range", math.inf),
+              ("pkt_rate", math.nan), ("pause_time", math.nan),
+              ("max_speed", math.inf)]
+
+
+@pytest.mark.parametrize("name,value", NON_FINITE)
+def test_validate_rejects_non_finite_values(name, value):
+    """inf and nan slip past every range check (`nan < 0` is false); an
+    infinite duration would make the traffic schedule endless."""
+    with pytest.raises(ConfigError) as exc:
+        replace(desk_profile(), **{name: value}).validate()
+    assert exc.value.problems == [f"{name} must be finite"]
+
+
+@pytest.mark.parametrize("name,value", NON_FINITE)
+def test_parsed_non_finite_values_are_rejected(name, value):
+    cfg = parse_config(DESK_CONFIG_TEXT + f"{name} = {value}\n")
+    assert repr(getattr(cfg, name)) == repr(value)
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert f"{name} must be finite" in exc.value.problems
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+@pytest.mark.parametrize("param", [math.inf, math.nan])
+def test_validate_rejects_non_finite_attacker_parameter(kind, param):
+    cfg = replace(desk_profile(), attackers=[AttackerSpec(0, kind, param)])
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert exc.value.problems == ["attacker 0 parameter must be finite"]
 
 
 def test_validate_requires_honest_endpoints():
@@ -260,6 +296,91 @@ def test_desk_scenario_detects_all_attacker_kinds():
     accused = ({s for _, s in res.classifier_flags}
                | res.audit_active | res.audit_passive)
     assert {0, 1, 2} <= accused
+
+
+# ---------------------------------------------------------------------------
+# broadcast elision: skipping inert route-request copies changes nothing
+
+class FullFloodSimulation(Simulation):
+    """Reference radio: a broadcast schedules a reception at every node in
+    range, including those that already hold the request and will drop
+    it on arrival."""
+
+    def transmit(self, sender, to, pkt, control):
+        if to is not None:
+            return super().transmit(sender, to, pkt, control)
+        node = self.nodes[sender]
+        start = max(self.now, node.busy_until)
+        hdr = header_bytes(pkt)
+        size = len(hdr) + pkt.payload_size
+        ttx = size * 8.0 / LINK_RATE_BPS
+        node.busy_until = start + ttx
+        if control:
+            self.result.control_tx += 1
+        else:
+            self.result.data_tx += 1
+        if self.check_privacy:
+            self._privacy_scan(pkt, hdr)
+        self._trace(start, pkt, sender, -1, size)
+        here = self.position(sender)
+        for other in range(len(self.nodes)):
+            if other == sender:
+                continue
+            dist = math.dist(here, self.position(other))
+            if dist <= self.config.radio_range:
+                arrival = start + ttx + dist / SPEED_OF_LIGHT
+                self.schedule(arrival, self._receiver(other, pkt, sender))
+        return True
+
+
+def observed(sim_class, cfg, trace_path):
+    sim = sim_class(cfg, trace=True, check_privacy=True)
+    res = sim.run()
+    write_trace_file(str(trace_path), res)
+    return sim._event_seq, {
+        "csv": report_from_result(res).csv_row(),
+        "trace": trace_path.read_bytes(),
+        "ledger": sim.packet_state,
+        "flags": res.classifier_flags,
+        "audits": res.audit_rows,
+    }
+
+
+DESK_SHAPE = {"sim_duration": 40.0}
+SPARSE_SHAPE = {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
+                "sim_duration": 40.0}
+
+
+@settings(max_examples=6, deadline=None)
+@given(protocol=st.sampled_from([ProtocolKind.TAP3, ProtocolKind.S_MPRF,
+                                 ProtocolKind.MPRF]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       pause=st.sampled_from([0.0, 10.0, 40.0]),
+       sparse=st.booleans())
+@example(protocol=ProtocolKind.TAP3, seed=1, pause=0.0, sparse=False)
+@example(protocol=ProtocolKind.S_MPRF, seed=1, pause=0.0, sparse=False)
+def test_skipping_inert_receptions_changes_no_output(
+        tmp_path_factory, protocol, seed, pause, sparse):
+    """The radio leaves out only receptions that `on_rreq` would drop
+    untouched: the CSV row, the trace bytes, the fate of every packet, the
+    classifier flags and the audit rows equal those of a radio that
+    delivers every copy."""
+    cfg = replace(desk_profile(protocol, pause, seed),
+                  **(SPARSE_SHAPE if sparse else DESK_SHAPE))
+    tmp = tmp_path_factory.mktemp("elision")
+    full_events, full = observed(FullFloodSimulation, cfg, tmp / "full")
+    events, got = observed(Simulation, cfg, tmp / "elided")
+    assert got == full
+    assert events <= full_events
+    if seed == 1 and not sparse:
+        # the desk flood reaches many nodes that already hold the request
+        assert events < full_events
+
+
+def test_broadcast_of_a_reply_is_an_error():
+    sim = Simulation(replace(desk_profile(), sim_duration=10.0))
+    with pytest.raises(ValueError, match="broadcast"):
+        sim.transmit(3, None, Packet(PacketKind.RREP, 0, 1), control=True)
 
 
 # ---------------------------------------------------------------------------
