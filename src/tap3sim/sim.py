@@ -515,9 +515,12 @@ class Simulation:
         one that would ignore it (`SimNode.ignores_rreq`), whose position
         is then not even looked up.  Such a copy would only be dropped on
         arrival, so leaving it unscheduled changes no state, and every
-        other event keeps its time and its order.  Every receiver gets `pkt` itself: frames are read-only
-        once transmitted (see `Packet`).  The header is encoded once, for
-        the size, the privacy scan and the trace."""
+        other event keeps its time and its order.  Every receiver gets
+        `pkt` itself: frames are read-only once transmitted (see
+        `Packet`).  The header is encoded once, for the size, the privacy
+        scan and the trace."""
+        if to is None and pkt.kind is not PacketKind.RREQ:
+            raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
         hdr = header_bytes(pkt)
@@ -536,8 +539,6 @@ class Simulation:
             self._privacy_scan(pkt, hdr)
         self._trace(start, pkt, sender, -1 if to is None else to, size)
         if to is None:
-            if pkt.kind is not PacketKind.RREQ:
-                raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
             key = self._rreq_key(pkt)
             flow_id = pkt.flow_id
             here = self.position(sender)

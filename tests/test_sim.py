@@ -381,6 +381,7 @@ def test_broadcast_of_a_reply_is_an_error():
     sim = Simulation(replace(desk_profile(), sim_duration=10.0))
     with pytest.raises(ValueError, match="broadcast"):
         sim.transmit(3, None, Packet(PacketKind.RREP, 0, 1), control=True)
+    assert sim.result.control_tx == 0 and not sim._events
 
 
 # ---------------------------------------------------------------------------
