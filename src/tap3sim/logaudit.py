@@ -10,6 +10,18 @@ proof, built when the auditor asks for it, against the snapshot's root.
 Three checks compose: destination verification, reverse-scan
 active-attacker location, and forward-scan passive-dropper listing.  The
 simulator's live audits and the replay of a trace both run `audit_route`.
+
+An audit asks one snapshot for many records, and their proofs share the
+upper part of the tree.  Each snapshot therefore keeps the interior nodes
+it has already verified against its root, and a later proof walk stops at
+the first of them.  This is sound because leaf and interior hashes carry
+distinct domain tags, so a leaf can never stand in for an interior node;
+because the leaf is re-hashed from the entry on every check, so an entry
+edited after publication still fails; and because nodes are added only
+from a walk that reached the root, so only nodes of the committed tree are
+ever known.  Under SHA-256 collision resistance a computed node equal to a
+known one has the same subtree below it, so for the proofs `proves` builds
+a walk that stops there gives the verdict a full walk to the root gives.
 """
 
 from __future__ import annotations
@@ -46,19 +58,16 @@ class LogEntry:
     timestamp: float
 
 
+# alias, packet id, event code, sseq, oseq, dseq, previous-hop alias, time
+_ENTRY = struct.Struct(">32sQBqqq32sd")
+
+
 def serialize_entry(entry: LogEntry) -> bytes:
     """Canonical byte encoding: fixed field order, 8-byte big-endian
     integers, 32-byte aliases, 1-byte event code."""
-    return b"".join((
-        entry.node_alias.digest,
-        entry.packet_id.to_bytes(8, "big"),
-        bytes([entry.event.value]),
-        struct.pack(">q", entry.sseq),
-        struct.pack(">q", entry.oseq),
-        struct.pack(">q", entry.dseq),
-        entry.prev_hop_alias.digest,
-        struct.pack(">d", entry.timestamp),
-    ))
+    return _ENTRY.pack(entry.node_alias.digest, entry.packet_id,
+                       entry.event.value, entry.sseq, entry.oseq, entry.dseq,
+                       entry.prev_hop_alias.digest, entry.timestamp)
 
 
 def leaf_hash(entry: LogEntry) -> bytes:
@@ -83,6 +92,9 @@ class MerkleTree:
     def __init__(self, leaves: Sequence[bytes] = ()):
         # blocks[k][j] hashes leaves [j * 2^k, (j + 1) * 2^k)
         self.blocks: list[list[bytes]] = [[]]
+        # the right edge of the last size asked for (see `_edges`)
+        self._edge_size = 0
+        self._edge_nodes: list[Optional[bytes]] = [None]
         for leaf in leaves:
             self.append(leaf)
 
@@ -101,22 +113,28 @@ class MerkleTree:
             level = self.blocks[k]
             level.append(node)
 
-    def _edge(self, size: int, k: int) -> bytes:
-        """The last node of level k of the size-`size` tree when it is
-        incomplete: the complete blocks of size's low k bits, folded from
-        the right."""
-        node = None
-        for b in range(k):
-            if size >> b & 1:
-                block = self.blocks[b][(size >> b) - 1]
-                node = block if node is None else _interior(block, node)
-        return node
+    def _edges(self, size: int) -> list[Optional[bytes]]:
+        """Entry k is the last node of level k of the size-`size` tree when
+        it is incomplete: the complete blocks of size's low k bits, folded
+        from the right; the last entry is the root.  All of them come from
+        one fold, kept for the last size asked for.  The blocks never change
+        once complete, so the kept fold stays valid as leaves are appended."""
+        if size != self._edge_size:
+            nodes: list[Optional[bytes]] = [None]
+            node = None
+            for b in range(size.bit_length()):
+                if size >> b & 1:
+                    block = self.blocks[b][(size >> b) - 1]
+                    node = block if node is None else _interior(block, node)
+                nodes.append(node)
+            self._edge_size, self._edge_nodes = size, nodes
+        return self._edge_nodes
 
     def root_at(self, size: int) -> bytes:
         """Root of the tree over the first `size` leaves."""
         if not 0 <= size <= len(self):
             raise IndexError(f"size {size} outside 0..{len(self)}")
-        return self._edge(size, size.bit_length()) if size else EMPTY_ROOT
+        return self._edges(size)[-1] if size else EMPTY_ROOT
 
     @property
     def root(self) -> bytes:
@@ -138,20 +156,36 @@ class MerkleTree:
             if (sib + 1) << k <= n:
                 out.append((self.blocks[k][sib], sib < node))
             elif sib << k < n:
-                out.append((self._edge(n, k), False))
+                out.append((self._edges(n)[k], False))
             k += 1
         return out
 
     @staticmethod
     def verify(root: bytes, leaf: bytes,
-               proof: Sequence[tuple[bytes, bool]]) -> bool:
+               proof: Sequence[tuple[bytes, bool]],
+               known: Optional[set[bytes]] = None) -> bool:
+        """True iff the proof walk from `leaf` reaches `root`.  `known`
+        holds interior nodes already verified against `root`: the walk
+        succeeds at the first node it computes that is in the set, and a
+        successful walk adds the interior nodes it computed.  The leaf
+        itself is never looked up or added."""
+        if known is None:
+            known = set()
         node = leaf
+        path = []
         try:
             for sibling, is_left in proof:
                 node = _interior(sibling, node) if is_left else _interior(node, sibling)
+                if node in known:
+                    break
+                path.append(node)
+            else:
+                if node != root:
+                    return False
         except (TypeError, ValueError):
             return False
-        return node == root
+        known.update(path)
+        return True
 
 
 @dataclass(frozen=True)
@@ -171,10 +205,18 @@ class PublishedLog:
     `size` entries of its log.  The auditor then asks for one record at a
     time, by (packet id, event); the node answers with the entry and its
     inclusion proof at that size.  Entries appended later are not part of
-    the snapshot."""
+    the snapshot.
+
+    `verified` holds the interior nodes that earlier checks of this
+    snapshot walked up to its root, so a later proof stops where it meets
+    one of them (see the module docstring for why that is sound).  The
+    entry is still re-hashed and its proof still built on every check.
+    The set lives as long as the snapshot."""
     commitment: MerkleCommitment
     log: NodeLog
     size: int
+    verified: set[bytes] = field(default_factory=set, compare=False,
+                                 repr=False)
 
     def proves(self, packet_id: int, event: EventKind) -> bool:
         """True iff the snapshot holds a (packet_id, event) entry whose
@@ -184,7 +226,8 @@ class PublishedLog:
             return False
         proof = self.log.tree.proof(index, self.size)
         return MerkleTree.verify(self.commitment.root,
-                                 leaf_hash(self.log.entries[index]), proof)
+                                 leaf_hash(self.log.entries[index]), proof,
+                                 self.verified)
 
 
 class DuplicateEntryError(Exception):

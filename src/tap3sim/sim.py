@@ -76,10 +76,6 @@ class AttackKind(Enum):
     LOG_FORGERY = "logforgery"
 
 
-ACTIVE_ATTACKS = {AttackKind.BLACK_HOLE, AttackKind.SEQ_INFLATION,
-                  AttackKind.LOG_FORGERY}
-
-
 @dataclass(frozen=True)
 class AttackerSpec:
     node_id: int
@@ -443,12 +439,12 @@ class Simulation:
         used: set[int] = set()
         chosen = []
         for _, a, b in pairs:
+            if len(chosen) == cfg.flows:
+                break
             if a in used or b in used:
                 continue
             chosen.append((a, b))
             used.update((a, b))
-            if len(chosen) == cfg.flows:
-                break
         for fid, (src, dst) in enumerate(chosen):
             key = derive_pairwise_key(self.masters[dst], src, dst)
             ps = PseudonymChain.start(key, src, ChainDirection.FORWARD_OF_SOURCE)

@@ -31,6 +31,17 @@ def test_run_writes_csv_and_trace(tmp_path, capsys):
     assert "# audit-log" in text
 
 
+def test_zero_flow_run_sends_nothing(tmp_path, capsys):
+    text = small_config_text().replace("flows = 4", "flows = 0")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    # pdr and delay have no packet to average over
+    assert out.read_text().splitlines()[1].startswith("tap3,0,1,nan,nan,")
+    assert run_scenario(replace(desk_profile(), flows=0,
+                                sim_duration=60.0)).sent == 0
+
+
 def test_audit_replays_trace(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config_text())
     trace = tmp_path / "run.trace"

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import random
+import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,9 +18,11 @@ from tap3sim.logaudit import (
     EventKind,
     FELLOW,
     LogEntry,
+    MerkleCommitment,
     MerkleTree,
     NOT_FELLOW,
     NodeLog,
+    PublishedLog,
     TARGET,
     TimestampRegressionError,
     apply_rules,
@@ -52,6 +57,34 @@ def test_empty_root_defined():
 def test_single_leaf_root():
     e = entry()
     assert build_root([e]) == leaf_hash(e)
+
+
+def field_by_field_encoding(e):
+    """The encoder `serialize_entry` replaced: one pack per field, joined."""
+    return b"".join((
+        e.node_alias.digest,
+        e.packet_id.to_bytes(8, "big"),
+        bytes([e.event.value]),
+        struct.pack(">q", e.sseq),
+        struct.pack(">q", e.oseq),
+        struct.pack(">q", e.dseq),
+        e.prev_hop_alias.digest,
+        struct.pack(">d", e.timestamp),
+    ))
+
+
+SIGNED_64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+DIGESTS = st.binary(min_size=32, max_size=32).map(Pseudonym)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(LogEntry, DIGESTS, st.integers(0, 2 ** 64 - 1),
+                 st.sampled_from(list(EventKind)), SIGNED_64, SIGNED_64,
+                 SIGNED_64, DIGESTS, st.floats()))
+@example(LogEntry(alias(255), 2 ** 64 - 1, EventKind.DROPPED, -2 ** 63,
+                  2 ** 63 - 1, -1, alias(0), float("-inf")))
+def test_serialize_entry_matches_field_by_field_encoding(e):
+    assert serialize_entry(e) == field_by_field_encoding(e)
 
 
 def test_root_order_sensitive():
@@ -145,6 +178,30 @@ def test_incremental_tree_equals_from_scratch(snapshots, extra, events):
             assert pub.proves(i, events[i])
         for i in range(n, total):
             assert not pub.proves(i, events[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(total=st.integers(0, 70),
+       ops=st.lists(st.one_of(st.none(), st.integers(0, 10 ** 6)),
+                    max_size=40))
+@example(total=70, ops=[70, 1, 64, 5, None, 65, 3, 70, 66, 64, 0, 65])
+def test_sizes_in_any_order_equal_from_scratch(total, ops):
+    # None appends one more leaf, any other op asks for a size of the tree
+    # so far: the right edge of one size is kept, so both the order of the
+    # sizes and the appends in between must leave the answers unchanged
+    leaves = [leaf_hash(entry(pid=i, ts=float(i))) for i in range(total)]
+    tree = MerkleTree()
+    for op in ops:
+        if op is None:
+            if len(tree) < total:
+                tree.append(leaves[len(tree)])
+            continue
+        n = op % (len(tree) + 1)
+        root, proofs = reference_tree(leaves[:n])
+        assert tree.root_at(n) == root == MerkleTree(leaves[:n]).root
+        for i in range(n):
+            assert tree.proof(i, n) == proofs[i]
+        assert tree.root == reference_tree(leaves[:len(tree)])[0]
 
 
 def test_inclusion_proofs_verify():
@@ -250,6 +307,56 @@ def test_hash_verify_malformed_proof_is_failure(monkeypatch):
         monkeypatch.setattr(MerkleTree, "proof",
                             lambda self, index, size=None: malformed)
         assert not pub.proves(*key), malformed
+
+
+def interior_nodes(leaves):
+    """Every hashed node of the tree over `leaves`; promoted nodes are
+    copied up unhashed and are not counted again."""
+    level, nodes = list(leaves), set()
+    while len(level) > 1:
+        nxt = [hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
+               for i in range(0, len(level) - 1, 2)]
+        nodes.update(nxt)
+        level = nxt + level[len(nxt) * 2:]
+    return nodes
+
+
+@settings(max_examples=80, deadline=None)
+@given(claims=st.lists(st.tuples(st.integers(0, 11),
+                                 st.sampled_from(list(EventKind))),
+                       min_size=1, max_size=40),
+       sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6),
+                              st.integers(0, 11),
+                              st.sampled_from(list(EventKind))),
+                    max_size=60))
+def test_memoized_proves_matches_plain_verify(claims, sizes, ops):
+    # each op either queries a snapshot or toggles one entry between the
+    # committed value and an in-place forgery
+    log = NodeLog()
+    for i, (pid, event) in enumerate(claims):
+        with contextlib.suppress(DuplicateEntryError):
+            log.append(entry(node=i % 3, pid=pid, event=event, ts=float(i)))
+    committed = list(log.entries)
+    leaves = [leaf_hash(e) for e in committed]
+    published = [PublishedLog(MerkleCommitment(log.tree.root_at(n)), log, n)
+                 for n in sorted({size % (len(committed) + 1)
+                                   for size in sizes})]
+    for tamper, a, pid, event in ops:
+        if tamper:
+            i = a % len(committed)
+            forged = replace(committed[i], sseq=committed[i].sseq + 1)
+            log.entries[i] = (committed[i] if log.entries[i] == forged
+                              else forged)
+            continue
+        pub = published[a % len(published)]
+        index = log.claim_index(pid, event, pub.size)
+        expected = index is not None and MerkleTree.verify(
+            pub.commitment.root, leaf_hash(log.entries[index]),
+            log.tree.proof(index, pub.size))
+        assert pub.proves(pid, event) == expected
+        # only nodes of the committed tree are ever known, never a leaf
+        assert pub.verified <= interior_nodes(leaves[:pub.size])
 
 
 def test_claim_names_last_entry_in_snapshot():

@@ -96,6 +96,12 @@ def test_validate_rejects_non_finite_attacker_parameter(kind, param):
     assert exc.value.problems == ["attacker 0 parameter must be finite"]
 
 
+@pytest.mark.parametrize("flows", [0, 1, 4])
+def test_setup_builds_exactly_the_requested_flows(flows):
+    sim = Simulation(replace(desk_profile(), flows=flows, sim_duration=10.0))
+    assert len(sim.flows) == flows
+
+
 def test_validate_requires_honest_endpoints():
     cfg = ScenarioConfig(node_count=4, flows=2,
                          attackers=desk_profile().attackers[:1])
