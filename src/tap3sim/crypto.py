@@ -42,7 +42,6 @@ class MasterKey:
 @dataclass(frozen=True)
 class PairwiseKey:
     bytes: bytes
-    owner_pair: tuple[NodeId, NodeId]
 
     def __post_init__(self):
         if len(self.bytes) != DIGEST_LEN:
@@ -57,10 +56,6 @@ class Pseudonym:
         if len(self.digest) != DIGEST_LEN:
             raise ValueError("pseudonym must be 32 bytes")
 
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
-
     def __repr__(self):
         return f"Pseudonym({self.digest.hex()[:12]}..)"
 
@@ -70,12 +65,12 @@ class ChainDirection(Enum):
     FORWARD_OF_DESTINATION = "destination"
 
 
-def derive_pairwise_key(receiver_master: MasterKey, sender: NodeId,
-                        receiver: NodeId = -1) -> PairwiseKey:
+def derive_pairwise_key(receiver_master: MasterKey,
+                        sender: NodeId) -> PairwiseKey:
     """Pairwise key between a sender and the holder of `receiver_master`."""
     raw = hmac.new(receiver_master.bytes, encode_node_id(sender),
                    hashlib.sha256).digest()
-    return PairwiseKey(raw, (sender, receiver))
+    return PairwiseKey(raw)
 
 
 def prf(key, data: bytes) -> Pseudonym:
@@ -98,7 +93,6 @@ class PseudonymChain:
     """Alias chain seeded from a real identity: element i+1 = PRF(key, element i)."""
 
     key: PairwiseKey
-    seed_identity: NodeId
     direction: ChainDirection
     index: int
     current: Pseudonym
@@ -107,11 +101,11 @@ class PseudonymChain:
     def start(cls, key: PairwiseKey, seed_identity: NodeId,
               direction: ChainDirection) -> "PseudonymChain":
         first = prf(key, encode_node_id(seed_identity))
-        return cls(key, seed_identity, direction, 1, first)
+        return cls(key, direction, 1, first)
 
     def advanced(self) -> "PseudonymChain":
-        return PseudonymChain(self.key, self.seed_identity, self.direction,
-                              self.index + 1, prf(self.key, self.current.digest))
+        return PseudonymChain(self.key, self.direction, self.index + 1,
+                              prf(self.key, self.current.digest))
 
 
 class TrapdoorIndex:

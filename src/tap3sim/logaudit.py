@@ -188,11 +188,6 @@ class MerkleTree:
         return True
 
 
-@dataclass(frozen=True)
-class MerkleCommitment:
-    root: bytes
-
-
 class Expected(NamedTuple):
     """A record the audited node must prove: one (packet id, event) key."""
     packet_id: int
@@ -212,7 +207,7 @@ class PublishedLog:
     one of them (see the module docstring for why that is sound).  The
     entry is still re-hashed and its proof still built on every check.
     The set lives as long as the snapshot."""
-    commitment: MerkleCommitment
+    root: bytes
     log: NodeLog
     size: int
     verified: set[bytes] = field(default_factory=set, compare=False,
@@ -225,9 +220,8 @@ class PublishedLog:
         if index is None:
             return False
         proof = self.log.tree.proof(index, self.size)
-        return MerkleTree.verify(self.commitment.root,
-                                 leaf_hash(self.log.entries[index]), proof,
-                                 self.verified)
+        return MerkleTree.verify(self.root, leaf_hash(self.log.entries[index]),
+                                 proof, self.verified)
 
 
 class DuplicateEntryError(Exception):
@@ -281,8 +275,7 @@ class NodeLog:
 
     def publish(self) -> PublishedLog:
         size = len(self.entries)
-        return PublishedLog(MerkleCommitment(self.tree.root_at(size)),
-                            self, size)
+        return PublishedLog(self.tree.root_at(size), self, size)
 
 
 # Records each role must prove for every packet the auditor forwarded.

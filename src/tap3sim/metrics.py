@@ -110,7 +110,6 @@ class SweepResult:
     avg_rows: list[str] = field(default_factory=list)
     privacy_checks: int = 0
     privacy_violations: int = 0
-    trace_rows: list[str] = field(default_factory=list)
 
     def csv_text(self) -> str:
         return "\n".join([CSV_COLUMNS] + self.run_rows + self.avg_rows) + "\n"
@@ -121,7 +120,7 @@ def _mean(values: list[float]) -> float:
     return sum(parsed) / len(parsed)
 
 
-def sweep(spec: SweepSpec, keep_traces: bool = False) -> SweepResult:
+def sweep(spec: SweepSpec) -> SweepResult:
     """Full (protocol, pause, seed) grid.  Rows are emitted in grid order so
     identical specs always produce identical CSV bytes."""
     spec.validate()
@@ -134,16 +133,13 @@ def sweep(spec: SweepSpec, keep_traces: bool = False) -> SweepResult:
                               rng_seed=seed,
                               attackers=list(spec.base.attackers))
                 try:
-                    result = run_scenario(cfg, trace=keep_traces,
-                                          check_privacy=True)
+                    result = run_scenario(cfg, check_privacy=True)
                 except Exception as exc:
                     raise RuntimeError(
                         f"run failed at ({protocol.value}, pause={pause:g}, "
                         f"seed={seed}): {exc}") from exc
                 out.privacy_checks += result.privacy_checks
                 out.privacy_violations += result.privacy_violations
-                if keep_traces:
-                    out.trace_rows.extend(result.packet_rows)
                 report = report_from_result(result)
                 reports.append(report)
                 out.run_rows.append(report.csv_row())

@@ -83,9 +83,11 @@ class Packet:
 
 
 # Field tags for header serialization.  Every tag byte is >= 0x80 and no
-# scalar field spans more than 4 bytes, so the 8-byte big-endian encoding
-# of a small node id (7 zero bytes + value) can never occur in a header
-# unless an address field literally contains it.
+# scalar field spans more than 4 bytes, so outside the alias digests and
+# the tag the 8-byte big-endian encoding of a small node id (7 zero bytes
+# + value) occurs only where an address field literally contains it.  The
+# tag is opaque and may hold it: a blackhole forges 32 zero bytes, which
+# contain node 0's encoding.  The tag field comes last (`tag_field_size`).
 _T_KIND = 0x80
 _T_FWD = 0x81
 _T_REV = 0x82
@@ -133,6 +135,12 @@ def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
     return b"".join(parts)
 
 
+def tag_field_size(pkt: Packet) -> int:
+    """Bytes the trailing tag field adds to `header_bytes(pkt)`, so that
+    `hdr[:len(hdr) - tag_field_size(pkt)]` is the header without it."""
+    return 1 + len(pkt.tag) if pkt.tag else 0
+
+
 def packet_size(pkt: Packet) -> int:
     return len(header_bytes(pkt)) + pkt.payload_size
 
@@ -142,8 +150,6 @@ class RouteEntry:
     """Per-node forwarding state for one flow round and path."""
     next_hop: NodeId
     prev_hop: NodeId
-    path_id: int
-    established_at: float
 
 
 @dataclass

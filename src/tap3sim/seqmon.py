@@ -21,9 +21,6 @@ class SeqVector:
     oseq: float
     dseq_delta: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.sseq, self.oseq, self.dseq_delta)
-
 
 class Label(Enum):
     NORMAL = "Normal"

@@ -12,7 +12,7 @@ import hashlib
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -41,6 +41,7 @@ from .routing import (
     packet_size,  # noqa: F401 -- benchmarks/probes.py wraps it here
     pick_disjoint_paths,
     select_paths,
+    tag_field_size,
 )
 
 LINK_RATE_BPS = 2_000_000.0
@@ -61,6 +62,11 @@ SEND_BUFFER_CAP = 50
 MIN_TRAIN_SAMPLES = 6
 DRAIN_WINDOW = 2.0
 TRAPDOOR_WINDOW = 16
+
+# a data packet's ledger state until `Simulation._settle` gives it a fate
+IN_FLIGHT = "in_flight"
+FATES = ("delivered", "lost_link", "dropped_attack", "dropped_noroute",
+         "buffered_end")      # each named as its RunResult counter
 
 
 class ConfigError(Exception):
@@ -268,7 +274,6 @@ class Mobility:
 class RevEntry:
     prev_hop: int
     rreq_dseq: int
-    rreq_pid: int
 
 
 @dataclass
@@ -277,13 +282,14 @@ class DestFlowState:
     static_pd: Optional[Pseudonym]
     dseq: int = 0
     candidates: dict[int, list] = field(default_factory=dict)
-    reply_scheduled: set[int] = field(default_factory=set)
+    # the first copy of each round's route request; its arrival schedules
+    # the round's reply
     rreq_info: dict[int, Packet] = field(default_factory=dict)
 
 
 class SimNode:
     def __init__(self, nid: int, mobility: Mobility, log_alias: Pseudonym,
-                 attacker: Optional[AttackerSpec]):
+                 attacker: Optional[AttackerSpec], log: Optional[NodeLog]):
         self.id = nid
         self.mobility = mobility
         self.log_alias = log_alias
@@ -296,7 +302,7 @@ class SimNode:
         self.rev_routes: dict[tuple, RevEntry] = {}
         self.fwd_routes: dict[tuple, RouteEntry] = {}
         self.dest_flows: dict[int, DestFlowState] = {}
-        self.log = NodeLog()
+        self.log = log              # evidence log; TAP3 nodes only
         self.window = seqmon.TrainingWindow()
         self.batch: list[seqmon.SeqVector] = []
         self.next_merge = math.inf
@@ -316,6 +322,8 @@ class SimNode:
 
     def log_event(self, pid: int, event: EventKind, pkt: Packet, now: float,
                   prev_alias: Pseudonym, forge: bool = False) -> None:
+        if self.log is None:
+            return
         real_pid = pid + 1_000_000 if forge else pid
         entry = LogEntry(self.log_alias, real_pid, event, pkt.sseq, pkt.oseq,
                          pkt.dseq, prev_alias, now)
@@ -344,13 +352,21 @@ class Flow:
     discovery_outstanding: Optional[int] = None
     suspects: set[int] = field(default_factory=set)
     tau_c_control: dict[int, list[LogEntry]] = field(default_factory=dict)
-    audit_queue: dict[tuple, dict] = field(default_factory=dict)
-    sent: int = 0
-    delivered: int = 0
+    # (round, path id) -> (relays, the source's Forwarded entry for every
+    # data packet sent on that path and not yet audited, oldest first)
+    audit_queue: dict[tuple, tuple[list[int], list[LogEntry]]] = field(
+        default_factory=dict)
 
 
 @dataclass
 class RunResult:
+    """What one run reports.  Every sent data packet has exactly one of
+    six fates: delivered, lost_link (a relay's next hop was out of range),
+    dropped_attack, dropped_noroute (send buffer overflow or no route at a
+    relay), buffered_end (still waiting for a route when the run ended) or
+    in_flight_end (still on its way).  The six counters are filled once,
+    at the end of `Simulation.run`, from the packet ledger, so they always
+    sum to `sent`."""
     config: ScenarioConfig
     sent: int = 0
     delivered: int = 0
@@ -417,14 +433,15 @@ class Simulation:
             mob = Mobility(_stream(seed, f"mob{i}"), positions[i],
                            (config.area_x, config.area_y),
                            config.max_speed, config.pause_time)
-            self.nodes.append(SimNode(i, mob, alias, attackers.get(i)))
+            log = NodeLog() if config.protocol is ProtocolKind.TAP3 else None
+            self.nodes.append(SimNode(i, mob, alias, attackers.get(i), log))
 
         self.masters = [MasterKey.from_seed(seed, i)
                         for i in range(config.node_count)]
         self.flows: list[Flow] = []
         self._setup_flows(positions, set(attackers))
+        # data packet id -> IN_FLIGHT or its fate: the only record of them
         self.packet_state: dict[int, str] = {}
-        self._flow_of_pid: dict[int, int] = {}
         self._audit_records: list[dict] = []
 
     # -- setup --------------------------------------------------------------
@@ -446,7 +463,7 @@ class Simulation:
             chosen.append((a, b))
             used.update((a, b))
         for fid, (src, dst) in enumerate(chosen):
-            key = derive_pairwise_key(self.masters[dst], src, dst)
+            key = derive_pairwise_key(self.masters[dst], src)
             ps = PseudonymChain.start(key, src, ChainDirection.FORWARD_OF_SOURCE)
             pd = PseudonymChain.start(key, dst, ChainDirection.FORWARD_OF_DESTINATION)
             flow = Flow(fid, src, dst, key, 1.0 + 0.25 * fid, ps, pd)
@@ -492,8 +509,11 @@ class Simulation:
             return
         flow = self.flows[pkt.flow_id]
         self.result.privacy_checks += 1
+        # the tag is an opaque digest (a forged one is all zero bytes), so
+        # only the fields before it can carry an address
+        fields = hdr[:len(hdr) - tag_field_size(pkt)]
         for nid in (flow.src, flow.dst):
-            if encode_node_id(nid) in hdr:
+            if encode_node_id(nid) in fields:
                 self.result.privacy_violations += 1
 
     def _trace(self, t: float, pkt: Packet, frm: int, to: int,
@@ -708,17 +728,15 @@ class Simulation:
             ds = node.dest_flows[pkt.flow_id]
             cands = ds.candidates.setdefault(pkt.round, [])
             cands.append((pkt.hop_count, self.now, list(pkt.route_record)))
-            ds.rreq_info.setdefault(pkt.round, pkt)
-            if pkt.round not in ds.reply_scheduled:
-                ds.reply_scheduled.add(pkt.round)
+            if pkt.round not in ds.rreq_info:
+                ds.rreq_info[pkt.round] = pkt
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
                               lambda: self.dest_reply(node, flow, pkt.round))
             return
         if not first_copy:
             return
         node.seen_rreq.add(key)
-        node.rev_routes[(pkt.flow_id, pkt.round)] = RevEntry(
-            frm, pkt.dseq, pkt.packet_id)
+        node.rev_routes[(pkt.flow_id, pkt.round)] = RevEntry(frm, pkt.dseq)
         atk = node.attacker
         if (atk and atk.kind is AttackKind.BLACK_HOLE
                 and self.now >= self.attack_start):
@@ -764,11 +782,10 @@ class Simulation:
         rreq = ds.rreq_info[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
-        if self.config.protocol is ProtocolKind.TAP3:
-            node.log_event(replied_pid, EventKind.RECEIVED, rreq, self.now,
-                           node.log_alias)
-            node.log_event(replied_pid, EventKind.REPLIED, rreq, self.now,
-                           node.log_alias)
+        node.log_event(replied_pid, EventKind.RECEIVED, rreq, self.now,
+                       node.log_alias)
+        node.log_event(replied_pid, EventKind.REPLIED, rreq, self.now,
+                       node.log_alias)
         for idx, relays in enumerate(chosen):
             ds.dseq += 1
             node.oseq += 1
@@ -809,7 +826,7 @@ class Simulation:
             pkt = pkt.copy()
             pkt.dseq += int(atk.param)
         node.fwd_routes[(pkt.flow_id, pkt.round, pkt.path_id)] = RouteEntry(
-            frm, rev.prev_hop, pkt.path_id, self.now)
+            frm, rev.prev_hop)
         fwd = pkt.copy()
         fwd.hop_count += 1
         self.transmit(node.id, rev.prev_hop, fwd, control=True)
@@ -872,11 +889,18 @@ class Simulation:
 
     def app_send(self, flow: Flow) -> None:
         pid = self.new_pid()
-        flow.sent += 1
-        self.result.sent += 1
-        self.packet_state[pid] = "in_flight"
-        self._flow_of_pid[pid] = flow.flow_id
+        self.packet_state[pid] = IN_FLIGHT
         self._send_or_buffer(flow, pid, self.now)
+
+    def _settle(self, pid: int, fate: str) -> None:
+        """Give an in-flight data packet its final fate; the ledger's only
+        writer after `app_send`.  A packet has exactly one fate, so
+        settling one that is not in flight is an error."""
+        state = self.packet_state.get(pid)
+        if state != IN_FLIGHT:
+            raise RuntimeError(f"data packet {pid} cannot become {fate}: "
+                               f"it is {state or 'unknown'}")
+        self.packet_state[pid] = fate
 
     def _usable_paths(self, flow: Flow) -> list[PathInfo]:
         return select_paths(flow.paths, flow.suspects, self.config.protocol)
@@ -896,8 +920,7 @@ class Simulation:
         # no usable route: buffer and rediscover
         if len(flow.pending) >= SEND_BUFFER_CAP:
             old_pid, _ = flow.pending.popleft()
-            self.packet_state[old_pid] = "dropped_noroute"
-            self.result.dropped_noroute += 1
+            self._settle(old_pid, "dropped_noroute")
         flow.pending.append((pid, origin))
         if flow.discovery_outstanding is None:
             self.start_discovery(flow)
@@ -915,17 +938,13 @@ class Simulation:
         if not self.transmit(flow.src, nxt, pkt, control=False):
             return False
         if self.config.protocol is ProtocolKind.TAP3:
-            src_node = self.nodes[flow.src]
-            entry = LogEntry(src_node.log_alias, pid, EventKind.FORWARDED,
-                             pkt.sseq, pkt.oseq, pkt.dseq, src_node.log_alias,
-                             self.now)
-            slot = flow.audit_queue.setdefault(
-                (path.round, path.path_id),
-                {"relays": list(path.relays), "pids": [], "tau_c": [],
-                 "times": {}})
-            slot["pids"].append(pid)
-            slot["tau_c"].append(entry)
-            slot["times"][pid] = self.now
+            alias = self.nodes[flow.src].log_alias
+            key = (path.round, path.path_id)
+            if key not in flow.audit_queue:
+                flow.audit_queue[key] = (list(path.relays), [])
+            flow.audit_queue[key][1].append(LogEntry(
+                alias, pid, EventKind.FORWARDED, pkt.sseq, pkt.oseq, pkt.dseq,
+                alias, self.now))
         return True
 
     def _flush_pending(self, flow: Flow) -> None:
@@ -938,46 +957,36 @@ class Simulation:
         flow = self.flows[pkt.flow_id]
         prev_alias = self.nodes[frm].log_alias
         if node.id == flow.dst:
-            self.packet_state[pkt.packet_id] = "delivered"
-            flow.delivered += 1
-            self.result.delivered += 1
+            self._settle(pkt.packet_id, "delivered")
             self.result.delays.append(self.now - pkt.origin_time)
-            if self.config.protocol is ProtocolKind.TAP3:
-                node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt,
-                               self.now, prev_alias)
+            node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
+                           prev_alias)
             return
         atk = node.attacker
         active = atk is not None and self.now >= self.attack_start
         if active and atk.kind is AttackKind.BLACK_HOLE:
-            self.packet_state[pkt.packet_id] = "dropped_attack"
-            self.result.dropped_attack += 1
+            self._settle(pkt.packet_id, "dropped_attack")
             return
         if active and atk.kind is AttackKind.PASSIVE_DROP:
             if self.rng_attack.random() < atk.param:
-                self.packet_state[pkt.packet_id] = "dropped_attack"
-                self.result.dropped_attack += 1
+                self._settle(pkt.packet_id, "dropped_attack")
                 return
         entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
         if entry is None:
-            self.packet_state[pkt.packet_id] = "dropped_noroute"
-            self.result.dropped_noroute += 1
+            self._settle(pkt.packet_id, "dropped_noroute")
             return
         forge = active and atk.kind is AttackKind.LOG_FORGERY
-        if self.config.protocol is ProtocolKind.TAP3:
-            node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
-                           prev_alias, forge=forge)
+        node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
+                       prev_alias, forge=forge)
         fwd = pkt.copy()
         fwd.hop_count += 1
         if self.transmit(node.id, entry.next_hop, fwd, control=False):
-            if self.config.protocol is ProtocolKind.TAP3:
-                node.log_event(pkt.packet_id, EventKind.FORWARDED, pkt,
-                               self.now, prev_alias, forge=forge)
+            node.log_event(pkt.packet_id, EventKind.FORWARDED, pkt, self.now,
+                           prev_alias, forge=forge)
         else:
-            self.packet_state[pkt.packet_id] = "lost_link"
-            self.result.lost_link += 1
-            if self.config.protocol is ProtocolKind.TAP3:
-                node.log_event(pkt.packet_id, EventKind.DROPPED, pkt,
-                               self.now, prev_alias)
+            self._settle(pkt.packet_id, "lost_link")
+            node.log_event(pkt.packet_id, EventKind.DROPPED, pkt, self.now,
+                           prev_alias)
             rerr = Packet(PacketKind.RERR, pkt.flow_id, self.new_pid(),
                           round=pkt.round, path_id=pkt.path_id)
             self.transmit(node.id, entry.prev_hop, rerr, control=True)
@@ -998,11 +1007,10 @@ class Simulation:
     # -- audits -------------------------------------------------------------
 
     def audit_tick(self, flow: Flow) -> None:
-        if self.config.protocol is ProtocolKind.TAP3:
-            self.run_audits(flow)
-            if self.now + AUDIT_PERIOD < self.config.sim_duration:
-                self.schedule(self.now + AUDIT_PERIOD,
-                              lambda: self.audit_tick(flow))
+        self.run_audits(flow)
+        if self.now + AUDIT_PERIOD < self.config.sim_duration:
+            self.schedule(self.now + AUDIT_PERIOD,
+                          lambda: self.audit_tick(flow))
 
     def _charge_audit_traffic(self, flow: Flow, relays: list[int]) -> None:
         """Control cost of one path audit: the request travels down the
@@ -1027,16 +1035,17 @@ class Simulation:
                 cache[nid] = self.nodes[nid].log.publish()
             return cache[nid]
 
-        for key in sorted(flow.audit_queue):
-            slot = flow.audit_queue[key]
-            audit_pids = [p for p in slot["pids"] if slot["times"][p] < cutoff]
-            if not audit_pids:
+        queue, flow.audit_queue = flow.audit_queue, {}
+        for key in sorted(queue):
+            relays, tau_c = queue[key]
+            tau_data = [e for e in tau_c if e.timestamp < cutoff]
+            keep = [e for e in tau_c if e.timestamp >= cutoff]
+            if keep:
+                flow.audit_queue[key] = (relays, keep)
+            if not tau_data:
                 continue
-            relays = slot["relays"]
             self._charge_audit_traffic(flow, relays)
             tau_ctl = flow.tau_c_control.get(key[0], [])
-            audited_set = set(audit_pids)
-            tau_data = [e for e in slot["tau_c"] if e.packet_id in audited_set]
             if self.trace:
                 self._audit_records.append({
                     "flow": flow.flow_id, "dst": flow.dst, "relays": relays,
@@ -1057,13 +1066,6 @@ class Simulation:
                 self.result.audit_passive.update(accused)
             if self.trace:
                 self.result.audit_rows.append(report.csv_row(flow.flow_id))
-            keep = [p for p in slot["pids"] if slot["times"][p] >= cutoff]
-            slot["pids"] = keep
-            keep_set = set(keep)
-            slot["tau_c"] = [e for e in slot["tau_c"]
-                             if e.packet_id in keep_set]
-        flow.audit_queue = {k: v for k, v in flow.audit_queue.items()
-                            if v["pids"]}
         if any(r in flow.suspects for p in flow.paths for r in p.relays):
             if flow.discovery_outstanding is None:
                 self.start_discovery(flow)
@@ -1095,10 +1097,12 @@ class Simulation:
                 self.result.positions_ok = False
         for flow in self.flows:
             for pid, _ in flow.pending:
-                self.packet_state[pid] = "buffered_end"
-                self.result.buffered_end += 1
-        self.result.in_flight_end = sum(
-            1 for s in self.packet_state.values() if s == "in_flight")
+                self._settle(pid, "buffered_end")
+        fates = Counter(self.packet_state.values())
+        self.result.sent = len(self.packet_state)
+        for fate in FATES:
+            setattr(self.result, fate, fates[fate])
+        self.result.in_flight_end = fates[IN_FLIGHT]
         self.result.log_duplicates = sum(n.log_duplicates for n in self.nodes)
         if self.trace and cfg.protocol is ProtocolKind.TAP3:
             self.result.audit_export = {

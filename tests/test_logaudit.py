@@ -18,7 +18,6 @@ from tap3sim.logaudit import (
     EventKind,
     FELLOW,
     LogEntry,
-    MerkleCommitment,
     MerkleTree,
     NOT_FELLOW,
     NodeLog,
@@ -171,7 +170,7 @@ def test_incremental_tree_equals_from_scratch(snapshots, extra, events):
         root, proofs = reference_tree(leaves[:n])
         scratch = MerkleTree(leaves[:n])
         assert pub.size == n
-        assert pub.commitment.root == root == scratch.root
+        assert pub.root == root == scratch.root
         assert log.tree.root_at(n) == root
         for i in range(n):
             assert log.tree.proof(i, n) == proofs[i] == scratch.proof(i)
@@ -217,11 +216,11 @@ def test_inclusion_proofs_verify():
 def test_append_updates_root_and_rejects_duplicates():
     log = NodeLog()
     log.append(entry(pid=1, ts=0.0))
-    c1 = log.publish().commitment
-    assert c1.root == leaf_hash(entry(pid=1, ts=0.0))
+    r1 = log.publish().root
+    assert r1 == leaf_hash(entry(pid=1, ts=0.0))
     log.append(entry(pid=2, ts=1.0))
-    c2 = log.publish().commitment
-    assert c2.root != c1.root
+    r2 = log.publish().root
+    assert r2 != r1
     with pytest.raises(DuplicateEntryError):
         log.append(entry(pid=1, ts=2.0))
 
@@ -293,8 +292,7 @@ def test_hash_verify_detects_post_commit_tamper():
     forged = entry(pid=2, sseq=777, ts=2.0)
     log.entries[index] = forged
     assert not pub.proves(*key)
-    assert not MerkleTree.verify(pub.commitment.root, leaf_hash(forged),
-                                 stale_proof)
+    assert not MerkleTree.verify(pub.root, leaf_hash(forged), stale_proof)
 
 
 def test_hash_verify_malformed_proof_is_failure(monkeypatch):
@@ -339,7 +337,7 @@ def test_memoized_proves_matches_plain_verify(claims, sizes, ops):
             log.append(entry(node=i % 3, pid=pid, event=event, ts=float(i)))
     committed = list(log.entries)
     leaves = [leaf_hash(e) for e in committed]
-    published = [PublishedLog(MerkleCommitment(log.tree.root_at(n)), log, n)
+    published = [PublishedLog(log.tree.root_at(n), log, n)
                  for n in sorted({size % (len(committed) + 1)
                                    for size in sizes})]
     for tamper, a, pid, event in ops:
@@ -352,7 +350,7 @@ def test_memoized_proves_matches_plain_verify(claims, sizes, ops):
         pub = published[a % len(published)]
         index = log.claim_index(pid, event, pub.size)
         expected = index is not None and MerkleTree.verify(
-            pub.commitment.root, leaf_hash(log.entries[index]),
+            pub.root, leaf_hash(log.entries[index]),
             log.tree.proof(index, pub.size))
         assert pub.proves(pid, event) == expected
         # only nodes of the committed tree are ever known, never a leaf
