@@ -9,7 +9,7 @@ Replied for the source's route request; each relay must prove Received
 plus Forwarded (or Dropped, on a broken link) for every audited data
 packet.  The replayed rows therefore equal the trace's live audit rows.
 
-Exit codes: 0 success, 1 validation error, 2 run failure.
+Exit codes: 0 success, 1 usage/configuration error, 2 run failure.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.rng_seed = args.seed
-    cfg.validate()
     result = run_scenario(cfg, trace=args.trace is not None,
                           check_privacy=True)
     report = report_from_result(result)
@@ -124,7 +123,6 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(base, _parse_pauses(args.pause),
                      _parse_protocols(args.protocols),
                      _parse_seeds(args.seeds))
-    spec.validate()
     result = sweep(spec)
     Path(args.out).write_text(result.csv_text())
     if args.plots:

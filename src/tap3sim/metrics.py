@@ -7,12 +7,13 @@ one seed-averaged row per (protocol, pause) with `avg` in the seed column.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .routing import ProtocolKind
-from .sim import ScenarioConfig, RunResult, run_scenario
+from .sim import ConfigError, RunResult, ScenarioConfig, run_scenario
 
 CSV_COLUMNS = ("protocol,pause_time_s,seed,pdr_percent,avg_delay_s,"
                "overhead_ratio,detected_active,detected_passive,"
@@ -99,9 +100,24 @@ class SweepSpec:
     protocols: list[ProtocolKind]
     seeds: list[int]
 
+    def config(self, protocol: ProtocolKind, pause: float,
+               seed: int) -> ScenarioConfig:
+        return replace(self.base, protocol=protocol, pause_time=pause,
+                       rng_seed=seed, attackers=list(self.base.attackers))
+
     def validate(self) -> None:
+        """Check the whole grid before any run, so that a bad cell is a
+        configuration error, not a failure part-way through the sweep."""
         if not (self.pause_times and self.protocols and self.seeds):
             raise ValueError("sweep lists must be non-empty")
+        for protocol, pause, seed in itertools.product(
+                self.protocols, self.pause_times, self.seeds):
+            try:
+                self.config(protocol, pause, seed).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"at ({protocol.value}, pause={pause:g}, "
+                                  f"seed={seed}): {p}"
+                                  for p in exc.problems) from None
 
 
 @dataclass
@@ -129,11 +145,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
         for pause in spec.pause_times:
             reports = []
             for seed in spec.seeds:
-                cfg = replace(spec.base, protocol=protocol, pause_time=pause,
-                              rng_seed=seed,
-                              attackers=list(spec.base.attackers))
                 try:
-                    result = run_scenario(cfg, check_privacy=True)
+                    result = run_scenario(spec.config(protocol, pause, seed),
+                                          check_privacy=True)
                 except Exception as exc:
                     raise RuntimeError(
                         f"run failed at ({protocol.value}, pause={pause:g}, "

@@ -2,8 +2,12 @@
 
 TAP3 and S-MPRF address control packets by fellow aliases and carry an
 integrity tag under the endpoint pairwise key; MPRF carries plaintext
-source/destination addresses.  TAP3 alone runs the trust layer (suspect
-exclusion and round-robin dispersal over the usable path set).
+source/destination addresses.  TAP3 alone runs the trust layer: alias
+rotation, the destination trapdoor, the sequence monitor, evidence logs
+and their audits, suspect exclusion and round-robin dispersal over the
+usable path set.  `ProtocolKind.uses_pseudonyms` and
+`ProtocolKind.trust_layer` are the only two protocol facts the simulator
+asks for.
 """
 
 from __future__ import annotations
@@ -23,14 +27,6 @@ class ProtocolKind(Enum):
 
     @property
     def uses_pseudonyms(self) -> bool:
-        return self is not ProtocolKind.MPRF
-
-    @property
-    def rotates_aliases(self) -> bool:
-        return self is ProtocolKind.TAP3
-
-    @property
-    def verifies_tags(self) -> bool:
         return self is not ProtocolKind.MPRF
 
     @property

@@ -13,7 +13,7 @@ import heapq
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -196,75 +196,57 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # mobility
 
-@dataclass
-class MobilityState:
-    position: tuple[float, float]
-    waypoint: tuple[float, float]
-    speed: float
-    leg_start: float
-    pause_until: float
-    area: tuple[float, float]
-    max_speed: float
-    pause_time: float
-
-
-def random_waypoint_step(state: MobilityState, now: float,
-                         rng: random.Random) -> MobilityState:
-    """Begin the next movement leg: the node sits at its waypoint, draws a
-    fresh uniform waypoint and a speed in (0, max_speed]."""
-    wx = rng.uniform(0.0, state.area[0])
-    wy = rng.uniform(0.0, state.area[1])
-    speed = state.max_speed * (1.0 - rng.random())  # (0, max_speed]
-    return replace(state, position=state.waypoint, waypoint=(wx, wy),
-                   speed=speed, leg_start=now, pause_until=now)
-
-
 class Mobility:
     """Random-waypoint movement of one node.  `position(t)` must be asked
     for non-decreasing `t`; the legs a node walks depend only on its rng,
-    never on which times are asked for."""
+    never on which times are asked for.  Only the current leg is kept: the
+    node walks from `origin` to `waypoint` at `speed` from `leg_start`,
+    then pauses there for `pause_time`."""
 
     def __init__(self, rng: random.Random, start: tuple[float, float],
                  area: tuple[float, float], max_speed: float,
                  pause_time: float):
         self.rng = rng
+        self.area = area
+        self.max_speed = max_speed
+        self.pause_time = pause_time
+        # a static node never leaves `start`; the leg it still draws uses
+        # only its own rng, so no other draw moves
         self.static = max_speed <= 0.0
-        wx = rng.uniform(0.0, area[0])
-        wy = rng.uniform(0.0, area[1])
-        speed = max_speed * (1.0 - rng.random()) if not self.static else 0.0
-        self.state = MobilityState(start, (wx, wy), speed, 0.0, 0.0,
-                                   area, max_speed, pause_time)
-        self._begin_leg()
+        self._begin_leg(start, 0.0)
 
-    def _begin_leg(self) -> None:
-        """Constants of the current leg: its length (floored to keep the
+    def _begin_leg(self, origin: tuple[float, float], now: float) -> None:
+        """Draw a fresh uniform waypoint and a speed in (0, max_speed] and
+        fix the leg's constants: its length (floored to keep the
         interpolation finite), the arrival time and the end of the pause."""
-        s = self.state
-        d = math.dist(s.position, s.waypoint)
+        self.origin = origin
+        self.waypoint = (self.rng.uniform(0.0, self.area[0]),
+                         self.rng.uniform(0.0, self.area[1]))
+        self.speed = self.max_speed * (1.0 - self.rng.random())
+        self.leg_start = now
+        d = math.dist(origin, self.waypoint)
         self._length = max(d, 1e-12)
-        self._arrive = (math.inf if s.speed <= 0.0
-                        else s.leg_start + d / s.speed)
-        self._leave = self._arrive + s.pause_time
-        self._dx = s.waypoint[0] - s.position[0]
-        self._dy = s.waypoint[1] - s.position[1]
+        self._arrive = (math.inf if self.speed <= 0.0
+                        else now + d / self.speed)
+        self._leave = self._arrive + self.pause_time
+        self._dx = self.waypoint[0] - origin[0]
+        self._dy = self.waypoint[1] - origin[1]
 
     def position(self, t: float) -> tuple[float, float]:
         if self.static:
-            return self.state.position
+            return self.origin
         while True:
-            s = self.state
             if t < self._arrive:
-                frac = (t - s.leg_start) * s.speed / self._length
+                frac = (t - self.leg_start) * self.speed / self._length
                 if frac < 0.0:
                     frac = 0.0
                 elif frac > 1.0:
                     frac = 1.0
-                x, y = s.position
+                x, y = self.origin
                 return (x + frac * self._dx, y + frac * self._dy)
             if t <= self._leave:
-                return s.waypoint
-            self.state = random_waypoint_step(s, self._leave, self.rng)
-            self._begin_leg()
+                return self.waypoint
+            self._begin_leg(self.waypoint, self._leave)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +279,7 @@ class SimNode:
         self.busy_until = 0.0
         self.oseq = 0
         self.max_dseq_seen = 0
-        self.freshest_dseq: dict[int, int] = {}
+        self.freshest_dseq: dict[int, int] = {}    # trust layer only
         self.seen_rreq: set[tuple] = set()
         self.rev_routes: dict[tuple, RevEntry] = {}
         self.fwd_routes: dict[tuple, RouteEntry] = {}
@@ -306,7 +288,7 @@ class SimNode:
         self.window = seqmon.TrainingWindow()
         self.batch: list[seqmon.SeqVector] = []
         self.next_merge = math.inf
-        self.prev_counters: dict[tuple, tuple[int, int]] = {}
+        self.prev_counters: dict[int, tuple[int, int]] = {}  # trust layer only
         self.log_duplicates = 0
 
     def ignores_rreq(self, key: tuple, flow_id: int) -> bool:
@@ -320,15 +302,23 @@ class SimNode:
         raised the field to it when it took the key."""
         return key in self.seen_rreq and flow_id not in self.dest_flows
 
+    def log_entry(self, pid: int, event: EventKind, pkt: Packet, now: float,
+                  prev_alias: Optional[Pseudonym] = None) -> LogEntry:
+        """The record of `event` on `pkt` here; the previous hop defaults
+        to this node, as on a packet it originates or answers."""
+        prev = self.log_alias if prev_alias is None else prev_alias
+        return LogEntry(self.log_alias, pid, event, pkt.sseq, pkt.oseq,
+                        pkt.dseq, prev, now)
+
     def log_event(self, pid: int, event: EventKind, pkt: Packet, now: float,
-                  prev_alias: Pseudonym, forge: bool = False) -> None:
+                  prev_alias: Optional[Pseudonym] = None,
+                  forge: bool = False) -> None:
         if self.log is None:
             return
         real_pid = pid + 1_000_000 if forge else pid
-        entry = LogEntry(self.log_alias, real_pid, event, pkt.sseq, pkt.oseq,
-                         pkt.dseq, prev_alias, now)
         try:
-            self.log.append(entry)
+            self.log.append(self.log_entry(real_pid, event, pkt, now,
+                                           prev_alias))
         except logaudit.DuplicateEntryError:
             self.log_duplicates += 1
 
@@ -351,6 +341,8 @@ class Flow:
     backoff: float = BACKOFF_START
     discovery_outstanding: Optional[int] = None
     suspects: set[int] = field(default_factory=set)
+    # round -> the source's Forwarded entry for its route request; filled
+    # under the trust layer only, for `Simulation.run_audits`
     tau_c_control: dict[int, list[LogEntry]] = field(default_factory=dict)
     # (round, path id) -> (relays, the source's Forwarded entry for every
     # data packet sent on that path and not yet audited, oldest first)
@@ -433,7 +425,7 @@ class Simulation:
             mob = Mobility(_stream(seed, f"mob{i}"), positions[i],
                            (config.area_x, config.area_y),
                            config.max_speed, config.pause_time)
-            log = NodeLog() if config.protocol is ProtocolKind.TAP3 else None
+            log = NodeLog() if config.protocol.trust_layer else None
             self.nodes.append(SimNode(i, mob, alias, attackers.get(i), log))
 
         self.masters = [MasterKey.from_seed(seed, i)
@@ -469,10 +461,10 @@ class Simulation:
             flow = Flow(fid, src, dst, key, 1.0 + 0.25 * fid, ps, pd)
             self.flows.append(flow)
             dest_state = DestFlowState(trapdoor=None, static_pd=None)
-            if cfg.protocol is ProtocolKind.TAP3:
+            if cfg.protocol.trust_layer:
                 dest_state.trapdoor = TrapdoorIndex(TRAPDOOR_WINDOW)
                 dest_state.trapdoor.track(pd)
-            elif cfg.protocol is ProtocolKind.S_MPRF:
+            elif cfg.protocol.uses_pseudonyms:
                 dest_state.static_pd = pd.current
             self.nodes[dst].dest_flows[fid] = dest_state
 
@@ -591,27 +583,22 @@ class Simulation:
 
     # -- sequence monitor ---------------------------------------------------
 
-    def monitor_sample(self, node: SimNode, flow_id: int, kind: PacketKind,
-                       sseq: int, oseq: int, delta: float
-                       ) -> Optional[seqmon.Verdict]:
-        """Monitor features are the increments of the header counters over
-        the previous control packet of the same flow and kind, which keeps
-        the training distribution stationary while an inflated sequence
-        number still shows up as a large jump."""
-        key = (flow_id, kind)
-        prev = node.prev_counters.get(key)
-        node.prev_counters[key] = (sseq, oseq)
+    def monitor_sample(self, node: SimNode, flow_id: int, sseq: int,
+                       oseq: int, delta: float) -> Optional[seqmon.Verdict]:
+        """Feed one route reply of a flow to a node's detector.  The
+        features are the increments of the header counters over the
+        previous reply of the same flow, which keeps the training
+        distribution stationary while an inflated sequence number still
+        shows up as a large jump.  Returns a verdict once the window is
+        trained, None while it is still learning or without the trust
+        layer, which keeps no monitor state."""
+        if not self.config.protocol.trust_layer:
+            return None
+        prev = node.prev_counters.get(flow_id)
+        node.prev_counters[flow_id] = (sseq, oseq)
         if prev is None:
             return None
         sample = seqmon.SeqVector(sseq - prev[0], oseq - prev[1], delta)
-        return self.observe_sample(node, sample)
-
-    def observe_sample(self, node: SimNode, sample: seqmon.SeqVector
-                       ) -> Optional[seqmon.Verdict]:
-        """Feed one control-packet sample to a node's detector.  Returns a
-        verdict once the window is trained, None while still learning."""
-        if self.config.protocol is not ProtocolKind.TAP3:
-            return None
         if self.now < self.train_end:
             node.window.samples.append(sample)
             return None
@@ -641,7 +628,7 @@ class Simulation:
 
     @property
     def refresh_period(self) -> float:
-        if self.config.protocol is ProtocolKind.TAP3:
+        if self.config.protocol.trust_layer:
             return ROUTE_REFRESH
         return BASELINE_ROUTE_TIMEOUT
 
@@ -650,7 +637,7 @@ class Simulation:
         self.schedule_cbr(flow, flow.start_time)
         self.schedule(flow.start_time + self.refresh_period,
                       lambda: self.refresh_route(flow))
-        if self.config.protocol is ProtocolKind.TAP3:
+        if self.config.protocol.trust_layer:
             self.schedule(flow.start_time + AUDIT_PERIOD,
                           lambda: self.audit_tick(flow))
 
@@ -667,7 +654,7 @@ class Simulation:
         flow.sseq += 1
         src_node = self.nodes[flow.src]
         src_node.oseq += 1
-        if cfg.protocol.rotates_aliases and rnd > 1:
+        if cfg.protocol.trust_layer and rnd > 1:
             flow.ps_chain = flow.ps_chain.advanced()
             flow.pd_chain = flow.pd_chain.advanced()
         pid = self.new_pid()
@@ -680,9 +667,9 @@ class Simulation:
         else:
             pkt.src_addr = flow.src
             pkt.dst_addr = flow.dst
-        flow.tau_c_control[rnd] = [LogEntry(
-            src_node.log_alias, pid, EventKind.FORWARDED, pkt.sseq, pkt.oseq,
-            pkt.dseq, src_node.log_alias, self.now)]
+        if cfg.protocol.trust_layer:
+            flow.tau_c_control[rnd] = [
+                src_node.log_entry(pid, EventKind.FORWARDED, pkt, self.now)]
         src_node.seen_rreq.add(self._rreq_key(pkt))
         src_node.max_dseq_seen = max(src_node.max_dseq_seen, pkt.dseq)
         flow.discovery_outstanding = rnd
@@ -782,10 +769,8 @@ class Simulation:
         rreq = ds.rreq_info[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
-        node.log_event(replied_pid, EventKind.RECEIVED, rreq, self.now,
-                       node.log_alias)
-        node.log_event(replied_pid, EventKind.REPLIED, rreq, self.now,
-                       node.log_alias)
+        node.log_event(replied_pid, EventKind.RECEIVED, rreq, self.now)
+        node.log_event(replied_pid, EventKind.REPLIED, rreq, self.now)
         for idx, relays in enumerate(chosen):
             ds.dseq += 1
             node.oseq += 1
@@ -811,15 +796,15 @@ class Simulation:
         rev = node.rev_routes.get((pkt.flow_id, pkt.round))
         if rev is None:
             return
-        baseline = max(rev.rreq_dseq, node.freshest_dseq.get(pkt.flow_id, 0))
-        delta = pkt.dseq - baseline
-        verdict = self.monitor_sample(node, pkt.flow_id, PacketKind.RREP,
-                                      pkt.sseq, pkt.oseq, delta)
-        if verdict is not None and verdict.label is seqmon.Label.MALICIOUS:
-            self.flag(node.id, frm)
-            return
-        node.freshest_dseq[pkt.flow_id] = max(
-            node.freshest_dseq.get(pkt.flow_id, 0), pkt.dseq)
+        if self.config.protocol.trust_layer:
+            freshest = node.freshest_dseq.get(pkt.flow_id, 0)
+            verdict = self.monitor_sample(
+                node, pkt.flow_id, pkt.sseq, pkt.oseq,
+                pkt.dseq - max(rev.rreq_dseq, freshest))
+            if verdict is not None and verdict.label is seqmon.Label.MALICIOUS:
+                self.flag(node.id, frm)
+                return
+            node.freshest_dseq[pkt.flow_id] = max(freshest, pkt.dseq)
         atk = node.attacker
         if (atk and atk.kind is AttackKind.SEQ_INFLATION
                 and self.now >= self.attack_start):
@@ -835,17 +820,16 @@ class Simulation:
                        frm: int) -> None:
         if pkt.round != flow.round:
             return
-        if self.config.protocol.verifies_tags:
+        delta = pkt.dseq - flow.last_known_dseq
+        if self.config.protocol.uses_pseudonyms:
             if not verify_hmac(flow.key, self._rrep_tag_payload(pkt), pkt.tag):
                 self.flag(flow.src, frm)
                 return
-        delta = pkt.dseq - flow.last_known_dseq
-        if self.config.protocol.verifies_tags:
             # the tag proves the value came from the true destination, so it
             # refreshes the baseline even if the classifier rejects the path
             flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
-        verdict = self.monitor_sample(node, pkt.flow_id, PacketKind.RREP,
-                                      pkt.sseq, pkt.oseq, delta)
+        verdict = self.monitor_sample(node, pkt.flow_id, pkt.sseq, pkt.oseq,
+                                      delta)
         if verdict is not None and verdict.label is seqmon.Label.MALICIOUS:
             self.flag(flow.src, frm)
             return
@@ -861,13 +845,12 @@ class Simulation:
         flow.paths.append(path)
         flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
         ack = Packet(PacketKind.RREP_ACK, flow.flow_id, self.new_pid(),
-                     round=pkt.round, path_id=pkt.path_id,
-                     forward_alias=pkt.reverse_alias if
-                     self.config.protocol.uses_pseudonyms else None,
-                     dst_addr=None if self.config.protocol.uses_pseudonyms
-                     else flow.dst)
+                     round=pkt.round, path_id=pkt.path_id)
         if self.config.protocol.uses_pseudonyms:
+            ack.forward_alias = pkt.reverse_alias
             ack.tag = hmac_tag(flow.key, header_bytes(ack, include_tag=False))
+        else:
+            ack.dst_addr = flow.dst
         self.transmit(flow.src, frm, ack, control=True)
         self._flush_pending(flow)
 
@@ -937,14 +920,12 @@ class Simulation:
         nxt = path.next_hop if path.next_hop is not None else flow.dst
         if not self.transmit(flow.src, nxt, pkt, control=False):
             return False
-        if self.config.protocol is ProtocolKind.TAP3:
-            alias = self.nodes[flow.src].log_alias
+        if self.config.protocol.trust_layer:
             key = (path.round, path.path_id)
             if key not in flow.audit_queue:
                 flow.audit_queue[key] = (list(path.relays), [])
-            flow.audit_queue[key][1].append(LogEntry(
-                alias, pid, EventKind.FORWARDED, pkt.sseq, pkt.oseq, pkt.dseq,
-                alias, self.now))
+            flow.audit_queue[key][1].append(self.nodes[flow.src].log_entry(
+                pid, EventKind.FORWARDED, pkt, self.now))
         return True
 
     def _flush_pending(self, flow: Flow) -> None:
@@ -1104,7 +1085,7 @@ class Simulation:
             setattr(self.result, fate, fates[fate])
         self.result.in_flight_end = fates[IN_FLIGHT]
         self.result.log_duplicates = sum(n.log_duplicates for n in self.nodes)
-        if self.trace and cfg.protocol is ProtocolKind.TAP3:
+        if self.trace and cfg.protocol.trust_layer:
             self.result.audit_export = {
                 "nodes": {str(n.id): [logaudit.entry_to_list(e)
                                       for e in n.log.entries]

@@ -1,5 +1,8 @@
 from dataclasses import replace
 
+import pytest
+
+from tap3sim import metrics
 from tap3sim.cli import main, replay_audits
 from tap3sim.logaudit import FELLOW
 from tap3sim.metrics import CSV_COLUMNS
@@ -59,9 +62,49 @@ def test_audit_rejects_trace_without_log(tmp_path, capsys):
     assert main(["audit", "--trace", str(trace)]) == 1
 
 
-def test_bad_config_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, "node_count = 1\nmystery = 2\n")
-    assert main(["run", "--config", cfg]) == 1
+SWEEP_ARGS = ["--pause", "0", "--protocols", "tap3", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("command,text,extra", [
+    ("run", "node_count = 1\nmystery = 2\n", []),
+    ("run", "node_count = 1\n", []),
+    ("sweep", "node_count = 1\nmystery = 2\n", SWEEP_ARGS),
+    ("sweep", "node_count = 1\n", SWEEP_ARGS),
+    # pauses 0-60 are valid; 80 lies past the 60 s run
+    ("sweep", small_config_text(),
+     ["--pause", "0:80:20", "--protocols", "tap3", "--seeds", "1"]),
+], ids=["run-parse", "run-invalid", "sweep-parse", "sweep-invalid",
+        "sweep-pause-past-end"])
+def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, text,
+                              extra):
+    """A configuration error, in the file or in any cell of a sweep grid,
+    exits 1 before any run starts and writes no output."""
+    runs = []
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_scenario", counted_run)
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
+    assert not out.exists()
+    assert runs == []
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_run_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(metrics, "run_scenario", failing_run)
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, small_config_text())
+    assert main(["sweep", "--config", cfg, "--out", str(out)]
+                + SWEEP_ARGS) == 2
+    assert not out.exists()
+    assert "run failed" in capsys.readouterr().err
 
 
 def test_bad_usage_exits_one(capsys):

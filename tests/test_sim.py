@@ -2,7 +2,7 @@ import collections
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,12 +22,10 @@ from tap3sim.sim import (
     AttackKind,
     ConfigError,
     Mobility,
-    MobilityState,
     ScenarioConfig,
     Simulation,
     desk_profile,
     parse_config,
-    random_waypoint_step,
     run_scenario,
 )
 
@@ -151,33 +149,124 @@ def test_mobility_is_independent_of_query_pattern(seed, pause, steps, keep):
     at_dense = []
     for t in times:
         at_dense.append(dense.position(t))
-        assert at_dense[-1] == leg_position(dense.state, t)
+        assert at_dense[-1] == leg_position(dense, t)
     for i in range(0, len(times), keep):
         assert sparse.position(times[i]) == at_dense[i]
     for x, y in at_dense:
         assert 0.0 <= x <= 300.0 and 0.0 <= y <= 300.0
 
 
-def leg_position(s: MobilityState, t: float) -> tuple[float, float]:
-    """Reference: position at `t` on leg `s`, recomputed from scratch."""
-    length = math.dist(s.position, s.waypoint)
-    if t >= s.leg_start + length / s.speed:
-        return s.waypoint
-    frac = (t - s.leg_start) * s.speed / max(length, 1e-12)
+def leg_position(m: Mobility, t: float) -> tuple[float, float]:
+    """Reference: position at `t` on the current leg of `m`, recomputed
+    from scratch."""
+    length = math.dist(m.origin, m.waypoint)
+    if t >= m.leg_start + length / m.speed:
+        return m.waypoint
+    frac = (t - m.leg_start) * m.speed / max(length, 1e-12)
     frac = min(max(frac, 0.0), 1.0)
-    return (s.position[0] + frac * (s.waypoint[0] - s.position[0]),
-            s.position[1] + frac * (s.waypoint[1] - s.position[1]))
+    return (m.origin[0] + frac * (m.waypoint[0] - m.origin[0]),
+            m.origin[1] + frac * (m.waypoint[1] - m.origin[1]))
 
 
 def test_waypoint_step_draws_valid_leg():
-    state = MobilityState((5.0, 5.0), (20.0, 30.0), 3.0, 0.0, 0.0,
-                          (100.0, 100.0), 25.0, 2.0)
-    nxt = random_waypoint_step(state, 12.0, random.Random(3))
-    assert nxt.position == (20.0, 30.0)  # starts from the old waypoint
-    assert 0.0 <= nxt.waypoint[0] <= 100.0
-    assert 0.0 <= nxt.waypoint[1] <= 100.0
-    assert 0.0 < nxt.speed <= 25.0
-    assert nxt.leg_start == 12.0
+    mob = Mobility(random.Random(3), (5.0, 5.0), (100.0, 100.0),
+                   max_speed=25.0, pause_time=2.0)
+    old_waypoint = mob.waypoint
+    mob._begin_leg(old_waypoint, 12.0)
+    assert mob.origin == old_waypoint  # starts from the old waypoint
+    assert 0.0 <= mob.waypoint[0] <= 100.0
+    assert 0.0 <= mob.waypoint[1] <= 100.0
+    assert 0.0 < mob.speed <= 25.0
+    assert mob.leg_start == 12.0
+
+
+class ReferenceMobility:
+    """The walker as it was kept before `Mobility` held one leg: an
+    immutable state per leg, replaced by `random_waypoint_step`, and a
+    separate first-leg draw.  Kept here to pin bit-equal positions."""
+
+    @dataclass
+    class State:
+        position: tuple[float, float]
+        waypoint: tuple[float, float]
+        speed: float
+        leg_start: float
+        pause_until: float
+        area: tuple[float, float]
+        max_speed: float
+        pause_time: float
+
+    @staticmethod
+    def random_waypoint_step(state, now, rng):
+        wx = rng.uniform(0.0, state.area[0])
+        wy = rng.uniform(0.0, state.area[1])
+        speed = state.max_speed * (1.0 - rng.random())
+        return replace(state, position=state.waypoint, waypoint=(wx, wy),
+                       speed=speed, leg_start=now, pause_until=now)
+
+    def __init__(self, rng, start, area, max_speed, pause_time):
+        self.rng = rng
+        self.static = max_speed <= 0.0
+        wx = rng.uniform(0.0, area[0])
+        wy = rng.uniform(0.0, area[1])
+        speed = max_speed * (1.0 - rng.random()) if not self.static else 0.0
+        self.state = self.State(start, (wx, wy), speed, 0.0, 0.0,
+                                area, max_speed, pause_time)
+        self._begin_leg()
+
+    def _begin_leg(self):
+        s = self.state
+        d = math.dist(s.position, s.waypoint)
+        self._length = max(d, 1e-12)
+        self._arrive = (math.inf if s.speed <= 0.0
+                        else s.leg_start + d / s.speed)
+        self._leave = self._arrive + s.pause_time
+        self._dx = s.waypoint[0] - s.position[0]
+        self._dy = s.waypoint[1] - s.position[1]
+
+    def position(self, t):
+        if self.static:
+            return self.state.position
+        while True:
+            s = self.state
+            if t < self._arrive:
+                frac = (t - s.leg_start) * s.speed / self._length
+                if frac < 0.0:
+                    frac = 0.0
+                elif frac > 1.0:
+                    frac = 1.0
+                x, y = s.position
+                return (x + frac * self._dx, y + frac * self._dy)
+            if t <= self._leave:
+                return s.waypoint
+            self.state = self.random_waypoint_step(s, self._leave, self.rng)
+            self._begin_leg()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       area=st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0)),
+       start=st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
+       max_speed=st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+       pause=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+       steps=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=200))
+@example(seed=1, area=(300.0, 300.0), start=(0.0, 0.0), max_speed=0.0,
+         pause=0.0, steps=[0.0, 1.0, 500.0])
+@example(seed=2, area=(300.0, 300.0), start=(150.0, 150.0), max_speed=25.0,
+         pause=30.0, steps=[0.5] * 200)
+def test_one_leg_walker_matches_reference(seed, area, start, max_speed,
+                                          pause, steps):
+    """The one-leg `Mobility` walks the same legs as the reference walker,
+    with the same rng draws, and every position is bit-equal: moving and
+    static nodes, with and without pauses."""
+    new = Mobility(random.Random(seed), start, area, max_speed, pause)
+    old = ReferenceMobility(random.Random(seed), start, area, max_speed,
+                            pause)
+    for t in itertools.accumulate(steps):
+        assert new.position(t) == old.position(t)
+        s = old.state
+        assert (new.origin, new.waypoint, new.speed, new.leg_start) \
+            == (s.position, s.waypoint, s.speed, s.leg_start)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +624,22 @@ def test_event_in_the_past_is_an_error():
     sim.schedule(5.0, lambda: sim.schedule(4.0, lambda: None))
     with pytest.raises(RuntimeError, match="precedes the clock"):
         sim.run()
+
+
+@pytest.mark.parametrize("protocol", [ProtocolKind.S_MPRF, ProtocolKind.MPRF])
+def test_baseline_runs_build_no_trust_layer_state(protocol):
+    """Only TAP3 runs the trust layer, so a baseline run keeps no monitor
+    counters, no relay dseq baseline, no source audit records and no
+    evidence log."""
+    sim = Simulation(desk_profile(protocol, seed=1))
+    sim.run()
+    for node in sim.nodes:
+        assert node.prev_counters == {}
+        assert node.freshest_dseq == {}
+        assert node.log is None
+    for flow in sim.flows:
+        assert flow.tau_c_control == {}
+        assert flow.audit_queue == {}
 
 
 def test_log_duplicates_are_counted():
