@@ -31,6 +31,7 @@ from .routing import ProtocolKind
 from .sim import ConfigError, RunResult, parse_config, run_scenario
 
 TRACE_HEADER = "# tap3sim trace v1"
+AUDIT_COLUMNS = "flow_id,verdict,active_pos,passive_positions"
 
 
 class UsageError(Exception):
@@ -92,7 +93,7 @@ def write_trace_file(path: str, result: RunResult) -> None:
     lines += ["# verdicts",
               "node_id,sseq,oseq,dseq_delta,distance,threshold,label"]
     lines += result.verdict_rows
-    lines += ["# audits", "flow_id,verdict,active_pos,passive_positions"]
+    lines += ["# audits", AUDIT_COLUMNS]
     lines += result.audit_rows
     if result.audit_export is not None:
         lines += ["# audit-log",
@@ -133,22 +134,35 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# what rebuilding a recorded log or path raises on a malformed trace
+_MALFORMED = (logaudit.DuplicateEntryError, logaudit.TimestampRegressionError,
+              KeyError, IndexError, TypeError, ValueError)
+
+
 def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     """Rebuild the recorded evidence logs and re-run every recorded path
-    audit through `logaudit.audit_route`, as the live simulation did."""
+    audit through `logaudit.audit_route`, as the live simulation did.  A
+    log or path record that cannot be rebuilt is the trace's fault, so it
+    is a `UsageError` naming the node or path."""
     published = {}
     for nid, entries in export.get("nodes", {}).items():
-        log = logaudit.NodeLog()
-        for data in entries:
-            log.append(logaudit.entry_from_list(data))
-        published[int(nid)] = log.publish()
+        try:
+            log = logaudit.NodeLog()
+            for data in entries:
+                log.append(logaudit.entry_from_list(data))
+            published[int(nid)] = log.publish()
+        except _MALFORMED as exc:
+            raise UsageError(f"recorded log of node {nid}: {exc!r}") from exc
     reports = []
-    for record in export.get("paths", []):
-        route_logs = [published.get(r) for r in record["relays"]]
-        reports.append(logaudit.audit_route(
-            route_logs, published.get(record["dst"]),
-            [logaudit.entry_from_list(e) for e in record["control"]],
-            [logaudit.entry_from_list(e) for e in record["data"]]))
+    for i, record in enumerate(export.get("paths", [])):
+        try:
+            route_logs = [published.get(r) for r in record["relays"]]
+            dest = published.get(record["dst"])
+            control = [logaudit.entry_from_list(e) for e in record["control"]]
+            data = [logaudit.entry_from_list(e) for e in record["data"]]
+        except _MALFORMED as exc:
+            raise UsageError(f"recorded path {i}: {exc!r}") from exc
+        reports.append(logaudit.audit_route(route_logs, dest, control, data))
     return reports
 
 
@@ -166,7 +180,7 @@ def _cmd_audit(args) -> int:
     if export is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
     reports = replay_audits(export)
-    sys.stdout.write("flow_id,verdict,active_pos,passive_positions\n")
+    sys.stdout.write(AUDIT_COLUMNS + "\n")
     for record, report in zip(export.get("paths", []), reports):
         sys.stdout.write(report.csv_row(record["flow"]) + "\n")
     return 0

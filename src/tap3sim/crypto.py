@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 NodeId = int
@@ -60,11 +59,6 @@ class Pseudonym:
         return f"Pseudonym({self.digest.hex()[:12]}..)"
 
 
-class ChainDirection(Enum):
-    FORWARD_OF_SOURCE = "source"
-    FORWARD_OF_DESTINATION = "destination"
-
-
 def derive_pairwise_key(receiver_master: MasterKey,
                         sender: NodeId) -> PairwiseKey:
     """Pairwise key between a sender and the holder of `receiver_master`."""
@@ -93,60 +87,54 @@ class PseudonymChain:
     """Alias chain seeded from a real identity: element i+1 = PRF(key, element i)."""
 
     key: PairwiseKey
-    direction: ChainDirection
     index: int
     current: Pseudonym
 
     @classmethod
-    def start(cls, key: PairwiseKey, seed_identity: NodeId,
-              direction: ChainDirection) -> "PseudonymChain":
+    def start(cls, key: PairwiseKey,
+              seed_identity: NodeId) -> "PseudonymChain":
         first = prf(key, encode_node_id(seed_identity))
-        return cls(key, direction, 1, first)
+        return cls(key, 1, first)
 
     def advanced(self) -> "PseudonymChain":
-        return PseudonymChain(self.key, self.direction, self.index + 1,
+        return PseudonymChain(self.key, self.index + 1,
                               prf(self.key, self.current.digest))
 
 
 class TrapdoorIndex:
-    """Precomputed window of upcoming aliases so the true endpoint can
-    recognize itself in constant time.  Refilled once half-consumed."""
+    """Precomputed window of the next `window` aliases of one chain, so its
+    true endpoint recognizes itself in constant time.  Refilled once
+    half-consumed."""
 
-    def __init__(self, window: int = 16):
+    def __init__(self, chain: PseudonymChain, window: int = 16):
         self.window = window
-        self.entries: dict[bytes, tuple[ChainDirection, int]] = {}
-        self._chains: dict[ChainDirection, PseudonymChain] = {}
-        self._low: dict[ChainDirection, int] = {}
+        self.entries: dict[bytes, int] = {}
+        self._low = chain.index
+        self._next = chain  # next alias still to be indexed
+        self._extend(window)
 
-    def track(self, chain: PseudonymChain) -> None:
-        """Register a chain and precompute `window` aliases from its position."""
-        self._chains[chain.direction] = chain
-        self._low[chain.direction] = chain.index
-        c = chain
-        for _ in range(self.window):
-            self.entries[c.current.digest] = (c.direction, c.index)
-            c = c.advanced()
-        self._chains[chain.direction] = c  # next alias still to be indexed
+    def _extend(self, count: int) -> None:
+        chain = self._next
+        for _ in range(count):
+            self.entries[chain.current.digest] = chain.index
+            chain = chain.advanced()
+        self._next = chain
 
-    def lookup(self, candidate: Pseudonym) -> Optional[tuple[ChainDirection, int]]:
+    def lookup(self, candidate: Pseudonym) -> Optional[int]:
+        """Chain index of `candidate`, or None if it is not indexed."""
         return self.entries.get(candidate.digest)
 
-    def consume(self, direction: ChainDirection, index: int) -> None:
+    def consume(self, index: int) -> None:
         """Note that `index` was matched; extend the window when half is spent."""
-        low = self._low.get(direction, 1)
-        if index - low < self.window // 2:
+        if index - self._low < self.window // 2:
             return
-        chain = self._chains[direction]
-        for _ in range(index - low):
-            self.entries[chain.current.digest] = (chain.direction, chain.index)
-            chain = chain.advanced()
-        self._chains[direction] = chain
-        self._low[direction] = index
+        self._extend(index - self._low)
+        self._low = index
 
 
 def trapdoor_check(index: TrapdoorIndex,
-                   candidate: Pseudonym) -> Optional[tuple[ChainDirection, int]]:
+                   candidate: Pseudonym) -> Optional[int]:
     match = index.lookup(candidate)
     if match is not None:
-        index.consume(*match)
+        index.consume(match)
     return match

@@ -234,14 +234,12 @@ class TimestampRegressionError(Exception):
 
 class NodeLog:
     """Append-only evidence log committed to an append-only Merkle tree.
-    A (packet id, event) claim names the last entry that carries it."""
+    Each (packet id, event) claim names exactly one entry."""
 
     def __init__(self):
         self.entries: list[LogEntry] = []
         self.tree = MerkleTree()
         self._claims: dict[tuple[int, EventKind], int] = {}
-        # entry index -> index of the earlier entry with the same claim
-        self._shadowed: dict[int, int] = {}
         self._last_ts = float("-inf")
 
     def append(self, entry: LogEntry) -> None:
@@ -249,29 +247,19 @@ class NodeLog:
             raise TimestampRegressionError(
                 f"timestamp {entry.timestamp} precedes {self._last_ts}")
         claim = (entry.packet_id, entry.event)
-        earlier = self._claims.get(claim)
-        i = earlier
-        while i is not None:
-            if self.entries[i].node_alias.digest == entry.node_alias.digest:
-                raise DuplicateEntryError(
-                    f"duplicate entry {(entry.node_alias.digest, *claim)}")
-            i = self._shadowed.get(i)
-        index = len(self.entries)
-        if earlier is not None:
-            self._shadowed[index] = earlier
-        self._claims[claim] = index
+        if claim in self._claims:
+            raise DuplicateEntryError(f"duplicate entry {claim}")
+        self._claims[claim] = len(self.entries)
         self._last_ts = entry.timestamp
         self.entries.append(entry)
         self.tree.append(leaf_hash(entry))
 
     def claim_index(self, packet_id: int, event: EventKind,
                     size: int) -> Optional[int]:
-        """Index of the last (packet_id, event) entry among the first
+        """Index of the (packet_id, event) entry if it is among the first
         `size`, or None."""
         index = self._claims.get((packet_id, event))
-        while index is not None and index >= size:
-            index = self._shadowed.get(index)
-        return index
+        return index if index is not None and index < size else None
 
     def publish(self) -> PublishedLog:
         size = len(self.entries)
@@ -311,9 +299,9 @@ def _proves_all(published: Optional[PublishedLog],
     return all(proves(*record) for record in expected)
 
 
-def check_destination(tau_c: Sequence[LogEntry], events: Sequence[EventKind],
+def check_destination(tau_c: Sequence[LogEntry],
                       dest_published: Optional[PublishedLog]) -> str:
-    if _proves_all(dest_published, apply_rules(events, tau_c)):
+    if _proves_all(dest_published, apply_rules(DESTINATION_EVENTS, tau_c)):
         return FELLOW
     return NOT_FELLOW
 
@@ -374,8 +362,7 @@ def audit_route(route_logs: Sequence[Optional[PublishedLog]],
                 tau_c_data: Sequence[LogEntry]) -> AuditReport:
     """Destination check first; its verdict dispatches to the active-attack
     scan (reverse) or the passive-dropper scan (forward)."""
-    verdict = check_destination(tau_c_control, DESTINATION_EVENTS,
-                                dest_published)
+    verdict = check_destination(tau_c_control, dest_published)
     if verdict != FELLOW:
         if not route_logs:
             return AuditReport(NOT_FELLOW, target_lied=True)

@@ -57,7 +57,6 @@ class TrainingWindow:
     samples: list[SeqVector] = field(default_factory=list)
     mean: tuple[float, float, float] = (0.0, 0.0, 0.0)
     threshold: float = 0.0
-    window_index: int = 0
     trained: bool = False
 
     def train(self) -> float:
@@ -87,7 +86,7 @@ def advance_window(window: TrainingWindow,
         if classify(s, window).label is Label.MALICIOUS:
             return window
     merged = (window.samples + new_samples)[-len(window.samples):]
-    out = TrainingWindow(samples=merged, window_index=window.window_index + 1)
+    out = TrainingWindow(samples=merged)
     out.train()
     return out
 

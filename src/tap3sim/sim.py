@@ -13,13 +13,12 @@ import heapq
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
 from . import logaudit, seqmon
 from .crypto import (
-    ChainDirection,
     MasterKey,
     Pseudonym,
     PseudonymChain,
@@ -269,9 +268,21 @@ class DestFlowState:
     rreq_info: dict[int, Packet] = field(default_factory=dict)
 
 
+@dataclass
+class Monitor:
+    """A TAP3 node's sequence-monitor state (`Simulation.monitor_sample`)."""
+    window: seqmon.TrainingWindow = field(default_factory=seqmon.TrainingWindow)
+    batch: list[seqmon.SeqVector] = field(default_factory=list)
+    next_merge: float = math.inf
+    # flow id -> (sseq, oseq) of the last reply of the flow seen here
+    prev_counters: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # flow id -> freshest dseq relayed here, the relay's reply baseline
+    freshest_dseq: dict[int, int] = field(default_factory=dict)
+
+
 class SimNode:
     def __init__(self, nid: int, mobility: Mobility, log_alias: Pseudonym,
-                 attacker: Optional[AttackerSpec], log: Optional[NodeLog]):
+                 attacker: Optional[AttackerSpec], trust_layer: bool):
         self.id = nid
         self.mobility = mobility
         self.log_alias = log_alias
@@ -279,16 +290,13 @@ class SimNode:
         self.busy_until = 0.0
         self.oseq = 0
         self.max_dseq_seen = 0
-        self.freshest_dseq: dict[int, int] = {}    # trust layer only
         self.seen_rreq: set[tuple] = set()
         self.rev_routes: dict[tuple, RevEntry] = {}
         self.fwd_routes: dict[tuple, RouteEntry] = {}
         self.dest_flows: dict[int, DestFlowState] = {}
-        self.log = log              # evidence log; TAP3 nodes only
-        self.window = seqmon.TrainingWindow()
-        self.batch: list[seqmon.SeqVector] = []
-        self.next_merge = math.inf
-        self.prev_counters: dict[int, tuple[int, int]] = {}  # trust layer only
+        # evidence log and sequence monitor: TAP3 nodes only
+        self.log = NodeLog() if trust_layer else None
+        self.monitor = Monitor() if trust_layer else None
         self.log_duplicates = 0
 
     def ignores_rreq(self, key: tuple, flow_id: int) -> bool:
@@ -425,8 +433,8 @@ class Simulation:
             mob = Mobility(_stream(seed, f"mob{i}"), positions[i],
                            (config.area_x, config.area_y),
                            config.max_speed, config.pause_time)
-            log = NodeLog() if config.protocol.trust_layer else None
-            self.nodes.append(SimNode(i, mob, alias, attackers.get(i), log))
+            self.nodes.append(SimNode(i, mob, alias, attackers.get(i),
+                                      config.protocol.trust_layer))
 
         self.masters = [MasterKey.from_seed(seed, i)
                         for i in range(config.node_count)]
@@ -456,14 +464,13 @@ class Simulation:
             used.update((a, b))
         for fid, (src, dst) in enumerate(chosen):
             key = derive_pairwise_key(self.masters[dst], src)
-            ps = PseudonymChain.start(key, src, ChainDirection.FORWARD_OF_SOURCE)
-            pd = PseudonymChain.start(key, dst, ChainDirection.FORWARD_OF_DESTINATION)
+            ps = PseudonymChain.start(key, src)
+            pd = PseudonymChain.start(key, dst)
             flow = Flow(fid, src, dst, key, 1.0 + 0.25 * fid, ps, pd)
             self.flows.append(flow)
             dest_state = DestFlowState(trapdoor=None, static_pd=None)
             if cfg.protocol.trust_layer:
-                dest_state.trapdoor = TrapdoorIndex(TRAPDOOR_WINDOW)
-                dest_state.trapdoor.track(pd)
+                dest_state.trapdoor = TrapdoorIndex(pd, TRAPDOOR_WINDOW)
             elif cfg.protocol.uses_pseudonyms:
                 dest_state.static_pd = pd.current
             self.nodes[dst].dest_flows[fid] = dest_state
@@ -590,34 +597,35 @@ class Simulation:
         previous reply of the same flow, which keeps the training
         distribution stationary while an inflated sequence number still
         shows up as a large jump.  Returns a verdict once the window is
-        trained, None while it is still learning or without the trust
-        layer, which keeps no monitor state."""
-        if not self.config.protocol.trust_layer:
+        trained, None while it is still learning or on a baseline node,
+        which has no monitor."""
+        mon = node.monitor
+        if mon is None:
             return None
-        prev = node.prev_counters.get(flow_id)
-        node.prev_counters[flow_id] = (sseq, oseq)
+        prev = mon.prev_counters.get(flow_id)
+        mon.prev_counters[flow_id] = (sseq, oseq)
         if prev is None:
             return None
         sample = seqmon.SeqVector(sseq - prev[0], oseq - prev[1], delta)
         if self.now < self.train_end:
-            node.window.samples.append(sample)
+            mon.window.samples.append(sample)
             return None
-        if not node.window.trained:
-            if len(node.window.samples) < MIN_TRAIN_SAMPLES:
-                node.window.samples.append(sample)
+        if not mon.window.trained:
+            if len(mon.window.samples) < MIN_TRAIN_SAMPLES:
+                mon.window.samples.append(sample)
                 return None
-            node.window.train()
-            node.next_merge = self.now + self.train_end
-        verdict = seqmon.classify(sample, node.window)
+            mon.window.train()
+            mon.next_merge = self.now + self.train_end
+        verdict = seqmon.classify(sample, mon.window)
         if self.trace:
             self.result.verdict_rows.append(seqmon.verdict_csv_row(
-                node.id, sample, verdict, node.window.threshold))
+                node.id, sample, verdict, mon.window.threshold))
         if verdict.label is seqmon.Label.NORMAL:
-            node.batch.append(sample)
-        if self.now >= node.next_merge and node.batch:
-            node.window = seqmon.advance_window(node.window, node.batch)
-            node.batch = []
-            node.next_merge = self.now + self.train_end
+            mon.batch.append(sample)
+        if self.now >= mon.next_merge and mon.batch:
+            mon.window = seqmon.advance_window(mon.window, mon.batch)
+            mon.batch = []
+            mon.next_merge = self.now + self.train_end
         return verdict
 
     def flag(self, flagger: int, suspect: int) -> None:
@@ -760,12 +768,11 @@ class Simulation:
         return header_bytes(c, include_tag=False)
 
     def dest_reply(self, node: SimNode, flow: Flow, rnd: int) -> None:
-        ds = node.dest_flows.get(flow.flow_id) if flow.dst == node.id else None
-        if ds is None:
-            return
-        cands = ds.candidates.pop(rnd, [])
-        if not cands:
-            return
+        """Answer round `rnd` at the flow's destination.  `on_rreq`
+        schedules it once per round, right after the round's first
+        candidate path."""
+        ds = node.dest_flows[flow.flow_id]
+        cands = ds.candidates.pop(rnd)
         rreq = ds.rreq_info[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
@@ -796,15 +803,15 @@ class Simulation:
         rev = node.rev_routes.get((pkt.flow_id, pkt.round))
         if rev is None:
             return
-        if self.config.protocol.trust_layer:
-            freshest = node.freshest_dseq.get(pkt.flow_id, 0)
+        if node.monitor is not None:
+            freshest = node.monitor.freshest_dseq.get(pkt.flow_id, 0)
             verdict = self.monitor_sample(
                 node, pkt.flow_id, pkt.sseq, pkt.oseq,
                 pkt.dseq - max(rev.rreq_dseq, freshest))
             if verdict is not None and verdict.label is seqmon.Label.MALICIOUS:
                 self.flag(node.id, frm)
                 return
-            node.freshest_dseq[pkt.flow_id] = max(freshest, pkt.dseq)
+            node.monitor.freshest_dseq[pkt.flow_id] = max(freshest, pkt.dseq)
         atk = node.attacker
         if (atk and atk.kind is AttackKind.SEQ_INFLATION
                 and self.now >= self.attack_start):
@@ -1102,14 +1109,11 @@ class Simulation:
 
 def desk_profile(protocol: ProtocolKind = ProtocolKind.TAP3,
                  pause_time: float = 0.0, seed: int = 1) -> ScenarioConfig:
-    """The reference small-scale evaluation scenario: 30 nodes on
-    300 x 300 m for 200 s, 4 CBR flows, and one attacker of each kind
-    activating after the training epoch."""
-    return ScenarioConfig(protocol=protocol, pause_time=pause_time,
-                          rng_seed=seed, attackers=[
-                              AttackerSpec(0, AttackKind.BLACK_HOLE, 1000),
-                              AttackerSpec(1, AttackKind.SEQ_INFLATION, 500),
-                              AttackerSpec(2, AttackKind.PASSIVE_DROP, 0.8)])
+    """The reference small-scale evaluation scenario, `DESK_CONFIG_TEXT`:
+    30 nodes on 300 x 300 m for 200 s, 4 CBR flows, and one attacker of
+    each kind activating after the training epoch."""
+    return replace(parse_config(DESK_CONFIG_TEXT), protocol=protocol,
+                   pause_time=pause_time, rng_seed=seed)
 
 
 DESK_CONFIG_TEXT = """\

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -60,6 +61,57 @@ def test_audit_rejects_trace_without_log(tmp_path, capsys):
     trace = tmp_path / "bare.trace"
     trace.write_text("# tap3sim trace v1\n# packets\n")
     assert main(["audit", "--trace", str(trace)]) == 1
+
+
+def _repeat_claim(export):
+    entries = next(iter(export["nodes"].values()))
+    entries.append(list(entries[-1]))
+    return "recorded log of node"
+
+
+def _clock_goes_back(export):
+    entries = next(iter(export["nodes"].values()))
+    back = list(entries[-1])
+    back[1] = 10 ** 9                   # a packet id no entry has
+    back[7] = entries[0][7] - 1.0
+    entries.append(back)
+    return "recorded log of node"
+
+
+def _null_relays(export):
+    export["paths"][0]["relays"] = None
+    return "recorded path 0"
+
+
+@pytest.fixture(scope="module")
+def desk_trace_lines(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("desk40")
+    cfg = write_config(tmp, DESK_CONFIG_TEXT.replace("sim_duration = 200",
+                                                     "sim_duration = 40"))
+    trace = tmp / "run.trace"
+    assert main(["run", "--config", cfg, "--out", str(tmp / "run.csv"),
+                 "--trace", str(trace)]) == 0
+    return trace.read_text().splitlines()
+
+
+@pytest.mark.parametrize("malform", [_repeat_claim, _clock_goes_back,
+                                     _null_relays],
+                         ids=["repeated-claim", "timestamp-back",
+                              "null-relays"])
+def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
+                                       malform):
+    """A trace whose recorded logs or paths cannot be rebuilt is bad input:
+    exit 1, naming the node or path, not a run failure."""
+    lines = list(desk_trace_lines)
+    at = lines.index("# audit-log") + 1
+    export = json.loads(lines[at])
+    assert export["paths"]
+    where = malform(export)
+    lines[at] = json.dumps(export)
+    trace = tmp_path / "bad.trace"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--trace", str(trace)]) == 1
+    assert where in capsys.readouterr().err
 
 
 SWEEP_ARGS = ["--pause", "0", "--protocols", "tap3", "--seeds", "1"]

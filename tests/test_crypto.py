@@ -2,9 +2,9 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tap3sim.crypto import (
-    ChainDirection,
     MasterKey,
     PairwiseKey,
     PseudonymChain,
@@ -56,7 +56,7 @@ def test_prf_input_sensitivity():
 
 def test_chain_advance_matches_direct_prf():
     key = derive_pairwise_key(MasterKey.from_seed(3, 9), 4)
-    chain = PseudonymChain.start(key, 9, ChainDirection.FORWARD_OF_SOURCE)
+    chain = PseudonymChain.start(key, 9)
     assert chain.index == 1
     assert chain.current == prf(key, encode_node_id(9))
     c2 = chain.advanced()
@@ -69,7 +69,7 @@ def test_chain_advance_matches_direct_prf():
 
 def test_chain_100_advances_distinct():
     key = derive_pairwise_key(MasterKey.from_seed(5, 1), 2)
-    chain = PseudonymChain.start(key, 1, ChainDirection.FORWARD_OF_DESTINATION)
+    chain = PseudonymChain.start(key, 1)
     seen = set()
     for _ in range(100):
         seen.add(chain.current.digest)
@@ -79,33 +79,29 @@ def test_chain_100_advances_distinct():
 
 def test_trapdoor_completeness_over_window():
     key = derive_pairwise_key(MasterKey.from_seed(8, 2), 6)
-    chain = PseudonymChain.start(key, 2, ChainDirection.FORWARD_OF_DESTINATION)
-    index = TrapdoorIndex(window=16)
-    index.track(chain)
+    chain = PseudonymChain.start(key, 2)
+    index = TrapdoorIndex(chain, window=16)
     c = chain
     for i in range(1, 17):
         match = trapdoor_check(index, c.current)
-        assert match == (ChainDirection.FORWARD_OF_DESTINATION, i)
+        assert match == i
         c = c.advanced()
 
 
 def test_trapdoor_refill_extends_window():
     key = derive_pairwise_key(MasterKey.from_seed(8, 3), 6)
-    chain = PseudonymChain.start(key, 3, ChainDirection.FORWARD_OF_DESTINATION)
-    index = TrapdoorIndex(window=8)
-    index.track(chain)
+    chain = PseudonymChain.start(key, 3)
+    index = TrapdoorIndex(chain, window=8)
     c = chain
     # walk far past the initial window; refill keeps lookups matching
     for i in range(1, 41):
-        assert trapdoor_check(index, c.current) == (c.direction, i)
+        assert trapdoor_check(index, c.current) == c.index == i
         c = c.advanced()
 
 
 def test_trapdoor_soundness_random_candidates():
     key = derive_pairwise_key(MasterKey.from_seed(8, 4), 6)
-    index = TrapdoorIndex(window=16)
-    index.track(PseudonymChain.start(key, 4, ChainDirection.FORWARD_OF_SOURCE))
-    index.track(PseudonymChain.start(key, 4, ChainDirection.FORWARD_OF_DESTINATION))
+    index = TrapdoorIndex(PseudonymChain.start(key, 4), window=16)
     rng = random.Random(42)
     for _ in range(10 ** 5):
         candidate = Pseudonym(rng.getrandbits(256).to_bytes(32, "big"))
@@ -115,16 +111,98 @@ def test_trapdoor_soundness_random_candidates():
 def test_trapdoor_wrong_key_no_match():
     k1 = derive_pairwise_key(MasterKey.from_seed(1, 1), 5)
     k2 = derive_pairwise_key(MasterKey.from_seed(1, 2), 5)
-    index = TrapdoorIndex(window=8)
-    index.track(PseudonymChain.start(k2, 5, ChainDirection.FORWARD_OF_DESTINATION))
-    chain = PseudonymChain.start(k1, 5, ChainDirection.FORWARD_OF_DESTINATION)
+    index = TrapdoorIndex(PseudonymChain.start(k2, 5), window=8)
+    chain = PseudonymChain.start(k1, 5)
     chain = chain.advanced().advanced()  # PD_3 under the other key
     assert trapdoor_check(index, chain.current) is None
 
 
+class _DirectionIndex:
+    """The per-direction trapdoor index this package used to have, kept as
+    the reference for the one-chain `TrapdoorIndex`: state keyed by a
+    direction label, matches reported as (direction, chain index)."""
+
+    def __init__(self, window):
+        self.window = window
+        self.entries = {}
+        self._chains = {}
+        self._low = {}
+
+    def track(self, chain, direction):
+        self._low[direction] = chain.index
+        c = chain
+        for _ in range(self.window):
+            self.entries[c.current.digest] = (direction, c.index)
+            c = c.advanced()
+        self._chains[direction] = c
+
+    def check(self, candidate):
+        match = self.entries.get(candidate.digest)
+        if match is None:
+            return None
+        direction, index = match
+        low = self._low.get(direction, 1)
+        if index - low >= self.window // 2:
+            chain = self._chains[direction]
+            for _ in range(index - low):
+                self.entries[chain.current.digest] = (direction, chain.index)
+                chain = chain.advanced()
+            self._chains[direction] = chain
+            self._low[direction] = index
+        return match
+
+
+_CHAIN_KEY = derive_pairwise_key(MasterKey.from_seed(12, 1), 7)
+_FOREIGN_KEY = derive_pairwise_key(MasterKey.from_seed(12, 2), 7)
+
+
+def _aliases(key, seed_identity, n):
+    chain = PseudonymChain.start(key, seed_identity)
+    out = [None]                # chain indices start at 1
+    for _ in range(n):
+        out.append(chain.current)
+        chain = chain.advanced()
+    return out
+
+
+_OWN = _aliases(_CHAIN_KEY, 3, 900)
+_FOREIGN = _aliases(_FOREIGN_KEY, 3, 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=st.integers(1, 20), start=st.integers(1, 5),
+       ops=st.lists(st.tuples(
+           st.sampled_from(["in", "ahead", "behind", "foreign"]),
+           st.integers(0, 30)), max_size=40))
+def test_one_chain_index_matches_per_direction_reference(window, start, ops):
+    """Every match and every refill of the one-chain index equals the
+    per-direction index's for aliases inside the window, past it, behind
+    it (already consumed) and of another key's chain."""
+    chain = PseudonymChain.start(_CHAIN_KEY, 3)
+    for _ in range(start - 1):
+        chain = chain.advanced()
+    index = TrapdoorIndex(chain, window)
+    ref = _DirectionIndex(window)
+    ref.track(chain, "destination")
+    for kind, offset in ops:
+        low = ref._low["destination"]
+        if kind == "in":
+            candidate = _OWN[low + offset % window]
+        elif kind == "ahead":
+            candidate = _OWN[ref._chains["destination"].index + offset]
+        elif kind == "behind":
+            candidate = _OWN[max(1, low - 1 - offset)]
+        else:
+            candidate = _FOREIGN[1 + offset]
+        expected = ref.check(candidate)
+        got = trapdoor_check(index, candidate)
+        assert got == (None if expected is None else expected[1])
+        assert index.entries == {d: i for d, (_, i) in ref.entries.items()}
+
+
 def test_unlinkability_bit_balance_and_prefixes():
     key = derive_pairwise_key(MasterKey.from_seed(11, 0), 3)
-    chain = PseudonymChain.start(key, 0, ChainDirection.FORWARD_OF_SOURCE)
+    chain = PseudonymChain.start(key, 0)
     n = 10 ** 4
     counts = [0] * 256
     prefixes = set()

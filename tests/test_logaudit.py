@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
-    DESTINATION_EVENTS,
     EMPTY_ROOT,
     RELAY_EVENTS,
     AuditReport,
@@ -357,24 +356,28 @@ def test_memoized_proves_matches_plain_verify(claims, sizes, ops):
         assert pub.verified <= interior_nodes(leaves[:pub.size])
 
 
-def test_claim_names_last_entry_in_snapshot():
-    # two aliases of one node log the same (packet id, event); each
-    # snapshot proves the last such entry it holds
+def test_claim_names_one_entry_in_snapshot():
+    # a node logs under one alias; each (packet id, event) claim names one
+    # entry, and a snapshot proves it only if the entry is inside it
     log = NodeLog()
     log.append(entry(node=1, pid=5, ts=0.0))
     first = log.publish()
-    log.append(entry(node=2, pid=5, ts=1.0))
+    log.append(entry(node=1, pid=6, ts=1.0))
     second = log.publish()
-    assert log.claim_index(5, EventKind.RECEIVED, first.size) == 0
-    assert log.claim_index(5, EventKind.RECEIVED, second.size) == 1
+    assert log.claim_index(6, EventKind.RECEIVED, first.size) is None
+    assert log.claim_index(6, EventKind.RECEIVED, second.size) == 1
+    assert not first.proves(6, EventKind.RECEIVED)
     assert first.proves(5, EventKind.RECEIVED)
-    assert second.proves(5, EventKind.RECEIVED)
-    # the duplicate check reaches past the later alias to the first entry
-    with pytest.raises(DuplicateEntryError):
-        log.append(entry(node=1, pid=5, ts=2.0))
-    log.entries[1] = entry(node=2, pid=5, sseq=9, ts=1.0)
+    assert second.proves(6, EventKind.RECEIVED)
+    # a repeated claim is refused whatever alias it carries
+    for node in (1, 2):
+        with pytest.raises(DuplicateEntryError):
+            log.append(entry(node=node, pid=5, ts=2.0))
+    assert len(log.entries) == 2
+    # an entry edited in place after publishing no longer proves
+    log.entries[1] = entry(node=1, pid=6, sseq=9, ts=1.0)
     assert first.proves(5, EventKind.RECEIVED)
-    assert not second.proves(5, EventKind.RECEIVED)
+    assert not second.proves(6, EventKind.RECEIVED)
 
 
 def test_proof_outside_tree_is_an_error():
@@ -426,14 +429,17 @@ def source_tau(pids):
 def test_check_destination_honest_and_omission():
     pids = [1, 2, 3]
     tau_c = source_tau(pids)
-    assert check_destination(tau_c, DESTINATION_EVENTS, dest_log(pids)) == FELLOW
-    assert check_destination(tau_c, DESTINATION_EVENTS,
+    assert check_destination(tau_c, dest_log(pids)) == FELLOW
+    assert check_destination(tau_c,
                              dest_log(pids, omit_reply=True)) == NOT_FELLOW
-    assert check_destination(tau_c, DESTINATION_EVENTS, None) == NOT_FELLOW
+    assert check_destination(tau_c, None) == NOT_FELLOW
 
 
 def test_check_destination_vacuous_without_rules():
-    assert check_destination(source_tau([1]), (), dest_log([])) == FELLOW
+    # no Forwarded packet in the source's records: nothing to prove
+    received = [replace(e, event=EventKind.RECEIVED) for e in source_tau([1])]
+    assert check_destination(received, dest_log([])) == FELLOW
+    assert check_destination([], None) == FELLOW
 
 
 def make_active_scenario(n, forger):

@@ -110,7 +110,8 @@ def test_advance_window_merges_normal_batch():
     w2 = advance_window(w, batch)
     assert len(w2.samples) == len(w.samples)
     assert w2.samples[-2:] == batch
-    assert w2.window_index == w.window_index + 1
+    assert w2.samples[:-2] == w.samples[2:]    # the oldest are evicted
+    assert w2 is not w and w2.trained
 
 
 def test_advance_window_rejects_malicious_batch():

@@ -628,14 +628,12 @@ def test_event_in_the_past_is_an_error():
 
 @pytest.mark.parametrize("protocol", [ProtocolKind.S_MPRF, ProtocolKind.MPRF])
 def test_baseline_runs_build_no_trust_layer_state(protocol):
-    """Only TAP3 runs the trust layer, so a baseline run keeps no monitor
-    counters, no relay dseq baseline, no source audit records and no
-    evidence log."""
+    """Only TAP3 runs the trust layer, so a baseline run keeps no sequence
+    monitor, no source audit records and no evidence log."""
     sim = Simulation(desk_profile(protocol, seed=1))
     sim.run()
     for node in sim.nodes:
-        assert node.prev_counters == {}
-        assert node.freshest_dseq == {}
+        assert node.monitor is None
         assert node.log is None
     for flow in sim.flows:
         assert flow.tau_c_control == {}
