@@ -11,7 +11,7 @@ import pytest
 from tap3sim.cli import write_trace_file
 from tap3sim.metrics import CSV_COLUMNS, report_from_result
 from tap3sim.routing import ProtocolKind
-from tap3sim.sim import desk_profile, run_scenario
+from tap3sim.sim import Simulation, desk_profile, run_scenario
 
 # (protocol, seed, pause) -> (csv sha256, trace sha256)
 GOLDEN = {
@@ -76,3 +76,36 @@ def test_sparse_outputs_byte_identical(tmp_path, protocol, seed, pause):
     cfg = replace(desk_profile(ProtocolKind(protocol), pause, seed), **SPARSE)
     assert output_hashes(tmp_path, cfg) == \
         SPARSE_GOLDEN[(protocol, seed, pause)]
+
+
+# The desk profile on 40 nodes over 1200 x 1200 m for 100 s.  In the tap3
+# run at seed 15 a flow's true destination misses its trapdoor check on
+# the first copy of a route request seven times.  It then takes the
+# request's key as a relay and rebroadcasts it, but still hears the later
+# copies as the destination.
+WIDE = {"node_count": 40, "area_x": 1200.0, "area_y": 1200.0,
+        "sim_duration": 100.0}
+WIDE_GOLDEN = {
+    ("tap3", 15, 0.0): (
+        "84db6e43fef75d646b36a7cb3fdfbff5e449733979c307f3b402a58a7161c376",
+        "76c3714c9abf79580b5a9aa5300f9e3fb45b4aafa987983bc8a43c023b0719b5"),
+}
+
+
+@pytest.mark.parametrize("protocol,seed,pause", sorted(WIDE_GOLDEN))
+def test_trapdoor_miss_outputs_byte_identical(tmp_path, monkeypatch,
+                                              protocol, seed, pause):
+    relayed_by_destination = []
+    transmit = Simulation.transmit
+
+    def recording_transmit(self, sender, to, pkt, control):
+        if to is None and sender == self.flows[pkt.flow_id].dst:
+            relayed_by_destination.append(pkt.packet_id)
+        return transmit(self, sender, to, pkt, control)
+
+    monkeypatch.setattr(Simulation, "transmit", recording_transmit)
+    cfg = replace(desk_profile(ProtocolKind(protocol), pause, seed), **WIDE)
+    assert output_hashes(tmp_path, cfg) == \
+        WIDE_GOLDEN[(protocol, seed, pause)]
+    # the run still takes the branch it pins
+    assert relayed_by_destination

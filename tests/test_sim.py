@@ -550,9 +550,15 @@ def observed(sim_class, cfg, trace_path):
     }
 
 
-DESK_SHAPE = {"sim_duration": 40.0}
-SPARSE_SHAPE = {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
-                "sim_duration": 40.0}
+SHAPES = {
+    "desk": {"sim_duration": 40.0},
+    "sparse": {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
+               "sim_duration": 40.0},
+    # at tap3 seed 15 a destination misses its trapdoor, takes the request
+    # key as a relay and still hears the later copies (see test_golden)
+    "wide": {"node_count": 40, "area_x": 1200.0, "area_y": 1200.0,
+             "sim_duration": 100.0},
+}
 
 
 @settings(max_examples=6, deadline=None)
@@ -560,23 +566,23 @@ SPARSE_SHAPE = {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
                                  ProtocolKind.MPRF]),
        seed=st.integers(0, 2 ** 32 - 1),
        pause=st.sampled_from([0.0, 10.0, 40.0]),
-       sparse=st.booleans())
-@example(protocol=ProtocolKind.TAP3, seed=1, pause=0.0, sparse=False)
-@example(protocol=ProtocolKind.S_MPRF, seed=1, pause=0.0, sparse=False)
+       shape=st.sampled_from(sorted(SHAPES)))
+@example(protocol=ProtocolKind.TAP3, seed=1, pause=0.0, shape="desk")
+@example(protocol=ProtocolKind.S_MPRF, seed=1, pause=0.0, shape="desk")
+@example(protocol=ProtocolKind.TAP3, seed=15, pause=0.0, shape="wide")
 def test_skipping_inert_receptions_changes_no_output(
-        tmp_path_factory, protocol, seed, pause, sparse):
+        tmp_path_factory, protocol, seed, pause, shape):
     """The radio leaves out only receptions that `on_rreq` would drop
     untouched: the CSV row, the trace bytes, the fate of every packet, the
     classifier flags and the audit rows equal those of a radio that
     delivers every copy."""
-    cfg = replace(desk_profile(protocol, pause, seed),
-                  **(SPARSE_SHAPE if sparse else DESK_SHAPE))
+    cfg = replace(desk_profile(protocol, pause, seed), **SHAPES[shape])
     tmp = tmp_path_factory.mktemp("elision")
     full_events, full = observed(FullFloodSimulation, cfg, tmp / "full")
     events, got = observed(Simulation, cfg, tmp / "elided")
     assert got == full
     assert events <= full_events
-    if seed == 1 and not sparse:
+    if seed == 1 and shape == "desk":
         # the desk flood reaches many nodes that already hold the request
         assert events < full_events
 
