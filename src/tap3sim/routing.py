@@ -48,10 +48,11 @@ class Packet:
     read-only: every receiver of a broadcast gets the same object, and a
     handler that changes a field (hop count, route record, an attacker's
     sequence number) does so on its own `copy()`.  A broadcast (always a
-    route request) is not delivered to a node that already holds its key
-    and is not the flow's destination: that node would drop the copy
+    route request) is delivered only to the nodes in the request key's
+    listener record (`Simulation.rreq_listeners`): a node that already
+    holds the key and is not the flow's destination would drop the copy
     unread, and it still holds the key when the copy would arrive, so
-    leaving the copy out changes nothing (see `SimNode.ignores_rreq`)."""
+    leaving the copy out changes nothing."""
     kind: PacketKind
     flow_id: int
     packet_id: int
@@ -100,6 +101,7 @@ _KIND_CODE = {k: i + 1 for i, k in enumerate(PacketKind)}
 _FIXED = struct.Struct(">" + "BI" * 8 + "BB" + "BB")
 _ROUTE_ENTRY = struct.Struct(">BH")
 _U32 = 0xFFFFFFFF
+_NODE_ID_SIZE = len(encode_node_id(0))
 
 
 def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
@@ -137,8 +139,22 @@ def tag_field_size(pkt: Packet) -> int:
     return 1 + len(pkt.tag) if pkt.tag else 0
 
 
+def header_size(pkt: Packet) -> int:
+    """`len(header_bytes(pkt))`, counted without encoding the header."""
+    size = 2 + _FIXED.size + _ROUTE_ENTRY.size * len(pkt.route_record)
+    if pkt.forward_alias is not None:
+        size += 1 + len(pkt.forward_alias.digest)
+    if pkt.reverse_alias is not None:
+        size += 1 + len(pkt.reverse_alias.digest)
+    if pkt.src_addr is not None:
+        size += 1 + _NODE_ID_SIZE
+    if pkt.dst_addr is not None:
+        size += 1 + _NODE_ID_SIZE
+    return size + tag_field_size(pkt)
+
+
 def packet_size(pkt: Packet) -> int:
-    return len(header_bytes(pkt)) + pkt.payload_size
+    return header_size(pkt) + pkt.payload_size
 
 
 @dataclass

@@ -8,6 +8,7 @@ single-threaded and fully determined by (config, seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import math
@@ -37,10 +38,10 @@ from .routing import (
     ProtocolKind,
     RouteEntry,
     header_bytes,
+    header_size,
     packet_size,  # noqa: F401 -- benchmarks/probes.py wraps it here
     pick_disjoint_paths,
     select_paths,
-    tag_field_size,
 )
 
 LINK_RATE_BPS = 2_000_000.0
@@ -290,7 +291,6 @@ class SimNode:
         self.busy_until = 0.0
         self.oseq = 0
         self.max_dseq_seen = 0
-        self.seen_rreq: set[tuple] = set()
         self.rev_routes: dict[tuple, RevEntry] = {}
         self.fwd_routes: dict[tuple, RouteEntry] = {}
         self.dest_flows: dict[int, DestFlowState] = {}
@@ -298,17 +298,6 @@ class SimNode:
         self.log = NodeLog() if trust_layer else None
         self.monitor = Monitor() if trust_layer else None
         self.log_duplicates = 0
-
-    def ignores_rreq(self, key: tuple, flow_id: int) -> bool:
-        """True when a route request with this key would change nothing
-        here: the node already holds the key and is not the flow's
-        destination, so it drops the copy (RFC 3561 section 6.5).  The
-        set of held keys only grows, so a copy that is inert when it is
-        sent is still inert when it arrives.  Skipping the copy also
-        skips raising `max_dseq_seen` to its `dseq`, which is sound
-        because every copy of one key carries the same `dseq` and a node
-        raised the field to it when it took the key."""
-        return key in self.seen_rreq and flow_id not in self.dest_flows
 
     def log_entry(self, pid: int, event: EventKind, pkt: Packet, now: float,
                   prev_alias: Optional[Pseudonym] = None) -> LogEntry:
@@ -412,6 +401,10 @@ class Simulation:
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
+        # route-request key -> {node id: whether it holds the key}, in
+        # ascending id order, for the nodes that would still act on a copy
+        # (see `start_discovery`)
+        self.rreq_listeners: dict[tuple, dict[int, bool]] = {}
         self.result = RunResult(config)
         self.train_end = TRAIN_FRACTION * config.sim_duration
         self.attack_start = self.train_end
@@ -502,7 +495,7 @@ class Simulation:
         d = math.dist(self.position(a), self.position(b))
         return d <= self.config.radio_range, d
 
-    def _privacy_scan(self, pkt: Packet, hdr: bytes) -> None:
+    def _privacy_scan(self, pkt: Packet) -> None:
         if pkt.kind not in (PacketKind.RREQ, PacketKind.RREP,
                             PacketKind.RREP_ACK):
             return
@@ -510,7 +503,7 @@ class Simulation:
         self.result.privacy_checks += 1
         # the tag is an opaque digest (a forged one is all zero bytes), so
         # only the fields before it can carry an address
-        fields = hdr[:len(hdr) - tag_field_size(pkt)]
+        fields = header_bytes(pkt, include_tag=False)
         for nid in (flow.src, flow.dst):
             if encode_node_id(nid) in fields:
                 self.result.privacy_violations += 1
@@ -526,20 +519,19 @@ class Simulation:
                  control: bool) -> bool:
         """Queue a frame on the sender's radio.  Unicast returns False when
         the next hop is out of range (link-layer sensing).  A broadcast is
-        always a route request; it reaches every in-range neighbor except
-        one that would ignore it (`SimNode.ignores_rreq`), whose position
-        is then not even looked up.  Such a copy would only be dropped on
-        arrival, so leaving it unscheduled changes no state, and every
-        other event keeps its time and its order.  Every receiver gets
-        `pkt` itself: frames are read-only once transmitted (see
-        `Packet`).  The header is encoded once, for the size, the privacy
-        scan and the trace."""
+        always a route request; it reaches the in-range nodes of its key's
+        listener record (`rreq_listeners`), visited in id order, and no
+        other node's position is looked up.  A node outside the record
+        would only drop the copy on arrival, so leaving it unscheduled
+        changes no state, and every other event keeps its time and its
+        order.  Every receiver gets `pkt` itself: frames are read-only
+        once transmitted (see `Packet`).  The frame is sized without
+        being encoded; only the privacy scan encodes the header."""
         if to is None and pkt.kind is not PacketKind.RREQ:
             raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
-        hdr = header_bytes(pkt)
-        size = len(hdr) + pkt.payload_size
+        size = header_size(pkt) + pkt.payload_size
         ttx = size * 8.0 / LINK_RATE_BPS
         if to is not None:
             ok, dist = self.link(sender, to)
@@ -551,15 +543,13 @@ class Simulation:
         else:
             self.result.data_tx += 1
         if self.check_privacy:
-            self._privacy_scan(pkt, hdr)
+            self._privacy_scan(pkt)
         self._trace(start, pkt, sender, -1 if to is None else to, size)
         if to is None:
-            key = self._rreq_key(pkt)
-            flow_id = pkt.flow_id
             here = self.position(sender)
             radio_range = self.config.radio_range
-            for other, rx in enumerate(self.nodes):
-                if other == sender or rx.ignores_rreq(key, flow_id):
+            for other in self.rreq_listeners[self._rreq_key(pkt)]:
+                if other == sender:
                     continue
                 dist = math.dist(here, self.position(other))
                 if dist <= radio_range:
@@ -571,9 +561,7 @@ class Simulation:
         return True
 
     def _receiver(self, nid: int, pkt: Packet, frm: int):
-        def handler():
-            self.dispatch(nid, pkt, frm)
-        return handler
+        return functools.partial(self.dispatch, nid, pkt, frm)
 
     def dispatch(self, nid: int, pkt: Packet, frm: int) -> None:
         node = self.nodes[nid]
@@ -678,7 +666,16 @@ class Simulation:
         if cfg.protocol.trust_layer:
             flow.tau_c_control[rnd] = [
                 src_node.log_entry(pid, EventKind.FORWARDED, pkt, self.now)]
-        src_node.seen_rreq.add(self._rreq_key(pkt))
+        key = self._rreq_key(pkt)
+        if key in self.rreq_listeners:
+            raise RuntimeError(f"route-request key {key!r} originated twice")
+        # every node but the source, which holds the key from the start,
+        # would act on a copy; a node leaves when it takes the key in
+        # `on_rreq`, except the flow's destination, which keeps checking
+        # later copies against its trapdoor
+        self.rreq_listeners[key] = {nid: False
+                                    for nid in range(len(self.nodes))
+                                    if nid != flow.src}
         src_node.max_dseq_seen = max(src_node.max_dseq_seen, pkt.dseq)
         flow.discovery_outstanding = rnd
         self.transmit(flow.src, None, pkt, control=True)
@@ -713,10 +710,17 @@ class Simulation:
         return ds.static_pd == pkt.forward_alias
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
-        key = self._rreq_key(pkt)
-        if node.ignores_rreq(key, pkt.flow_id):
+        """A node outside the key's listener record already holds the key
+        and drops the copy (RFC 3561 section 6.5).  The record only
+        shrinks, so a copy that is inert when it is sent is still inert
+        when it arrives.  Dropping it also skips raising `max_dseq_seen`
+        to its `dseq`, which is sound because every copy of one key
+        carries the same `dseq` and a node raised the field to it when it
+        took the key."""
+        listeners = self.rreq_listeners[self._rreq_key(pkt)]
+        held = listeners.get(node.id)
+        if held is None:
             return
-        first_copy = key not in node.seen_rreq
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
         flow = self.flows[pkt.flow_id]
         if self._is_destination(node, pkt):
@@ -728,9 +732,12 @@ class Simulation:
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
                               lambda: self.dest_reply(node, flow, pkt.round))
             return
-        if not first_copy:
+        if held:
             return
-        node.seen_rreq.add(key)
+        if node.id == flow.dst:
+            listeners[node.id] = True
+        else:
+            del listeners[node.id]
         node.rev_routes[(pkt.flow_id, pkt.round)] = RevEntry(frm, pkt.dseq)
         atk = node.attacker
         if (atk and atk.kind is AttackKind.BLACK_HOLE
@@ -1073,7 +1080,7 @@ class Simulation:
                     f"event scheduled at {t!r} precedes the clock {self.now!r}")
             self.now = t
             fn()
-        # Events past the end never run.  Their closures refer back to the
+        # Events past the end never run.  Their callbacks refer back to the
         # simulation, so dropping them lets a finished run be freed at once
         # instead of at the cycle collector's next full pass.
         self._events.clear()

@@ -508,15 +508,14 @@ def test_desk_scenario_detects_all_attacker_kinds():
 class FullFloodSimulation(Simulation):
     """Reference radio: a broadcast schedules a reception at every node in
     range, including those that already hold the request and will drop
-    it on arrival."""
+    it on arrival, and every frame is sized by encoding its header."""
 
     def transmit(self, sender, to, pkt, control):
         if to is not None:
             return super().transmit(sender, to, pkt, control)
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
-        hdr = header_bytes(pkt)
-        size = len(hdr) + pkt.payload_size
+        size = len(header_bytes(pkt)) + pkt.payload_size
         ttx = size * 8.0 / LINK_RATE_BPS
         node.busy_until = start + ttx
         if control:
@@ -524,7 +523,7 @@ class FullFloodSimulation(Simulation):
         else:
             self.result.data_tx += 1
         if self.check_privacy:
-            self._privacy_scan(pkt, hdr)
+            self._privacy_scan(pkt)
         self._trace(start, pkt, sender, -1, size)
         here = self.position(sender)
         for other in range(len(self.nodes)):
