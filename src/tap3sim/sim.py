@@ -401,9 +401,10 @@ class Simulation:
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
-        # route-request key -> {node id: whether it holds the key}, in
-        # ascending id order, for the nodes that would still act on a copy
-        # (see `start_discovery`)
+        # route-request key -> its listener record: the ids of the nodes
+        # that would still act on a copy, in ascending order, each mapped
+        # to whether it holds the key (only ever true for the flow's
+        # destination after its trapdoor missed; see `start_discovery`)
         self.rreq_listeners: dict[tuple, dict[int, bool]] = {}
         self.result = RunResult(config)
         self.train_end = TRAIN_FRACTION * config.sim_duration

@@ -586,6 +586,29 @@ def test_skipping_inert_receptions_changes_no_output(
         assert events < full_events
 
 
+def test_destination_that_relays_its_request_still_hears_it(monkeypatch):
+    """A destination whose trapdoor misses the first copy of a request
+    takes the key as a relay, but stays in the key's listener record, so
+    later copies still reach it and are checked again."""
+    relayed, heard_after = set(), []
+    transmit, dispatch = Simulation.transmit, Simulation.dispatch
+
+    def recording_transmit(self, sender, to, pkt, control):
+        if to is None and sender == self.flows[pkt.flow_id].dst:
+            relayed.add(pkt.packet_id)
+        return transmit(self, sender, to, pkt, control)
+
+    def recording_dispatch(self, nid, pkt, frm):
+        if pkt.packet_id in relayed and nid == self.flows[pkt.flow_id].dst:
+            heard_after.append(pkt.packet_id)
+        return dispatch(self, nid, pkt, frm)
+
+    monkeypatch.setattr(Simulation, "transmit", recording_transmit)
+    monkeypatch.setattr(Simulation, "dispatch", recording_dispatch)
+    run_scenario(replace(desk_profile(seed=22), **SHAPES["wide"]))
+    assert relayed and heard_after
+
+
 def test_broadcast_of_a_reply_is_an_error():
     sim = Simulation(replace(desk_profile(), sim_duration=10.0))
     with pytest.raises(ValueError, match="broadcast"):
