@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +50,9 @@ def _parse_pauses(text: str) -> list[float]:
         if len(parts) != 3:
             raise UsageError(f"bad pause range {text!r}, want start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise UsageError(f"bad pause range {text!r}: start, stop and "
+                             "step must be finite")
         if step <= 0:
             raise UsageError("pause step must be positive")
         out = []
@@ -142,10 +146,18 @@ _MALFORMED = (logaudit.DuplicateEntryError, logaudit.TimestampRegressionError,
 def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     """Rebuild the recorded evidence logs and re-run every recorded path
     audit through `logaudit.audit_route`, as the live simulation did.  A
-    log or path record that cannot be rebuilt is the trace's fault, so it
-    is a `UsageError` naming the node or path."""
+    log or path record that cannot be rebuilt, or an export of the wrong
+    shape, is the trace's fault, so it is a `UsageError` naming the part,
+    node or path."""
+    if not isinstance(export, dict):
+        raise UsageError("recorded audit log is not a JSON object")
+    nodes, paths = export.get("nodes", {}), export.get("paths", [])
+    if not isinstance(nodes, dict):
+        raise UsageError("recorded audit log: 'nodes' is not a JSON object")
+    if not isinstance(paths, list):
+        raise UsageError("recorded audit log: 'paths' is not a JSON list")
     published = {}
-    for nid, entries in export.get("nodes", {}).items():
+    for nid, entries in nodes.items():
         try:
             log = logaudit.NodeLog()
             for data in entries:
@@ -154,8 +166,10 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
         except _MALFORMED as exc:
             raise UsageError(f"recorded log of node {nid}: {exc!r}") from exc
     reports = []
-    for i, record in enumerate(export.get("paths", [])):
+    for i, record in enumerate(paths):
         try:
+            if not isinstance(record["flow"], int):
+                raise TypeError("flow id is not an integer")
             route_logs = [published.get(r) for r in record["relays"]]
             dest = published.get(record["dst"])
             control = [logaudit.entry_from_list(e) for e in record["control"]]

@@ -66,7 +66,7 @@ def test_audit_rejects_trace_without_log(tmp_path, capsys):
 def _repeat_claim(export):
     entries = next(iter(export["nodes"].values()))
     entries.append(list(entries[-1]))
-    return "recorded log of node"
+    return export, "recorded log of node"
 
 
 def _clock_goes_back(export):
@@ -75,12 +75,26 @@ def _clock_goes_back(export):
     back[1] = 10 ** 9                   # a packet id no entry has
     back[7] = entries[0][7] - 1.0
     entries.append(back)
-    return "recorded log of node"
+    return export, "recorded log of node"
 
 
 def _null_relays(export):
     export["paths"][0]["relays"] = None
-    return "recorded path 0"
+    return export, "recorded path 0"
+
+
+def _path_without_flow(export):
+    del export["paths"][0]["flow"]
+    return export, "recorded path 0"
+
+
+def _nodes_as_list(export):
+    export["nodes"] = list(export["nodes"].values())
+    return export, "'nodes' is not a JSON object"
+
+
+def _export_as_list(export):
+    return [], "recorded audit log is not a JSON object"
 
 
 @pytest.fixture(scope="module")
@@ -95,18 +109,21 @@ def desk_trace_lines(tmp_path_factory):
 
 
 @pytest.mark.parametrize("malform", [_repeat_claim, _clock_goes_back,
-                                     _null_relays],
+                                     _null_relays, _path_without_flow,
+                                     _nodes_as_list, _export_as_list],
                          ids=["repeated-claim", "timestamp-back",
-                              "null-relays"])
+                              "null-relays", "path-without-flow",
+                              "nodes-list", "export-list"])
 def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
                                        malform):
-    """A trace whose recorded logs or paths cannot be rebuilt is bad input:
-    exit 1, naming the node or path, not a run failure."""
+    """A trace whose recorded logs or paths cannot be rebuilt, or whose
+    recorded export has the wrong shape, is bad input: exit 1, naming the
+    part, node or path, not a run failure."""
     lines = list(desk_trace_lines)
     at = lines.index("# audit-log") + 1
     export = json.loads(lines[at])
     assert export["paths"]
-    where = malform(export)
+    export, where = malform(export)
     lines[at] = json.dumps(export)
     trace = tmp_path / "bad.trace"
     trace.write_text("\n".join(lines) + "\n")
@@ -144,6 +161,20 @@ def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, text,
     assert not out.exists()
     assert runs == []
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pauses", ["0:inf:10", "0:60:inf", "0:60:nan"],
+                         ids=["inf-stop", "inf-step", "nan-step"])
+def test_non_finite_pause_range_exits_one(tmp_path, capsys, pauses):
+    """A pause range with a non-finite bound or step is a usage error.  An
+    infinite stop used to loop forever, and an infinite or NaN step used
+    to give the one pause 0."""
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, small_config_text())
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--pause",
+                 pauses, "--protocols", "tap3", "--seeds", "1"]) == 1
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_sweep_run_failure_exits_two(tmp_path, capsys, monkeypatch):
