@@ -141,6 +141,7 @@ def tag_field_size(pkt: Packet) -> int:
 
 def header_size(pkt: Packet) -> int:
     """`len(header_bytes(pkt))`, counted without encoding the header."""
+    # the kind field, the fixed fields and one entry per route hop
     size = 2 + _FIXED.size + _ROUTE_ENTRY.size * len(pkt.route_record)
     if pkt.forward_alias is not None:
         size += 1 + len(pkt.forward_alias.digest)

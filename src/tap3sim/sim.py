@@ -401,10 +401,7 @@ class Simulation:
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
-        # route-request key -> its listener record: the ids of the nodes
-        # that would still act on a copy, in ascending order, each mapped
-        # to whether it holds the key (only ever true for the flow's
-        # destination after its trapdoor missed; see `start_discovery`)
+        # route-request key -> its listener record (see `start_discovery`)
         self.rreq_listeners: dict[tuple, dict[int, bool]] = {}
         self.result = RunResult(config)
         self.train_end = TRAIN_FRACTION * config.sim_duration
@@ -670,10 +667,12 @@ class Simulation:
         key = self._rreq_key(pkt)
         if key in self.rreq_listeners:
             raise RuntimeError(f"route-request key {key!r} originated twice")
-        # every node but the source, which holds the key from the start,
-        # would act on a copy; a node leaves when it takes the key in
-        # `on_rreq`, except the flow's destination, which keeps checking
-        # later copies against its trapdoor
+        # The key's listener record: the ids of the nodes that would still
+        # act on a copy, in ascending order, each mapped to whether it
+        # holds the key.  Every node but the source starts in it.  A node
+        # leaves when it takes the key in `on_rreq`, except the flow's
+        # destination: a trapdoor miss makes it take the key as a relay,
+        # but it stays, marked as holding the key, and checks later copies.
         self.rreq_listeners[key] = {nid: False
                                     for nid in range(len(self.nodes))
                                     if nid != flow.src}

@@ -609,6 +609,15 @@ def test_destination_that_relays_its_request_still_hears_it(monkeypatch):
     assert relayed and heard_after
 
 
+def test_route_request_key_originated_twice_is_an_error():
+    sim = Simulation(desk_profile(ProtocolKind.MPRF, seed=1))
+    flow = sim.flows[0]
+    sim.start_discovery(flow)
+    sim.nodes[flow.src].oseq -= 1     # the next request reuses the key
+    with pytest.raises(RuntimeError, match="originated twice"):
+        sim.start_discovery(flow)
+
+
 def test_broadcast_of_a_reply_is_an_error():
     sim = Simulation(replace(desk_profile(), sim_duration=10.0))
     with pytest.raises(ValueError, match="broadcast"):
