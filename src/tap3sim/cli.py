@@ -44,24 +44,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_pauses(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"bad pause range {text!r}, want start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise UsageError(f"bad pause range {text!r}: start, stop and "
-                             "step must be finite")
-        if step <= 0:
-            raise UsageError("pause step must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(round(v, 9))
-            v += step
-        return out
-    return [float(p) for p in text.split(",") if p]
+def _parse_pauses(text: str, duration: float) -> list[float]:
+    """A comma list, or a `start:stop:step` range of pauses rounded to
+    9 decimals.  A range is bounded before it is built: its count comes
+    from `(stop - start) / step`, every pause must lie in [0, duration],
+    and the step must change a rounded pause."""
+    if ":" not in text:
+        return [float(p) for p in text.split(",") if p]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"bad pause range {text!r}, want start:stop:step")
+    start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"bad pause range {text!r}: start, stop and "
+                         "step must be finite")
+    if step <= 0:
+        raise UsageError("pause step must be positive")
+    if round(start + step, 9) == round(start, 9):
+        raise UsageError(f"pause step {step!r} does not change a pause "
+                         "rounded to 9 decimals")
+    span = (stop + 1e-9 - start) / step
+    if span < 0:
+        return []
+    if not (math.isfinite(span) and 0 <= start
+            and start + math.floor(span) * step <= duration):
+        raise UsageError(f"pause range {text!r} leaves [0, {duration:g}] s, "
+                         "the scenario's sim_duration")
+    return [round(start + i * step, 9) for i in range(math.floor(span) + 1)]
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -72,13 +81,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_protocols(text: str) -> list[ProtocolKind]:
-    by_name = {p.value: p for p in ProtocolKind}
     out = []
     for name in text.split(","):
         name = name.strip()
-        if name not in by_name:
-            raise UsageError(f"unknown protocol {name!r}")
-        out.append(by_name[name])
+        try:
+            out.append(ProtocolKind(name))
+        except ValueError:
+            raise UsageError(f"unknown protocol {name!r}") from None
     return out
 
 
@@ -125,7 +134,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _load_config(args.config)
-    spec = SweepSpec(base, _parse_pauses(args.pause),
+    spec = SweepSpec(base, _parse_pauses(args.pause, base.sim_duration),
                      _parse_protocols(args.protocols),
                      _parse_seeds(args.seeds))
     result = sweep(spec)

@@ -38,8 +38,7 @@ from .routing import (
     ProtocolKind,
     RouteEntry,
     header_bytes,
-    header_size,
-    packet_size,  # noqa: F401 -- benchmarks/probes.py wraps it here
+    packet_size,
     pick_disjoint_paths,
     select_paths,
 )
@@ -152,9 +151,6 @@ def _finite(v) -> bool:
     return not isinstance(v, float) or math.isfinite(v)
 
 
-_PROTO_BY_NAME = {p.value: p for p in ProtocolKind}
-
-
 def parse_config(text: str) -> ScenarioConfig:
     """Line-based `key = value` scenario file; unknown keys are errors."""
     cfg = ScenarioConfig()
@@ -170,10 +166,10 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         key, _, value = (s.strip() for s in line.partition("="))
         if key == "protocol":
-            if value not in _PROTO_BY_NAME:
+            try:
+                cfg.protocol = ProtocolKind(value)
+            except ValueError:
                 problems.append(f"line {lineno}: unknown protocol {value!r}")
-            else:
-                cfg.protocol = _PROTO_BY_NAME[value]
         elif key == "attacker":
             try:
                 nid, kind, param = value.split(":")
@@ -210,9 +206,7 @@ class Mobility:
         self.area = area
         self.max_speed = max_speed
         self.pause_time = pause_time
-        # a static node never leaves `start`; the leg it still draws uses
-        # only its own rng, so no other draw moves
-        self.static = max_speed <= 0.0
+        # a static node (speed 0) never arrives, so it stays at `start`
         self._begin_leg(start, 0.0)
 
     def _begin_leg(self, origin: tuple[float, float], now: float) -> None:
@@ -233,8 +227,6 @@ class Mobility:
         self._dy = self.waypoint[1] - origin[1]
 
     def position(self, t: float) -> tuple[float, float]:
-        if self.static:
-            return self.origin
         while True:
             if t < self._arrive:
                 frac = (t - self.leg_start) * self.speed / self._length
@@ -261,12 +253,10 @@ class RevEntry:
 @dataclass
 class DestFlowState:
     trapdoor: Optional[TrapdoorIndex]
-    static_pd: Optional[Pseudonym]
     dseq: int = 0
-    candidates: dict[int, list] = field(default_factory=dict)
-    # the first copy of each round's route request; its arrival schedules
-    # the round's reply
-    rreq_info: dict[int, Packet] = field(default_factory=dict)
+    # round -> (the first copy of the round's route request, whose arrival
+    # schedules the round's reply; the candidate paths heard so far)
+    rounds: dict[int, tuple[Packet, list]] = field(default_factory=dict)
 
 
 @dataclass
@@ -402,7 +392,7 @@ class Simulation:
         self._event_seq = 0
         self._next_pid = 0
         # route-request key -> its listener record (see `start_discovery`)
-        self.rreq_listeners: dict[tuple, dict[int, bool]] = {}
+        self.rreq_listeners: dict[tuple, dict[int, None]] = {}
         self.result = RunResult(config)
         self.train_end = TRAIN_FRACTION * config.sim_duration
         self.attack_start = self.train_end
@@ -459,12 +449,9 @@ class Simulation:
             pd = PseudonymChain.start(key, dst)
             flow = Flow(fid, src, dst, key, 1.0 + 0.25 * fid, ps, pd)
             self.flows.append(flow)
-            dest_state = DestFlowState(trapdoor=None, static_pd=None)
-            if cfg.protocol.trust_layer:
-                dest_state.trapdoor = TrapdoorIndex(pd, TRAPDOOR_WINDOW)
-            elif cfg.protocol.uses_pseudonyms:
-                dest_state.static_pd = pd.current
-            self.nodes[dst].dest_flows[fid] = dest_state
+            self.nodes[dst].dest_flows[fid] = DestFlowState(
+                TrapdoorIndex(pd, TRAPDOOR_WINDOW)
+                if cfg.protocol.trust_layer else None)
 
     # -- event machinery ----------------------------------------------------
 
@@ -529,7 +516,7 @@ class Simulation:
             raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
-        size = header_size(pkt) + pkt.payload_size
+        size = packet_size(pkt)
         ttx = size * 8.0 / LINK_RATE_BPS
         if to is not None:
             ok, dist = self.link(sender, to)
@@ -668,23 +655,20 @@ class Simulation:
         if key in self.rreq_listeners:
             raise RuntimeError(f"route-request key {key!r} originated twice")
         # The key's listener record: the ids of the nodes that would still
-        # act on a copy, in ascending order, each mapped to whether it
-        # holds the key.  Every node but the source starts in it.  A node
-        # leaves when it takes the key in `on_rreq`, except the flow's
-        # destination: a trapdoor miss makes it take the key as a relay,
-        # but it stays, marked as holding the key, and checks later copies.
-        self.rreq_listeners[key] = {nid: False
-                                    for nid in range(len(self.nodes))
-                                    if nid != flow.src}
+        # act on a copy, in ascending order.  Every node but the source
+        # starts in it.  A node leaves when it takes the key in `on_rreq`,
+        # except the flow's destination: a trapdoor miss makes it take the
+        # key as a relay, but it stays and checks later copies.
+        self.rreq_listeners[key] = dict.fromkeys(
+            nid for nid in range(len(self.nodes)) if nid != flow.src)
         src_node.max_dseq_seen = max(src_node.max_dseq_seen, pkt.dseq)
         flow.discovery_outstanding = rnd
         self.transmit(flow.src, None, pkt, control=True)
         self.schedule(self.now + RREP_WAIT, lambda: self.discovery_check(flow, rnd))
 
     def discovery_check(self, flow: Flow, rnd: int) -> None:
+        # `_source_accept` clears the round before it keeps a path of it
         if flow.round != rnd or flow.discovery_outstanding != rnd:
-            return
-        if any(p.round == rnd for p in flow.paths):
             return
         # this round produced nothing; retry with backoff if traffic waits
         if flow.pending or not [p for p in flow.paths if not p.broken]:
@@ -707,7 +691,8 @@ class Simulation:
             return False
         if ds.trapdoor is not None:
             return trapdoor_check(ds.trapdoor, pkt.forward_alias) is not None
-        return ds.static_pd == pkt.forward_alias
+        # without the trust layer the chain never advances
+        return self.flows[pkt.flow_id].pd_chain.current == pkt.forward_alias
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
         """A node outside the key's listener record already holds the key
@@ -716,33 +701,37 @@ class Simulation:
         when it arrives.  Dropping it also skips raising `max_dseq_seen`
         to its `dseq`, which is sound because every copy of one key
         carries the same `dseq` and a node raised the field to it when it
-        took the key."""
+        took the key.  A destination that took the key as a relay stays in
+        the record; its reverse route marks the key as taken."""
         listeners = self.rreq_listeners[self._rreq_key(pkt)]
-        held = listeners.get(node.id)
-        if held is None:
+        if node.id not in listeners:
             return
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
         flow = self.flows[pkt.flow_id]
         if self._is_destination(node, pkt):
-            ds = node.dest_flows[pkt.flow_id]
-            cands = ds.candidates.setdefault(pkt.round, [])
-            cands.append((pkt.hop_count, self.now, list(pkt.route_record)))
-            if pkt.round not in ds.rreq_info:
-                ds.rreq_info[pkt.round] = pkt
+            rounds = node.dest_flows[pkt.flow_id].rounds
+            if pkt.round not in rounds:
+                rounds[pkt.round] = (pkt, [])
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
                               lambda: self.dest_reply(node, flow, pkt.round))
+            rounds[pkt.round][1].append(
+                (pkt.hop_count, self.now, list(pkt.route_record)))
             return
-        if held:
+        rev_key = (pkt.flow_id, pkt.round)
+        if rev_key in node.rev_routes:
             return
-        if node.id == flow.dst:
-            listeners[node.id] = True
-        else:
+        if node.id != flow.dst:
             del listeners[node.id]
-        node.rev_routes[(pkt.flow_id, pkt.round)] = RevEntry(frm, pkt.dseq)
-        atk = node.attacker
-        if (atk and atk.kind is AttackKind.BLACK_HOLE
-                and self.now >= self.attack_start):
-            self._blackhole_reply(node, pkt, frm)
+        node.rev_routes[rev_key] = RevEntry(frm, pkt.dseq)
+        atk = self._attack(node)
+        if atk and atk.kind is AttackKind.BLACK_HOLE:
+            # claim to be the target: fresher than anything, fewer hops
+            dseq = node.max_dseq_seen + int(atk.param)
+            forged = self._reply(node, pkt, dseq, 90 + node.id,
+                                 pkt.route_record)
+            if self.config.protocol.uses_pseudonyms:
+                forged.tag = b"\x00" * 32
+            self.transmit(node.id, frm, forged, control=True)
         fwd = pkt.copy()
         fwd.hop_count += 1
         fwd.route_record.append(node.id)
@@ -750,55 +739,47 @@ class Simulation:
         self.schedule(self.now + jitter,
                       lambda: self.transmit(node.id, None, fwd, control=True))
 
-    def _blackhole_reply(self, node: SimNode, rreq: Packet, frm: int) -> None:
-        """Claim to be the target with a fresher-than-anything sequence
-        number and a short hop count."""
+    def _attack(self, node: SimNode) -> Optional[AttackerSpec]:
+        """The node's attack once attacks are on, else None."""
+        return node.attacker if self.now >= self.attack_start else None
+
+    def _reply(self, node: SimNode, rreq: Packet, dseq: int, path_id: int,
+               relays: list[int]) -> Packet:
+        """`node`'s reply to `rreq`, addressed back over `relays`; the
+        caller sets its tag."""
         node.oseq += 1
-        forged = Packet(PacketKind.RREP, rreq.flow_id, self.new_pid(),
-                        round=rreq.round, sseq=rreq.sseq, oseq=node.oseq,
-                        dseq=node.max_dseq_seen + int(node.attacker.param),
-                        req_oseq=rreq.oseq, path_id=90 + node.id,
-                        route_record=list(rreq.route_record))
+        rrep = Packet(PacketKind.RREP, rreq.flow_id, self.new_pid(),
+                      round=rreq.round, sseq=rreq.sseq, oseq=node.oseq,
+                      dseq=dseq, req_oseq=rreq.oseq, path_id=path_id,
+                      route_record=list(relays))
         if rreq.reverse_alias is not None:
-            forged.forward_alias = rreq.reverse_alias
-            forged.reverse_alias = rreq.forward_alias
-            forged.tag = b"\x00" * 32
+            rrep.forward_alias = rreq.reverse_alias
+            rrep.reverse_alias = rreq.forward_alias
         else:
-            forged.src_addr = rreq.src_addr
-            forged.dst_addr = rreq.dst_addr
-        self.transmit(node.id, frm, forged, control=True)
+            rrep.src_addr = rreq.src_addr
+            rrep.dst_addr = rreq.dst_addr
+        return rrep
 
     def _rrep_tag_payload(self, pkt: Packet) -> bytes:
         c = pkt.copy()
         c.hop_count = 0
-        c.tag = b""
         return header_bytes(c, include_tag=False)
 
     def dest_reply(self, node: SimNode, flow: Flow, rnd: int) -> None:
         """Answer round `rnd` at the flow's destination.  `on_rreq`
-        schedules it once per round, right after the round's first
-        candidate path."""
+        schedules it on the round's first candidate path; the round's record
+        stays, so no later copy schedules it again."""
         ds = node.dest_flows[flow.flow_id]
-        cands = ds.candidates.pop(rnd)
-        rreq = ds.rreq_info[rnd]
+        rreq, cands = ds.rounds[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
         node.log_event(replied_pid, EventKind.RECEIVED, rreq, self.now)
         node.log_event(replied_pid, EventKind.REPLIED, rreq, self.now)
         for idx, relays in enumerate(chosen):
             ds.dseq += 1
-            node.oseq += 1
-            rrep = Packet(PacketKind.RREP, flow.flow_id, self.new_pid(),
-                          round=rnd, sseq=rreq.sseq, oseq=node.oseq,
-                          dseq=ds.dseq, req_oseq=rreq.oseq, path_id=idx,
-                          route_record=list(relays))
+            rrep = self._reply(node, rreq, ds.dseq, idx, relays)
             if self.config.protocol.uses_pseudonyms:
-                rrep.forward_alias = rreq.reverse_alias
-                rrep.reverse_alias = rreq.forward_alias
                 rrep.tag = hmac_tag(flow.key, self._rrep_tag_payload(rrep))
-            else:
-                rrep.src_addr = rreq.src_addr
-                rrep.dst_addr = rreq.dst_addr
             nxt = relays[-1] if relays else flow.src
             self.transmit(node.id, nxt, rrep, control=True)
 
@@ -819,9 +800,8 @@ class Simulation:
                 self.flag(node.id, frm)
                 return
             node.monitor.freshest_dseq[pkt.flow_id] = max(freshest, pkt.dseq)
-        atk = node.attacker
-        if (atk and atk.kind is AttackKind.SEQ_INFLATION
-                and self.now >= self.attack_start):
+        atk = self._attack(node)
+        if atk and atk.kind is AttackKind.SEQ_INFLATION:
             pkt = pkt.copy()
             pkt.dseq += int(atk.param)
         node.fwd_routes[(pkt.flow_id, pkt.round, pkt.path_id)] = RouteEntry(
@@ -957,20 +937,17 @@ class Simulation:
             node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
                            prev_alias)
             return
-        atk = node.attacker
-        active = atk is not None and self.now >= self.attack_start
-        if active and atk.kind is AttackKind.BLACK_HOLE:
+        atk = self._attack(node)
+        if atk and (atk.kind is AttackKind.BLACK_HOLE
+                    or (atk.kind is AttackKind.PASSIVE_DROP
+                        and self.rng_attack.random() < atk.param)):
             self._settle(pkt.packet_id, "dropped_attack")
             return
-        if active and atk.kind is AttackKind.PASSIVE_DROP:
-            if self.rng_attack.random() < atk.param:
-                self._settle(pkt.packet_id, "dropped_attack")
-                return
         entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
         if entry is None:
             self._settle(pkt.packet_id, "dropped_noroute")
             return
-        forge = active and atk.kind is AttackKind.LOG_FORGERY
+        forge = atk is not None and atk.kind is AttackKind.LOG_FORGERY
         node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
                        prev_alias, forge=forge)
         fwd = pkt.copy()
@@ -1070,7 +1047,8 @@ class Simulation:
     def run(self) -> RunResult:
         cfg = self.config
         for flow in self.flows:
-            self.schedule(flow.start_time, self._starter(flow))
+            self.schedule(flow.start_time,
+                          functools.partial(self.start_flow, flow))
         while self._events:
             t, _, fn = heapq.heappop(self._events)
             if t > cfg.sim_duration:
@@ -1107,11 +1085,6 @@ class Simulation:
                 "paths": self._audit_records,
             }
         return self.result
-
-    def _starter(self, flow: Flow):
-        def go():
-            self.start_flow(flow)
-        return go
 
 
 def desk_profile(protocol: ProtocolKind = ProtocolKind.TAP3,

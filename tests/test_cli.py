@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import tap3sim
 from tap3sim import metrics
-from tap3sim.cli import main, replay_audits
+from tap3sim.cli import _parse_pauses, main, replay_audits
 from tap3sim.logaudit import FELLOW
 from tap3sim.metrics import CSV_COLUMNS
 from tap3sim.sim import DESK_CONFIG_TEXT, desk_profile, run_scenario
@@ -175,6 +181,64 @@ def test_non_finite_pause_range_exits_one(tmp_path, capsys, pauses):
                  pauses, "--protocols", "tap3", "--seeds", "1"]) == 1
     assert not out.exists()
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pauses, expected", [
+    ("0:60:10", [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]),
+    ("0:1:0.1", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+    ("0.5:2:0.25", [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]),
+    ("5:1:1", []),
+])
+def test_pause_range_lists(pauses, expected):
+    assert _parse_pauses(pauses, 60.0) == expected
+
+
+def _limit_memory():
+    # a range that is built before it is bounded fails fast here
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("pauses, message", [
+    ("0:1e12:1", "leaves [0, 30] s"),
+    ("1:2:1e-17", "does not change a pause"),
+    ("-10:20:10", "leaves [0, 30] s"),
+], ids=["past-end", "step-below-resolution", "negative-start"])
+def test_unbuildable_pause_range_exits_one(tmp_path, pauses, message):
+    """A range whose pauses cannot all be valid exits 1 before its list is
+    built.  `cli.main` runs in a child with a time and memory limit, so a
+    range that is built first fails the test instead of growing without
+    bound."""
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, DESK_CONFIG_TEXT.replace(
+        "sim_duration = 200", "sim_duration = 30"))
+    src = str(Path(tap3sim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tap3sim.cli import main; sys.exit(main())",
+         "sweep", "--config", cfg, "--out", str(out), f"--pause={pauses}",
+         "--protocols", "tap3", "--seeds", "1"],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, extra, message", [
+    ("run", "protocol = olsr\n", [], "line 1: unknown protocol 'olsr'"),
+    ("sweep", small_config_text(), ["--pause", "0", "--protocols",
+                                    "tap3, olsr", "--seeds", "1"],
+     "unknown protocol 'olsr'"),
+], ids=["config", "sweep-flag"])
+def test_unknown_protocol_exits_one(tmp_path, capsys, command, text, extra,
+                                    message):
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_run_failure_exits_two(tmp_path, capsys, monkeypatch):

@@ -408,6 +408,17 @@ def small_scenario(seed):
         rng_seed=rng.getrandbits(32))
 
 
+class DiscoveryCheckedSimulation(Simulation):
+    """Checks, each time a discovery round times out still outstanding,
+    that the source kept no path of that round: `_source_accept` clears
+    the round before it appends one."""
+
+    def discovery_check(self, flow, rnd):
+        if flow.round == rnd and flow.discovery_outstanding == rnd:
+            assert not any(p.round == rnd for p in flow.paths)
+        super().discovery_check(flow, rnd)
+
+
 @settings(max_examples=70, deadline=None, derandomize=True)
 @given(cfg=st.integers(0, 2 ** 32 - 1).map(small_scenario))
 # a blackhole forges an all-zero tag on a path to endpoint node 0
@@ -423,9 +434,14 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
     sent data packet has exactly one fate, nodes stay in the area,
     pseudonymous headers name no endpoint, exactly `flows` flows run,
     the trace's audit logs replay to the live verdicts, and a second run
-    gives the same rows."""
-    sim = Simulation(cfg, trace=True, check_privacy=True)
+    gives the same rows.  A discovery round still outstanding when it
+    times out has no path, and only the trust layer advances the alias
+    chains, so a baseline's destination keeps its first alias."""
+    sim = DiscoveryCheckedSimulation(cfg, trace=True, check_privacy=True)
     res = sim.run()
+    if not cfg.protocol.trust_layer:
+        for flow in sim.flows:
+            assert flow.ps_chain.index == flow.pd_chain.index == 1
     assert len(sim.flows) == cfg.flows
     assert res.positions_ok
     assert set(sim.packet_state.values()) <= {IN_FLIGHT, *FATES}
@@ -607,6 +623,23 @@ def test_destination_that_relays_its_request_still_hears_it(monkeypatch):
     monkeypatch.setattr(Simulation, "dispatch", recording_dispatch)
     run_scenario(replace(desk_profile(seed=22), **SHAPES["wide"]))
     assert relayed and heard_after
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_late_request_copy_is_not_answered_again(protocol):
+    """A copy of a request that reaches its destination after the round's
+    reply is added to the round's record but schedules no second reply."""
+    cfg = replace(two_node_config(protocol), sim_duration=1.5)
+    sim = Simulation(cfg, positions=TWO_NODES)
+    sim.run()
+    flow = sim.flows[0]
+    dst = sim.nodes[flow.dst]
+    rreq, cands = dst.dest_flows[flow.flow_id].rounds[1]
+    heard, oseq = len(cands), dst.oseq
+    assert flow.paths and oseq > 0      # the round was answered
+    sim.dispatch(dst.id, rreq, flow.src)
+    assert len(cands) == heard + 1
+    assert not sim._events and dst.oseq == oseq
 
 
 def test_route_request_key_originated_twice_is_an_error():
