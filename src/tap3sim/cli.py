@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -42,6 +43,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _path(text: str) -> str:
+    """The type of every file and directory argument: an empty path names
+    nothing, so it is a usage error rather than a skipped output."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
 
 
 def _parse_pauses(text: str, duration: float) -> list[float]:
@@ -123,11 +132,11 @@ def _cmd_run(args) -> int:
                           check_privacy=True)
     report = report_from_result(result)
     csv_text = CSV_COLUMNS + "\n" + report.csv_row() + "\n"
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
-    if args.trace:
+    if args.trace is not None:
         write_trace_file(args.trace, result)
     return 0
 
@@ -139,7 +148,7 @@ def _cmd_sweep(args) -> int:
                      _parse_seeds(args.seeds))
     result = sweep(spec)
     Path(args.out).write_text(result.csv_text())
-    if args.plots:
+    if args.plots is not None:
         plot_dir = Path(args.plots)
         plot_dir.mkdir(parents=True, exist_ok=True)
         for name, svg in render_plots(result).items():
@@ -147,9 +156,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# what rebuilding a recorded log or path raises on a malformed trace
+# what rebuilding a recorded log or path raises on a malformed trace;
+# struct.error is an id or counter outside the 64 bits an entry packs
 _MALFORMED = (logaudit.DuplicateEntryError, logaudit.TimestampRegressionError,
-              KeyError, IndexError, TypeError, ValueError)
+              KeyError, IndexError, TypeError, ValueError, struct.error)
 
 
 def replay_audits(export: dict) -> list[logaudit.AuditReport]:
@@ -166,23 +176,26 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     if not isinstance(paths, list):
         raise UsageError("recorded audit log: 'paths' is not a JSON list")
     published = {}
+    aliases: dict = {}      # alias hex -> its one Pseudonym in this replay
     for nid, entries in nodes.items():
         try:
             log = logaudit.NodeLog()
             for data in entries:
-                log.append(logaudit.entry_from_list(data))
+                log.append(logaudit.entry_from_list(data, aliases))
             published[int(nid)] = log.publish()
         except _MALFORMED as exc:
             raise UsageError(f"recorded log of node {nid}: {exc!r}") from exc
     reports = []
     for i, record in enumerate(paths):
         try:
-            if not isinstance(record["flow"], int):
+            if type(record["flow"]) is not int:
                 raise TypeError("flow id is not an integer")
             route_logs = [published.get(r) for r in record["relays"]]
             dest = published.get(record["dst"])
-            control = [logaudit.entry_from_list(e) for e in record["control"]]
-            data = [logaudit.entry_from_list(e) for e in record["data"]]
+            control = [logaudit.entry_from_list(e, aliases)
+                       for e in record["control"]]
+            data = [logaudit.entry_from_list(e, aliases)
+                    for e in record["data"]]
         except _MALFORMED as exc:
             raise UsageError(f"recorded path {i}: {exc!r}") from exc
         reports.append(logaudit.audit_route(route_logs, dest, control, data))
@@ -216,25 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario")
-    p_run.add_argument("--config", required=True)
+    p_run.add_argument("--config", required=True, type=_path)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out")
-    p_run.add_argument("--trace")
+    p_run.add_argument("--out", type=_path)
+    p_run.add_argument("--trace", type=_path)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a pause-time sweep")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep.add_argument("--config", required=True, type=_path)
     p_sweep.add_argument("--pause", required=True,
                          help="start:stop:step or comma list, in seconds")
     p_sweep.add_argument("--protocols", default="tap3,smprf,mprf")
     p_sweep.add_argument("--seeds", default="1..5",
                          help="lo..hi or comma list")
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--plots")
+    p_sweep.add_argument("--out", required=True, type=_path)
+    p_sweep.add_argument("--plots", type=_path)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="replay recorded audit logs")
-    p_audit.add_argument("--trace", required=True)
+    p_audit.add_argument("--trace", required=True, type=_path)
     p_audit.set_defaults(func=_cmd_audit)
     return parser
 

@@ -27,9 +27,10 @@ a walk that stops there gives the verdict a full walk to the root gives.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
 from .crypto import Pseudonym
@@ -39,14 +40,25 @@ NODE_TAG = b"\x01"
 EMPTY_TAG = b"\x02"
 
 
-class EventKind(Enum):
+class EventKind(IntEnum):
+    """An entry's event; its value is the 1-byte code `serialize_entry`
+    packs.  An int member hashes and packs in C, where a plain `Enum`
+    member hashes its name in Python."""
     RECEIVED = 1
     FORWARDED = 2
     REPLIED = 3
     DROPPED = 4
 
 
-@dataclass(frozen=True)
+# The members, read once: on CPython 3.11 an attribute read on an enum
+# class costs about ten times a module-global read.
+RECEIVED = EventKind.RECEIVED
+FORWARDED = EventKind.FORWARDED
+REPLIED = EventKind.REPLIED
+DROPPED = EventKind.DROPPED
+
+
+@dataclass(frozen=True, init=False)
 class LogEntry:
     node_alias: Pseudonym
     packet_id: int
@@ -57,6 +69,16 @@ class LogEntry:
     prev_hop_alias: Pseudonym
     timestamp: float
 
+    def __init__(self, node_alias: Pseudonym, packet_id: int,
+                 event: EventKind, sseq: int, oseq: int, dseq: int,
+                 prev_hop_alias: Pseudonym, timestamp: float):
+        # Fills the instance dict in one call; the generated frozen init
+        # makes one `object.__setattr__` call per field.
+        self.__dict__.update(
+            node_alias=node_alias, packet_id=packet_id, event=event,
+            sseq=sseq, oseq=oseq, dseq=dseq, prev_hop_alias=prev_hop_alias,
+            timestamp=timestamp)
+
 
 # alias, packet id, event code, sseq, oseq, dseq, previous-hop alias, time
 _ENTRY = struct.Struct(">32sQBqqq32sd")
@@ -66,7 +88,7 @@ def serialize_entry(entry: LogEntry) -> bytes:
     """Canonical byte encoding: fixed field order, 8-byte big-endian
     integers, 32-byte aliases, 1-byte event code."""
     return _ENTRY.pack(entry.node_alias.digest, entry.packet_id,
-                       entry.event.value, entry.sseq, entry.oseq, entry.dseq,
+                       entry.event, entry.sseq, entry.oseq, entry.dseq,
                        entry.prev_hop_alias.digest, entry.timestamp)
 
 
@@ -267,13 +289,13 @@ class NodeLog:
 
 
 # Records each role must prove for every packet the auditor forwarded.
-DESTINATION_EVENTS = (EventKind.RECEIVED, EventKind.REPLIED)
-RELAY_EVENTS = (EventKind.RECEIVED, EventKind.FORWARDED)
+DESTINATION_EVENTS = (RECEIVED, REPLIED)
+RELAY_EVENTS = (RECEIVED, FORWARDED)
 
 
 def _forwarded_pids(observed: Sequence[LogEntry]) -> list[int]:
     return sorted({e.packet_id for e in observed
-                   if e.event is EventKind.FORWARDED})
+                   if e.event is FORWARDED})
 
 
 def apply_rules(events: Sequence[EventKind],
@@ -332,9 +354,9 @@ def detect_passive_attackers(route_logs: Sequence[Optional[PublishedLog]],
     fake: list[int] = []
     for j, published in enumerate(route_logs, start=1):
         proves = (published or _SILENT).proves
-        forwarded = {pid for pid in pids if proves(pid, EventKind.FORWARDED)}
-        if not all(proves(pid, EventKind.RECEIVED)
-                   and (pid in forwarded or proves(pid, EventKind.DROPPED))
+        forwarded = {pid for pid in pids if proves(pid, FORWARDED)}
+        if not all(proves(pid, RECEIVED)
+                   and (pid in forwarded or proves(pid, DROPPED))
                    for pid in pids):
             fake.append(j)
         pids = [pid for pid in pids if pid in forwarded]
@@ -375,14 +397,41 @@ def audit_route(route_logs: Sequence[Optional[PublishedLog]],
 
 
 def entry_to_list(entry: LogEntry) -> list:
-    """Plain-data form of a log entry for trace export."""
-    return [entry.node_alias.digest.hex(), entry.packet_id, entry.event.value,
+    """Plain-data form of a log entry for trace export; the event is its
+    plain int code."""
+    return [entry.node_alias.digest.hex(), entry.packet_id, int(entry.event),
             entry.sseq, entry.oseq, entry.dseq,
             entry.prev_hop_alias.digest.hex(), entry.timestamp]
 
 
-def entry_from_list(data: Sequence) -> LogEntry:
-    return LogEntry(Pseudonym(bytes.fromhex(data[0])), int(data[1]),
-                    EventKind(int(data[2])), int(data[3]), int(data[4]),
-                    int(data[5]), Pseudonym(bytes.fromhex(data[6])),
-                    float(data[7]))
+_EVENT_BY_CODE = {int(e): e for e in EventKind}
+
+
+def _new_alias(aliases: dict[str, Pseudonym], text: str) -> Pseudonym:
+    alias = aliases[text] = Pseudonym(bytes.fromhex(text))
+    return alias
+
+
+def entry_from_list(data: Sequence,
+                    aliases: dict[str, Pseudonym]) -> LogEntry:
+    """The entry whose `entry_to_list` form, read back from JSON, is
+    `data`.  The packet id, event code and counters must be JSON integers
+    (a bool is not one) and the timestamp a finite JSON number; any other
+    value raises TypeError or ValueError.  `aliases` maps alias hex to its
+    Pseudonym and gains every alias not in it yet, so that one replay
+    builds one Pseudonym per alias."""
+    node_hex, pid, code, sseq, oseq, dseq, prev_hex, ts = data
+    # exact type tests: int() would truncate 1.9 and take "12" or True
+    if not (type(pid) is type(code) is type(sseq) is type(oseq)
+            is type(dseq) is int):
+        raise TypeError(f"packet id, event code and counters "
+                        f"{[pid, code, sseq, oseq, dseq]!r} must be integers")
+    if type(ts) not in (float, int) or not math.isfinite(ts):
+        raise ValueError(f"timestamp {ts!r} is not a finite number")
+    event = _EVENT_BY_CODE.get(code)
+    if event is None:
+        raise ValueError(f"event code {code} is not one of 1-4")
+    return LogEntry(aliases.get(node_hex) or _new_alias(aliases, node_hex),
+                    pid, event, sseq, oseq, dseq,
+                    aliases.get(prev_hex) or _new_alias(aliases, prev_hex),
+                    float(ts))

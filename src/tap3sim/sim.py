@@ -30,7 +30,15 @@ from .crypto import (
     trapdoor_check,
     verify_hmac,
 )
-from .logaudit import EventKind, LogEntry, NodeLog
+from .logaudit import (
+    DROPPED,
+    FORWARDED,
+    RECEIVED,
+    REPLIED,
+    EventKind,
+    LogEntry,
+    NodeLog,
+)
 from .routing import (
     Packet,
     PacketKind,
@@ -61,6 +69,14 @@ SEND_BUFFER_CAP = 50
 MIN_TRAIN_SAMPLES = 6
 DRAIN_WINDOW = 2.0
 TRAPDOOR_WINDOW = 16
+
+# The packet kinds, read once: on CPython 3.11 each `PacketKind.RREQ`
+# read costs about ten times a module-global read.
+RREQ = PacketKind.RREQ
+RREP = PacketKind.RREP
+RREP_ACK = PacketKind.RREP_ACK
+DATA = PacketKind.DATA
+RERR = PacketKind.RERR
 
 # a data packet's ledger state until `Simulation._settle` gives it a fate
 IN_FLIGHT = "in_flight"
@@ -384,7 +400,10 @@ class Simulation:
         config.validate()
         self.config = config
         self.trace = trace
-        self.check_privacy = check_privacy and config.protocol.uses_pseudonyms
+        # the two protocol facts the simulator asks for, read once
+        self.trust_layer = config.protocol.trust_layer
+        self.uses_pseudonyms = config.protocol.uses_pseudonyms
+        self.check_privacy = check_privacy and self.uses_pseudonyms
         self.now = 0.0
         self._positions_at = -math.inf
         self._positions: list[Optional[tuple[float, float]]] = []
@@ -415,7 +434,7 @@ class Simulation:
                            (config.area_x, config.area_y),
                            config.max_speed, config.pause_time)
             self.nodes.append(SimNode(i, mob, alias, attackers.get(i),
-                                      config.protocol.trust_layer))
+                                      self.trust_layer))
 
         self.masters = [MasterKey.from_seed(seed, i)
                         for i in range(config.node_count)]
@@ -451,7 +470,7 @@ class Simulation:
             self.flows.append(flow)
             self.nodes[dst].dest_flows[fid] = DestFlowState(
                 TrapdoorIndex(pd, TRAPDOOR_WINDOW)
-                if cfg.protocol.trust_layer else None)
+                if self.trust_layer else None)
 
     # -- event machinery ----------------------------------------------------
 
@@ -481,8 +500,7 @@ class Simulation:
         return d <= self.config.radio_range, d
 
     def _privacy_scan(self, pkt: Packet) -> None:
-        if pkt.kind not in (PacketKind.RREQ, PacketKind.RREP,
-                            PacketKind.RREP_ACK):
+        if pkt.kind not in (RREQ, RREP, RREP_ACK):
             return
         flow = self.flows[pkt.flow_id]
         self.result.privacy_checks += 1
@@ -512,7 +530,7 @@ class Simulation:
         order.  Every receiver gets `pkt` itself: frames are read-only
         once transmitted (see `Packet`).  The frame is sized without
         being encoded; only the privacy scan encodes the header."""
-        if to is None and pkt.kind is not PacketKind.RREQ:
+        if to is None and pkt.kind is not RREQ:
             raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
@@ -550,15 +568,15 @@ class Simulation:
 
     def dispatch(self, nid: int, pkt: Packet, frm: int) -> None:
         node = self.nodes[nid]
-        if pkt.kind is PacketKind.RREQ:
+        if pkt.kind is RREQ:
             self.on_rreq(node, pkt, frm)
-        elif pkt.kind is PacketKind.RREP:
+        elif pkt.kind is RREP:
             self.on_rrep(node, pkt, frm)
-        elif pkt.kind is PacketKind.RREP_ACK:
+        elif pkt.kind is RREP_ACK:
             self.on_rrep_ack(node, pkt, frm)
-        elif pkt.kind is PacketKind.DATA:
+        elif pkt.kind is DATA:
             self.on_data(node, pkt, frm)
-        elif pkt.kind is PacketKind.RERR:
+        elif pkt.kind is RERR:
             self.on_rerr(node, pkt, frm)
 
     # -- sequence monitor ---------------------------------------------------
@@ -602,14 +620,14 @@ class Simulation:
         return verdict
 
     def flag(self, flagger: int, suspect: int) -> None:
-        if self.config.protocol.trust_layer:
+        if self.trust_layer:
             self.result.classifier_flags.add((flagger, suspect))
 
     # -- route discovery ----------------------------------------------------
 
     @property
     def refresh_period(self) -> float:
-        if self.config.protocol.trust_layer:
+        if self.trust_layer:
             return ROUTE_REFRESH
         return BASELINE_ROUTE_TIMEOUT
 
@@ -618,7 +636,7 @@ class Simulation:
         self.schedule_cbr(flow, flow.start_time)
         self.schedule(flow.start_time + self.refresh_period,
                       lambda: self.refresh_route(flow))
-        if self.config.protocol.trust_layer:
+        if self.trust_layer:
             self.schedule(flow.start_time + AUDIT_PERIOD,
                           lambda: self.audit_tick(flow))
 
@@ -629,28 +647,26 @@ class Simulation:
                           lambda: self.refresh_route(flow))
 
     def start_discovery(self, flow: Flow) -> None:
-        cfg = self.config
         flow.round += 1
         rnd = flow.round
         flow.sseq += 1
         src_node = self.nodes[flow.src]
         src_node.oseq += 1
-        if cfg.protocol.trust_layer and rnd > 1:
+        if self.trust_layer and rnd > 1:
             flow.ps_chain = flow.ps_chain.advanced()
             flow.pd_chain = flow.pd_chain.advanced()
         pid = self.new_pid()
-        pkt = Packet(PacketKind.RREQ, flow.flow_id, pid, round=rnd,
-                     sseq=flow.sseq, oseq=src_node.oseq,
-                     dseq=flow.last_known_dseq)
-        if cfg.protocol.uses_pseudonyms:
+        pkt = Packet(RREQ, flow.flow_id, pid, round=rnd, sseq=flow.sseq,
+                     oseq=src_node.oseq, dseq=flow.last_known_dseq)
+        if self.uses_pseudonyms:
             pkt.forward_alias = flow.pd_chain.current
             pkt.reverse_alias = flow.ps_chain.current
         else:
             pkt.src_addr = flow.src
             pkt.dst_addr = flow.dst
-        if cfg.protocol.trust_layer:
+        if self.trust_layer:
             flow.tau_c_control[rnd] = [
-                src_node.log_entry(pid, EventKind.FORWARDED, pkt, self.now)]
+                src_node.log_entry(pid, FORWARDED, pkt, self.now)]
         key = self._rreq_key(pkt)
         if key in self.rreq_listeners:
             raise RuntimeError(f"route-request key {key!r} originated twice")
@@ -729,7 +745,7 @@ class Simulation:
             dseq = node.max_dseq_seen + int(atk.param)
             forged = self._reply(node, pkt, dseq, 90 + node.id,
                                  pkt.route_record)
-            if self.config.protocol.uses_pseudonyms:
+            if self.uses_pseudonyms:
                 forged.tag = b"\x00" * 32
             self.transmit(node.id, frm, forged, control=True)
         fwd = pkt.copy()
@@ -748,7 +764,7 @@ class Simulation:
         """`node`'s reply to `rreq`, addressed back over `relays`; the
         caller sets its tag."""
         node.oseq += 1
-        rrep = Packet(PacketKind.RREP, rreq.flow_id, self.new_pid(),
+        rrep = Packet(RREP, rreq.flow_id, self.new_pid(),
                       round=rreq.round, sseq=rreq.sseq, oseq=node.oseq,
                       dseq=dseq, req_oseq=rreq.oseq, path_id=path_id,
                       route_record=list(relays))
@@ -773,12 +789,12 @@ class Simulation:
         rreq, cands = ds.rounds[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
-        node.log_event(replied_pid, EventKind.RECEIVED, rreq, self.now)
-        node.log_event(replied_pid, EventKind.REPLIED, rreq, self.now)
+        node.log_event(replied_pid, RECEIVED, rreq, self.now)
+        node.log_event(replied_pid, REPLIED, rreq, self.now)
         for idx, relays in enumerate(chosen):
             ds.dseq += 1
             rrep = self._reply(node, rreq, ds.dseq, idx, relays)
-            if self.config.protocol.uses_pseudonyms:
+            if self.uses_pseudonyms:
                 rrep.tag = hmac_tag(flow.key, self._rrep_tag_payload(rrep))
             nxt = relays[-1] if relays else flow.src
             self.transmit(node.id, nxt, rrep, control=True)
@@ -815,7 +831,7 @@ class Simulation:
         if pkt.round != flow.round:
             return
         delta = pkt.dseq - flow.last_known_dseq
-        if self.config.protocol.uses_pseudonyms:
+        if self.uses_pseudonyms:
             if not verify_hmac(flow.key, self._rrep_tag_payload(pkt), pkt.tag):
                 self.flag(flow.src, frm)
                 return
@@ -838,9 +854,9 @@ class Simulation:
             return
         flow.paths.append(path)
         flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
-        ack = Packet(PacketKind.RREP_ACK, flow.flow_id, self.new_pid(),
+        ack = Packet(RREP_ACK, flow.flow_id, self.new_pid(),
                      round=pkt.round, path_id=pkt.path_id)
-        if self.config.protocol.uses_pseudonyms:
+        if self.uses_pseudonyms:
             ack.forward_alias = pkt.reverse_alias
             ack.tag = hmac_tag(flow.key, header_bytes(ack, include_tag=False))
         else:
@@ -885,7 +901,7 @@ class Simulation:
     def _send_or_buffer(self, flow: Flow, pid: int, origin: float) -> None:
         usable = self._usable_paths(flow)
         while usable:
-            if self.config.protocol.trust_layer:
+            if self.trust_layer:
                 path = usable[flow.rr_index % len(usable)]
                 flow.rr_index += 1
             else:
@@ -904,22 +920,22 @@ class Simulation:
 
     def _send_data(self, flow: Flow, pid: int, origin: float,
                    path: PathInfo) -> bool:
-        pkt = Packet(PacketKind.DATA, flow.flow_id, pid, round=path.round,
+        pkt = Packet(DATA, flow.flow_id, pid, round=path.round,
                      path_id=path.path_id, payload_size=self.config.pkt_size,
                      origin_time=origin)
-        if self.config.protocol.uses_pseudonyms:
+        if self.uses_pseudonyms:
             pkt.forward_alias = flow.pd_chain.current
         else:
             pkt.dst_addr = flow.dst
         nxt = path.next_hop if path.next_hop is not None else flow.dst
         if not self.transmit(flow.src, nxt, pkt, control=False):
             return False
-        if self.config.protocol.trust_layer:
+        if self.trust_layer:
             key = (path.round, path.path_id)
             if key not in flow.audit_queue:
                 flow.audit_queue[key] = (list(path.relays), [])
             flow.audit_queue[key][1].append(self.nodes[flow.src].log_entry(
-                pid, EventKind.FORWARDED, pkt, self.now))
+                pid, FORWARDED, pkt, self.now))
         return True
 
     def _flush_pending(self, flow: Flow) -> None:
@@ -934,7 +950,7 @@ class Simulation:
         if node.id == flow.dst:
             self._settle(pkt.packet_id, "delivered")
             self.result.delays.append(self.now - pkt.origin_time)
-            node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
+            node.log_event(pkt.packet_id, RECEIVED, pkt, self.now,
                            prev_alias)
             return
         atk = self._attack(node)
@@ -948,18 +964,18 @@ class Simulation:
             self._settle(pkt.packet_id, "dropped_noroute")
             return
         forge = atk is not None and atk.kind is AttackKind.LOG_FORGERY
-        node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, self.now,
-                       prev_alias, forge=forge)
+        node.log_event(pkt.packet_id, RECEIVED, pkt, self.now, prev_alias,
+                       forge=forge)
         fwd = pkt.copy()
         fwd.hop_count += 1
         if self.transmit(node.id, entry.next_hop, fwd, control=False):
-            node.log_event(pkt.packet_id, EventKind.FORWARDED, pkt, self.now,
+            node.log_event(pkt.packet_id, FORWARDED, pkt, self.now,
                            prev_alias, forge=forge)
         else:
             self._settle(pkt.packet_id, "lost_link")
-            node.log_event(pkt.packet_id, EventKind.DROPPED, pkt, self.now,
+            node.log_event(pkt.packet_id, DROPPED, pkt, self.now,
                            prev_alias)
-            rerr = Packet(PacketKind.RERR, pkt.flow_id, self.new_pid(),
+            rerr = Packet(RERR, pkt.flow_id, self.new_pid(),
                           round=pkt.round, path_id=pkt.path_id)
             self.transmit(node.id, entry.prev_hop, rerr, control=True)
 
@@ -1077,7 +1093,7 @@ class Simulation:
             setattr(self.result, fate, fates[fate])
         self.result.in_flight_end = fates[IN_FLIGHT]
         self.result.log_duplicates = sum(n.log_duplicates for n in self.nodes)
-        if self.trace and cfg.protocol.trust_layer:
+        if self.trace and self.trust_layer:
             self.result.audit_export = {
                 "nodes": {str(n.id): [logaudit.entry_to_list(e)
                                       for e in n.log.entries]

@@ -11,7 +11,14 @@ import pytest
 import tap3sim
 from tap3sim import metrics
 from tap3sim.cli import _parse_pauses, main, replay_audits
-from tap3sim.logaudit import FELLOW
+from tap3sim.crypto import Pseudonym
+from tap3sim.logaudit import (
+    FELLOW,
+    EventKind,
+    LogEntry,
+    NodeLog,
+    audit_route,
+)
 from tap3sim.metrics import CSV_COLUMNS
 from tap3sim.sim import DESK_CONFIG_TEXT, desk_profile, run_scenario
 
@@ -103,6 +110,45 @@ def _export_as_list(export):
     return [], "recorded audit log is not a JSON object"
 
 
+def _first_entry(export, field, value):
+    """Set one field of the first entry of the first recorded log."""
+    entries = next(iter(export["nodes"].values()))
+    entries[0][field] = value
+    return export, "recorded log of node"
+
+
+def _float_packet_id(export):
+    # int() would truncate it to a valid id
+    return _first_entry(export, 1, 12.0)
+
+
+def _string_counter(export):
+    return _first_entry(export, 3, "12")
+
+
+def _fractional_event(export):
+    # int() would read it as RECEIVED
+    return _first_entry(export, 2, 1.9)
+
+
+def _nan_timestamp(export):
+    # NaN compares false to every other timestamp, so the regression
+    # check alone lets it through, on the last entry as on any other
+    entries = next(iter(export["nodes"].values()))
+    entries[-1][7] = "nan"
+    return export, "recorded log of node"
+
+
+def _bool_flow(export):
+    export["paths"][0]["flow"] = True
+    return export, "recorded path 0"
+
+
+def _negative_packet_id(export):
+    # fits no unsigned 64-bit field of the entry encoding
+    return _first_entry(export, 1, -5)
+
+
 @pytest.fixture(scope="module")
 def desk_trace_lines(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("desk40")
@@ -116,10 +162,16 @@ def desk_trace_lines(tmp_path_factory):
 
 @pytest.mark.parametrize("malform", [_repeat_claim, _clock_goes_back,
                                      _null_relays, _path_without_flow,
-                                     _nodes_as_list, _export_as_list],
+                                     _nodes_as_list, _export_as_list,
+                                     _float_packet_id, _string_counter,
+                                     _fractional_event, _nan_timestamp,
+                                     _bool_flow, _negative_packet_id],
                          ids=["repeated-claim", "timestamp-back",
                               "null-relays", "path-without-flow",
-                              "nodes-list", "export-list"])
+                              "nodes-list", "export-list",
+                              "float-packet-id", "string-counter",
+                              "fractional-event", "nan-timestamp",
+                              "bool-flow", "negative-packet-id"])
 def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
                                        malform):
     """A trace whose recorded logs or paths cannot be rebuilt, or whose
@@ -262,6 +314,19 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_empty_output_path_exits_one(tmp_path, capsys, monkeypatch, flag):
+    """An empty path names no file: a usage error before any run, not a
+    run whose output is silently skipped."""
+    runs = []
+    monkeypatch.setattr("tap3sim.cli.run_scenario",
+                        lambda *args, **kwargs: runs.append(args))
+    cfg = write_config(tmp_path, small_config_text())
+    assert main(["run", "--config", cfg, flag, ""]) == 1
+    assert runs == []
+    assert f"argument {flag}: empty path" in capsys.readouterr().err
+
+
 def test_sweep_cli_end_to_end(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config_text())
     out = tmp_path / "sweep.csv"
@@ -274,6 +339,35 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
     # header + 2 protocols * 2 pauses * 2 seeds + 4 averaged rows
     assert len(lines) == 13
     assert (plots / "pdr_percent.svg").exists()
+
+
+def fresh_alias_reports(export):
+    """The replay of `export` with one new Pseudonym for every alias field
+    of every entry, as `replay_audits` built them before it shared one
+    Pseudonym per alias."""
+    def entry(data):
+        return LogEntry(Pseudonym(bytes.fromhex(data[0])), data[1],
+                        EventKind(data[2]), data[3], data[4], data[5],
+                        Pseudonym(bytes.fromhex(data[6])), data[7])
+
+    published = {}
+    for nid, entries in export["nodes"].items():
+        log = NodeLog()
+        for data in entries:
+            log.append(entry(data))
+        published[int(nid)] = log.publish()
+    return [audit_route([published.get(r) for r in record["relays"]],
+                        published.get(record["dst"]),
+                        [entry(e) for e in record["control"]],
+                        [entry(e) for e in record["data"]])
+            for record in export["paths"]]
+
+
+def test_replay_with_shared_aliases_matches_fresh_aliases():
+    export = run_scenario(desk_profile(seed=3), trace=True).audit_export
+    reports = replay_audits(export)
+    assert reports
+    assert reports == fresh_alias_reports(export)
 
 
 def replayed_rows(result):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -28,6 +29,8 @@ from tap3sim.logaudit import (
     check_destination,
     detect_active_attacker,
     detect_passive_attackers,
+    entry_from_list,
+    entry_to_list,
     leaf_hash,
     serialize_entry,
 )
@@ -580,3 +583,41 @@ def test_audit_report_csv_row():
     assert r.csv_row("f1") == "f1,FELLOW,,2;4"
     r2 = AuditReport(NOT_FELLOW, active_attacker=3)
     assert r2.csv_row(7) == "7,NOT_FELLOW,3,"
+
+
+# ---- entry value semantics and plain-data form ------------------------------
+
+def test_log_entry_is_frozen():
+    e = entry()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.packet_id = 11
+    assert e.packet_id == 10
+    changed = replace(e, packet_id=11, event=EventKind.DROPPED)
+    assert (changed.packet_id, changed.event) == (11, EventKind.DROPPED)
+    assert replace(changed, packet_id=10, event=EventKind.RECEIVED) == e
+
+
+def test_log_entries_with_equal_fields_are_equal():
+    a = entry(pid=7, event=EventKind.FORWARDED, ts=2.5)
+    b = LogEntry(alias(1), 7, EventKind.FORWARDED, 1, 2, 3, alias(0), 2.5)
+    assert a == b and hash(a) == hash(b)
+    assert a != entry(pid=7, event=EventKind.REPLIED, ts=2.5)
+    assert len({a, b}) == 1
+
+
+def test_entry_to_list_emits_plain_event_codes():
+    for code, event in enumerate(EventKind, start=1):
+        data = entry_to_list(entry(event=event))
+        assert type(data[2]) is int and data[2] == code
+    assert [int(e) for e in EventKind] == [1, 2, 3, 4]
+
+
+def test_entry_from_list_round_trips_and_shares_aliases():
+    aliases = {}
+    a = entry(node=4, prev=9, event=EventKind.DROPPED, ts=3.25)
+    b = entry(node=9, prev=4, pid=11, ts=4.0)
+    got = [entry_from_list(entry_to_list(e), aliases) for e in (a, b)]
+    assert got == [a, b]
+    assert got[0].node_alias is got[1].prev_hop_alias
+    assert got[0].prev_hop_alias is got[1].node_alias
+    assert len(aliases) == 2

@@ -199,3 +199,13 @@ def test_pick_disjoint_paths_respects_slack():
     cands = [(2, 0.0, [1]), (3, 0.1, [2]), (5, 0.2, [3])]
     assert pick_disjoint_paths(cands, 3, hop_slack=1) == [[1], [2]]
     assert pick_disjoint_paths(cands, 3, hop_slack=3) == [[1], [2], [3]]
+
+
+def test_protocol_kind_truth_table():
+    """The two protocol facts the simulator reads, for every protocol."""
+    table = {kind: (kind.uses_pseudonyms, kind.trust_layer)
+             for kind in ProtocolKind}
+    assert table == {ProtocolKind.TAP3: (True, True),
+                     ProtocolKind.S_MPRF: (True, False),
+                     ProtocolKind.MPRF: (False, False)}
+    assert ProtocolKind("smprf") is ProtocolKind.S_MPRF
