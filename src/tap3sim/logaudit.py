@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
@@ -58,7 +58,7 @@ REPLIED = EventKind.REPLIED
 DROPPED = EventKind.DROPPED
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class LogEntry:
     node_alias: Pseudonym
     packet_id: int
@@ -72,12 +72,25 @@ class LogEntry:
     def __init__(self, node_alias: Pseudonym, packet_id: int,
                  event: EventKind, sseq: int, oseq: int, dseq: int,
                  prev_hop_alias: Pseudonym, timestamp: float):
-        # Fills the instance dict in one call; the generated frozen init
-        # makes one `object.__setattr__` call per field.
-        self.__dict__.update(
-            node_alias=node_alias, packet_id=packet_id, event=event,
-            sseq=sseq, oseq=oseq, dseq=dseq, prev_hop_alias=prev_hop_alias,
-            timestamp=timestamp)
+        # Each field is stored through its own slot's setter.  The
+        # generated frozen init calls `object.__setattr__` per field, which
+        # looks the name up on the class each time and takes about twice
+        # as long on CPython 3.11.  Filling `__dict__` in one call would be
+        # as fast, but a materialised dict doubles an entry's memory.
+        (set_alias, set_pid, set_event, set_sseq, set_oseq, set_dseq,
+         set_prev, set_time) = _SLOT_SETTERS
+        set_alias(self, node_alias)
+        set_pid(self, packet_id)
+        set_event(self, event)
+        set_sseq(self, sseq)
+        set_oseq(self, oseq)
+        set_dseq(self, dseq)
+        set_prev(self, prev_hop_alias)
+        set_time(self, timestamp)
+
+
+_SLOT_SETTERS = tuple(getattr(LogEntry, f.name).__set__
+                      for f in fields(LogEntry))
 
 
 # alias, packet id, event code, sseq, oseq, dseq, previous-hop alias, time
