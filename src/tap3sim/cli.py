@@ -179,19 +179,25 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     aliases: dict = {}      # alias hex -> its one Pseudonym in this replay
     for nid, entries in nodes.items():
         try:
+            node = int(nid)
+            if str(node) != nid:
+                raise ValueError(f"node key {nid!r} is not a plain integer")
             log = logaudit.NodeLog()
             for data in entries:
                 log.append(logaudit.entry_from_list(data, aliases))
-            published[int(nid)] = log.publish()
+            published[node] = log.publish()
         except _MALFORMED as exc:
             raise UsageError(f"recorded log of node {nid}: {exc!r}") from exc
     reports = []
     for i, record in enumerate(paths):
         try:
-            if type(record["flow"]) is not int:
-                raise TypeError("flow id is not an integer")
-            route_logs = [published.get(r) for r in record["relays"]]
-            dest = published.get(record["dst"])
+            relays, dst = record["relays"], record["dst"]
+            # exact types: True or 8.0 would look up node 1 or 8
+            if not all(type(v) is int for v in (record["flow"], dst, *relays)):
+                raise TypeError("flow, destination and relay ids must be "
+                                "integers")
+            route_logs = [published.get(r) for r in relays]
+            dest = published.get(dst)
             control = [logaudit.entry_from_list(e, aliases)
                        for e in record["control"]]
             data = [logaudit.entry_from_list(e, aliases)

@@ -149,6 +149,29 @@ def _negative_packet_id(export):
     return _first_entry(export, 1, -5)
 
 
+def _bool_relay(export):
+    # True == 1, so it would audit node 1's log
+    export["paths"][0]["relays"] = [True]
+    return export, "recorded path 0"
+
+
+def _float_destination(export):
+    export["paths"][0]["dst"] = float(export["paths"][0]["dst"])
+    return export, "recorded path 0"
+
+
+def _relays_as_string(export):
+    path = export["paths"][0]
+    path["relays"] = "".join(str(r) for r in path["relays"])
+    return export, "recorded path 0"
+
+
+def _padded_node_key(export):
+    nid = next(iter(export["nodes"]))
+    export["nodes"]["0" + nid] = export["nodes"].pop(nid)
+    return export, f"recorded log of node 0{nid}"
+
+
 @pytest.fixture(scope="module")
 def desk_trace_lines(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("desk40")
@@ -165,13 +188,17 @@ def desk_trace_lines(tmp_path_factory):
                                      _nodes_as_list, _export_as_list,
                                      _float_packet_id, _string_counter,
                                      _fractional_event, _nan_timestamp,
-                                     _bool_flow, _negative_packet_id],
+                                     _bool_flow, _negative_packet_id,
+                                     _bool_relay, _float_destination,
+                                     _relays_as_string, _padded_node_key],
                          ids=["repeated-claim", "timestamp-back",
                               "null-relays", "path-without-flow",
                               "nodes-list", "export-list",
                               "float-packet-id", "string-counter",
                               "fractional-event", "nan-timestamp",
-                              "bool-flow", "negative-packet-id"])
+                              "bool-flow", "negative-packet-id",
+                              "bool-relay", "float-destination",
+                              "relays-as-string", "padded-node-key"])
 def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
                                        malform):
     """A trace whose recorded logs or paths cannot be rebuilt, or whose
