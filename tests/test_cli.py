@@ -370,8 +370,8 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
 
 def fresh_alias_reports(export):
     """The replay of `export` with one new Pseudonym for every alias field
-    of every entry, as `replay_audits` built them before it shared one
-    Pseudonym per alias."""
+    of every entry: the reference that `replay_audits`, which shares one
+    Pseudonym per alias, must match."""
     def entry(data):
         return LogEntry(Pseudonym(bytes.fromhex(data[0])), data[1],
                         EventKind(data[2]), data[3], data[4], data[5],
