@@ -33,23 +33,32 @@ class ProtocolKind(Enum):
 
 
 class PacketKind(Enum):
-    RREQ = "RREQ"
-    RREP = "RREP"
-    RREP_ACK = "RREP_ACK"
-    DATA = "DATA"
-    RERR = "RERR"
+    """A frame's kind: its 1-byte header code and its trace text."""
+    RREQ = 1, "RREQ"
+    RREP = 2, "RREP"
+    RREP_ACK = 3, "RREP_ACK"
+    DATA = 4, "DATA"
+    RERR = 5, "RERR"
+
+    def __init__(self, code: int, text: str):
+        # plain member attributes, as on `ProtocolKind`: on CPython 3.11
+        # hashing a plain `Enum` member or reading `.value` runs Python code
+        self.code = code
+        self.text = text
 
 
 @dataclass
 class Packet:
     """One frame.  Once handed to `Simulation.transmit` a frame is
     read-only: every receiver of a broadcast gets the same object, and a
-    handler that changes a field (hop count, route record, an attacker's
-    sequence number) does so on its own `copy()`.  A broadcast (always a
-    route request) is delivered only to the nodes in the request key's
-    listener record (`Simulation.rreq_listeners`): a node that already
-    holds the key and is not the flow's destination would drop the copy
-    unread, and it still holds the key when the copy would arrive, so
+    relay forwards a received DATA, RREP, RREP_ACK or RERR frame as it is.
+    Only two handlers change a field of a received frame, each on its own
+    `copy()`: a route-request relay appends itself to `route_record`, and
+    a sequence-inflating attacker raises a reply's `dseq`.  A broadcast
+    (always a route request) is delivered only to the nodes in the request
+    key's listener record (`Simulation.rreq_listeners`): a node that
+    already holds the key and is not the flow's destination would drop the
+    copy unread, and it still holds the key when the copy would arrive, so
     leaving the copy out changes nothing."""
     kind: PacketKind
     flow_id: int
@@ -63,7 +72,6 @@ class Packet:
     oseq: int = 0
     dseq: int = 0
     req_oseq: int = 0
-    hop_count: int = 0
     path_id: int = 0
     payload_size: int = 0
     origin_time: float = 0.0
@@ -83,6 +91,7 @@ class Packet:
 # + value) occurs only where an address field literally contains it.  The
 # tag is opaque and may hold it: a blackhole forges 32 zero bytes, which
 # contain node 0's encoding.  The tag field comes last (`tag_field_size`).
+# `_T_MISC` fences the hop-count byte, a sized slot written as 0.
 _T_KIND = 0x80
 _T_FWD = 0x81
 _T_REV = 0x82
@@ -93,8 +102,7 @@ _T_MISC = 0x86
 _T_ROUTE = 0x87
 _T_TAG = 0x88
 
-_KIND_CODE = {k: i + 1 for i, k in enumerate(PacketKind)}
-# the eight tagged 32-bit sequence fields, the misc byte (hop count) and the
+# the eight tagged 32-bit sequence fields, the misc byte (always 0) and the
 # route-record header (length); then one tagged 16-bit id per route entry
 _FIXED = struct.Struct(">" + "BI" * 8 + "BB" + "BB")
 _ROUTE_ENTRY = struct.Struct(">BH")
@@ -104,10 +112,11 @@ _NODE_ID_SIZE = len(encode_node_id(0))
 
 def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
     """Canonical control-header encoding, used for tagging, privacy checks
-    and size accounting.  Sequence fields keep their low 32 bits, the hop
-    count and the route-record length their low 8 and each route entry its
-    low 16."""
-    parts = [bytes([_T_KIND, _KIND_CODE[pkt.kind]])]
+    and size accounting.  Sequence fields keep their low 32 bits, the
+    route-record length its low 8 and each route entry its low 16.  The
+    hop-count byte is a sized slot written as 0: no handler reads a hop
+    count, so a relay forwards a tagged reply unchanged."""
+    parts = [bytes([_T_KIND, pkt.kind.code])]
     if pkt.forward_alias is not None:
         parts.append(bytes([_T_FWD]) + pkt.forward_alias.digest)
     if pkt.reverse_alias is not None:
@@ -122,7 +131,7 @@ def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
         _T_SEQ, pkt.dseq & _U32, _T_SEQ, pkt.req_oseq & _U32,
         _T_SEQ, pkt.packet_id & _U32, _T_SEQ, pkt.flow_id & _U32,
         _T_SEQ, pkt.round & _U32, _T_SEQ, pkt.path_id & _U32,
-        _T_MISC, pkt.hop_count & 0xFF, _T_ROUTE, len(route) & 0xFF))
+        _T_MISC, 0, _T_ROUTE, len(route) & 0xFF))
     if route:
         entry = _ROUTE_ENTRY.pack
         parts.extend([entry(_T_ROUTE, nid & 0xFFFF) for nid in route])

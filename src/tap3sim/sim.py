@@ -335,7 +335,6 @@ class Flow:
     start_time: float
     ps_chain: PseudonymChain
     pd_chain: PseudonymChain
-    sseq: int = 0
     round: int = 0
     last_known_dseq: int = 0
     paths: list[PathInfo] = field(default_factory=list)
@@ -413,8 +412,8 @@ class Simulation:
         # route-request key -> its listener record (see `start_discovery`)
         self.rreq_listeners: dict[tuple, dict[int, None]] = {}
         self.result = RunResult(config)
+        # the training epoch; attacks activate when it ends (`_attack`)
         self.train_end = TRAIN_FRACTION * config.sim_duration
-        self.attack_start = self.train_end
         seed = config.rng_seed
         self.rng_attack = _stream(seed, "attack")
         self.rng_jitter = _stream(seed, "jitter")
@@ -436,8 +435,6 @@ class Simulation:
             self.nodes.append(SimNode(i, mob, alias, attackers.get(i),
                                       self.trust_layer))
 
-        self.masters = [MasterKey.from_seed(seed, i)
-                        for i in range(config.node_count)]
         self.flows: list[Flow] = []
         self._setup_flows(positions, set(attackers))
         # data packet id -> IN_FLIGHT or its fate: the only record of them
@@ -463,7 +460,8 @@ class Simulation:
             chosen.append((a, b))
             used.update((a, b))
         for fid, (src, dst) in enumerate(chosen):
-            key = derive_pairwise_key(self.masters[dst], src)
+            key = derive_pairwise_key(
+                MasterKey.from_seed(cfg.rng_seed, dst), src)
             ps = PseudonymChain.start(key, src)
             pd = PseudonymChain.start(key, dst)
             flow = Flow(fid, src, dst, key, 1.0 + 0.25 * fid, ps, pd)
@@ -515,7 +513,7 @@ class Simulation:
                size: int) -> None:
         if self.trace:
             self.result.packet_rows.append(
-                f"{t:.6f},{pkt.kind.value},{frm},{to},{pkt.packet_id},"
+                f"{t:.6f},{pkt.kind.text},{frm},{to},{pkt.packet_id},"
                 f"{pkt.path_id},{size}")
 
     def transmit(self, sender: int, to: Optional[int], pkt: Packet,
@@ -531,7 +529,7 @@ class Simulation:
         once transmitted (see `Packet`).  The frame is sized without
         being encoded; only the privacy scan encodes the header."""
         if to is None and pkt.kind is not RREQ:
-            raise ValueError(f"cannot broadcast a {pkt.kind.value} frame")
+            raise ValueError(f"cannot broadcast a {pkt.kind.text} frame")
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
         size = packet_size(pkt)
@@ -649,14 +647,13 @@ class Simulation:
     def start_discovery(self, flow: Flow) -> None:
         flow.round += 1
         rnd = flow.round
-        flow.sseq += 1
         src_node = self.nodes[flow.src]
         src_node.oseq += 1
         if self.trust_layer and rnd > 1:
             flow.ps_chain = flow.ps_chain.advanced()
             flow.pd_chain = flow.pd_chain.advanced()
         pid = self.new_pid()
-        pkt = Packet(RREQ, flow.flow_id, pid, round=rnd, sseq=flow.sseq,
+        pkt = Packet(RREQ, flow.flow_id, pid, round=rnd, sseq=rnd,
                      oseq=src_node.oseq, dseq=flow.last_known_dseq)
         if self.uses_pseudonyms:
             pkt.forward_alias = flow.pd_chain.current
@@ -731,7 +728,7 @@ class Simulation:
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
                               lambda: self.dest_reply(node, flow, pkt.round))
             rounds[pkt.round][1].append(
-                (pkt.hop_count, self.now, list(pkt.route_record)))
+                (len(pkt.route_record), self.now, list(pkt.route_record)))
             return
         rev_key = (pkt.flow_id, pkt.round)
         if rev_key in node.rev_routes:
@@ -749,7 +746,6 @@ class Simulation:
                 forged.tag = b"\x00" * 32
             self.transmit(node.id, frm, forged, control=True)
         fwd = pkt.copy()
-        fwd.hop_count += 1
         fwd.route_record.append(node.id)
         jitter = self.rng_jitter.uniform(0.0, REBROADCAST_JITTER)
         self.schedule(self.now + jitter,
@@ -757,7 +753,7 @@ class Simulation:
 
     def _attack(self, node: SimNode) -> Optional[AttackerSpec]:
         """The node's attack once attacks are on, else None."""
-        return node.attacker if self.now >= self.attack_start else None
+        return node.attacker if self.now >= self.train_end else None
 
     def _reply(self, node: SimNode, rreq: Packet, dseq: int, path_id: int,
                relays: list[int]) -> Packet:
@@ -776,11 +772,6 @@ class Simulation:
             rrep.dst_addr = rreq.dst_addr
         return rrep
 
-    def _rrep_tag_payload(self, pkt: Packet) -> bytes:
-        c = pkt.copy()
-        c.hop_count = 0
-        return header_bytes(c, include_tag=False)
-
     def dest_reply(self, node: SimNode, flow: Flow, rnd: int) -> None:
         """Answer round `rnd` at the flow's destination.  `on_rreq`
         schedules it on the round's first candidate path; the round's record
@@ -795,7 +786,8 @@ class Simulation:
             ds.dseq += 1
             rrep = self._reply(node, rreq, ds.dseq, idx, relays)
             if self.uses_pseudonyms:
-                rrep.tag = hmac_tag(flow.key, self._rrep_tag_payload(rrep))
+                rrep.tag = hmac_tag(flow.key,
+                                    header_bytes(rrep, include_tag=False))
             nxt = relays[-1] if relays else flow.src
             self.transmit(node.id, nxt, rrep, control=True)
 
@@ -822,9 +814,7 @@ class Simulation:
             pkt.dseq += int(atk.param)
         node.fwd_routes[(pkt.flow_id, pkt.round, pkt.path_id)] = RouteEntry(
             frm, rev.prev_hop)
-        fwd = pkt.copy()
-        fwd.hop_count += 1
-        self.transmit(node.id, rev.prev_hop, fwd, control=True)
+        self.transmit(node.id, rev.prev_hop, pkt, control=True)
 
     def _source_accept(self, flow: Flow, node: SimNode, pkt: Packet,
                        frm: int) -> None:
@@ -832,7 +822,8 @@ class Simulation:
             return
         delta = pkt.dseq - flow.last_known_dseq
         if self.uses_pseudonyms:
-            if not verify_hmac(flow.key, self._rrep_tag_payload(pkt), pkt.tag):
+            if not verify_hmac(flow.key, header_bytes(pkt, include_tag=False),
+                               pkt.tag):
                 self.flag(flow.src, frm)
                 return
             # the tag proves the value came from the true destination, so it
@@ -927,8 +918,7 @@ class Simulation:
             pkt.forward_alias = flow.pd_chain.current
         else:
             pkt.dst_addr = flow.dst
-        nxt = path.next_hop if path.next_hop is not None else flow.dst
-        if not self.transmit(flow.src, nxt, pkt, control=False):
+        if not self.transmit(flow.src, path.next_hop, pkt, control=False):
             return False
         if self.trust_layer:
             key = (path.round, path.path_id)
@@ -966,9 +956,7 @@ class Simulation:
         forge = atk is not None and atk.kind is AttackKind.LOG_FORGERY
         node.log_event(pkt.packet_id, RECEIVED, pkt, self.now, prev_alias,
                        forge=forge)
-        fwd = pkt.copy()
-        fwd.hop_count += 1
-        if self.transmit(node.id, entry.next_hop, fwd, control=False):
+        if self.transmit(node.id, entry.next_hop, pkt, control=False):
             node.log_event(pkt.packet_id, FORWARDED, pkt, self.now,
                            prev_alias, forge=forge)
         else:

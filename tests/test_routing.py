@@ -26,8 +26,7 @@ def rand_packet(rng, pseudonymous=True):
                  flow_id=rng.randrange(8), packet_id=rng.randrange(100000),
                  round=rng.randrange(40), sseq=rng.randrange(1000),
                  oseq=rng.randrange(1000), dseq=rng.randrange(100000),
-                 req_oseq=rng.randrange(1000), hop_count=rng.randrange(9),
-                 path_id=rng.randrange(4),
+                 req_oseq=rng.randrange(1000), path_id=rng.randrange(4),
                  route_record=[rng.randrange(64)
                                for _ in range(rng.randrange(5))])
     if pseudonymous:
@@ -88,7 +87,7 @@ def loop_header_bytes(pkt, include_tag=True):
               pkt.flow_id, pkt.round, pkt.path_id):
         seqs += bytes([0x85]) + (v & 0xFFFFFFFF).to_bytes(4, "big")
     parts.append(seqs)
-    parts.append(bytes([0x86, pkt.hop_count & 0xFF]))
+    parts.append(bytes([0x86, 0]))
     route = bytes([0x87, len(pkt.route_record) & 0xFF])
     for nid in pkt.route_record:
         route += bytes([0x87]) + (nid & 0xFFFF).to_bytes(2, "big")
@@ -112,27 +111,26 @@ ROUTE = (st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=6)
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(list(PacketKind)),
-       seqs=st.tuples(*[WIDE] * 8), hop_count=st.integers(-300, 1000),
+       seqs=st.tuples(*[WIDE] * 8),
        route=ROUTE, fwd=ALIAS, rev=ALIAS, src=ADDRESS, dst=ADDRESS,
        tag=st.binary(max_size=40), include_tag=st.booleans())
 @example(kind=PacketKind.RREQ, seqs=(-1, 2 ** 32, 2 ** 32 + 5, -2 ** 31,
                                      0, 7, 2 ** 40, -7),
-         hop_count=256, route=list(range(65530, 65530 + 257)),
+         route=list(range(65530, 65530 + 257)),
          fwd=Pseudonym(bytes(32)), rev=None, src=None, dst=2 ** 63,
          tag=b"t" * 32, include_tag=True)
-@example(kind=PacketKind.RREP, seqs=(0,) * 8, hop_count=0, route=[],
+@example(kind=PacketKind.RREP, seqs=(0,) * 8, route=[],
          fwd=Pseudonym(bytes(32)), rev=Pseudonym(b"r" * 32), src=0,
          dst=2 ** 64 - 1, tag=b"t" * 32, include_tag=False)
-@example(kind=PacketKind.DATA, seqs=(0,) * 8, hop_count=0, route=[],
+@example(kind=PacketKind.DATA, seqs=(0,) * 8, route=[],
          fwd=None, rev=None, src=None, dst=None, tag=b"", include_tag=True)
 def test_header_bytes_matches_field_by_field_encoding(
-        kind, seqs, hop_count, route, fwd, rev, src, dst, tag, include_tag):
+        kind, seqs, route, fwd, rev, src, dst, tag, include_tag):
     sseq, oseq, dseq, req_oseq, packet_id, flow_id, rnd, path_id = seqs
     pkt = Packet(kind, flow_id, packet_id, round=rnd, forward_alias=fwd,
                  reverse_alias=rev, src_addr=src, dst_addr=dst, sseq=sseq,
-                 oseq=oseq, dseq=dseq, req_oseq=req_oseq,
-                 hop_count=hop_count, path_id=path_id, route_record=route,
-                 tag=tag)
+                 oseq=oseq, dseq=dseq, req_oseq=req_oseq, path_id=path_id,
+                 route_record=route, tag=tag)
     assert header_bytes(pkt, include_tag) == \
         loop_header_bytes(pkt, include_tag)
     # the tag field is last, so cutting it off leaves the untagged header

@@ -662,7 +662,8 @@ def test_broadcast_of_a_reply_is_an_error():
 # frames, clock and evidence-log invariants
 
 
-@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.MPRF])
+@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.S_MPRF,
+                                      ProtocolKind.MPRF])
 def test_received_frames_are_never_mutated(monkeypatch, protocol):
     """Every receiver is handed the very frame that was transmitted (one
     object per broadcast), and no handler changes it."""
