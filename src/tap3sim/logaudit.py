@@ -1,34 +1,37 @@
 """Per-node forwarding logs, Merkle commitments and route audits.
 
 Every node keeps an append-only log of the packets it handled and commits
-it to a Merkle root.  A source audits a route from its own log: for every
-packet it Forwarded, the destination must prove Received and Replied, and
-a relay must prove Received plus Forwarded (or, in the passive scan, a
-Dropped record for a broken link).  Each required record is one
-(packet id, event) lookup in the published snapshot and one inclusion
-proof, built when the auditor asks for it, against the snapshot's root.
-Three checks compose: destination verification, reverse-scan
-active-attacker location, and forward-scan passive-dropper listing.  The
-simulator's live audits and the replay of a trace both run `audit_route`.
+it to a Merkle root.  The entries appended since the last publish are
+hashed at the next one, in one pass, so an entry is committed at its first
+publish.  A source audits a route from its own log: for every packet it
+Forwarded, the destination must prove Received and Replied, and a relay
+must prove Received plus Forwarded (or, in the passive scan, a Dropped
+record for a broken link).  Each required record is one (packet id, event)
+lookup in the published snapshot and one proof walk to the snapshot's
+root, made when the auditor asks for it.  Three checks compose:
+destination verification, reverse-scan active-attacker location, and
+forward-scan passive-dropper listing.  The simulator's live audits and the
+replay of a trace both run `audit_route`.
 
 An audit asks one snapshot for many records, and their proofs share the
 upper part of the tree.  Each snapshot therefore keeps the interior nodes
 it has already verified against its root, and a later proof walk stops at
-the first of them.  This is sound because leaf and interior hashes carry
-distinct domain tags, so a leaf can never stand in for an interior node;
-because the leaf is re-hashed from the entry on every check, so an entry
-edited after publication still fails; and because nodes are added only
-from a walk that reached the root, so only nodes of the committed tree are
-ever known.  Under SHA-256 collision resistance a computed node equal to a
-known one has the same subtree below it, so for the proofs `proves` builds
-a walk that stops there gives the verdict a full walk to the root gives.
+the first of them, reading no sibling above it.  This is sound because
+leaf and interior hashes carry distinct domain tags, so a leaf can never
+stand in for an interior node; because the leaf is re-hashed from the
+entry on every check, so an entry edited after publication still fails;
+and because nodes are added only from a walk that reached the root, so
+only nodes of the committed tree are ever known.  Under SHA-256 collision
+resistance a computed node equal to a known one has the same subtree below
+it, so for the siblings `proves` reads from the committed tree a walk that
+stops there gives the verdict a full walk to the root gives.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
+import sys
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
@@ -105,8 +108,16 @@ def serialize_entry(entry: LogEntry) -> bytes:
                        entry.prev_hop_alias.digest, entry.timestamp)
 
 
+# `serialize_entry`'s layout behind one pad byte, which packs as LEAF_TAG
+_LEAF = struct.Struct(">x32sQBqqq32sd")
+
+
 def leaf_hash(entry: LogEntry) -> bytes:
-    return hashlib.sha256(LEAF_TAG + serialize_entry(entry)).digest()
+    """SHA-256 of LEAF_TAG + `serialize_entry(entry)`, packed in one call."""
+    return hashlib.sha256(_LEAF.pack(
+        entry.node_alias.digest, entry.packet_id, entry.event, entry.sseq,
+        entry.oseq, entry.dseq, entry.prev_hop_alias.digest,
+        entry.timestamp)).digest()
 
 
 def _interior(left: bytes, right: bytes) -> bytes:
@@ -119,10 +130,12 @@ EMPTY_ROOT = hashlib.sha256(EMPTY_TAG).digest()
 class MerkleTree:
     """Append-only binary hash tree over ordered leaves; odd node promoted
     unhashed.  The hash of every complete 2^k-leaf block is cached once,
-    when its last leaf arrives, and never changes afterwards.  The root and
-    any inclusion proof of the first n leaves are rebuilt from those blocks
-    plus the O(log n) nodes on the right edge of the size-n tree, so they
-    equal what a tree built from scratch over those n leaves gives."""
+    when its last leaf arrives, and never changes afterwards; `extend`, the
+    one fold, hashes each level's newly completed blocks in one pass.  The
+    root and any inclusion proof of the first n leaves are rebuilt from
+    those blocks plus the O(log n) nodes on the right edge of the size-n
+    tree, so they equal what a tree built from scratch over those n leaves
+    gives."""
 
     def __init__(self, leaves: Sequence[bytes] = ()):
         # blocks[k][j] hashes leaves [j * 2^k, (j + 1) * 2^k)
@@ -130,23 +143,36 @@ class MerkleTree:
         # the right edge of the last size asked for (see `_edges`)
         self._edge_size = 0
         self._edge_nodes: list[Optional[bytes]] = [None]
-        for leaf in leaves:
-            self.append(leaf)
+        self.extend(leaves)
 
     def __len__(self) -> int:
         return len(self.blocks[0])
 
     def append(self, leaf: bytes) -> None:
-        level = self.blocks[0]
-        level.append(leaf)
+        self.extend((leaf,))
+
+    def extend(self, leaves: Sequence[bytes]) -> None:
+        """Append `leaves` in order.  Level k + 1 always holds one node per
+        complete pair of level k, so the pairs a level completes are those
+        from its old length, rounded down to even, to its new one."""
+        sha256 = hashlib.sha256
+        blocks = self.blocks
+        level = blocks[0]
+        start = len(level)
+        level.extend(leaves)
         k = 0
-        while not len(level) % 2:
-            node = _interior(level[-2], level[-1])
+        while True:
+            lo, hi = start & ~1, len(level) & ~1
+            if lo == hi:
+                return
+            nodes = [sha256(NODE_TAG + level[i] + level[i + 1]).digest()
+                     for i in range(lo, hi, 2)]
             k += 1
-            if k == len(self.blocks):
-                self.blocks.append([])
-            level = self.blocks[k]
-            level.append(node)
+            if k == len(blocks):
+                blocks.append([])
+            level = blocks[k]
+            start = len(level)
+            level.extend(nodes)
 
     def _edges(self, size: int) -> list[Optional[bytes]]:
         """Entry k is the last node of level k of the size-`size` tree when
@@ -197,30 +223,16 @@ class MerkleTree:
 
     @staticmethod
     def verify(root: bytes, leaf: bytes,
-               proof: Sequence[tuple[bytes, bool]],
-               known: Optional[set[bytes]] = None) -> bool:
-        """True iff the proof walk from `leaf` reaches `root`.  `known`
-        holds interior nodes already verified against `root`: the walk
-        succeeds at the first node it computes that is in the set, and a
-        successful walk adds the interior nodes it computed.  The leaf
-        itself is never looked up or added."""
-        if known is None:
-            known = set()
+               proof: Sequence[tuple[bytes, bool]]) -> bool:
+        """True iff the proof walk from `leaf` reaches `root`; a malformed
+        proof is False."""
         node = leaf
-        path = []
         try:
             for sibling, is_left in proof:
                 node = _interior(sibling, node) if is_left else _interior(node, sibling)
-                if node in known:
-                    break
-                path.append(node)
-            else:
-                if node != root:
-                    return False
         except (TypeError, ValueError):
             return False
-        known.update(path)
-        return True
+        return node == root
 
 
 class Expected(NamedTuple):
@@ -235,13 +247,16 @@ class PublishedLog:
     `size` entries of its log.  The auditor then asks for one record at a
     time, by (packet id, event); the node answers with the entry and its
     inclusion proof at that size.  Entries appended later are not part of
-    the snapshot.
+    the snapshot.  Publishing hashed every entry of the snapshot into the
+    log's tree, and the proofs come from that tree, so an entry edited
+    since then fails.
 
     `verified` holds the interior nodes that earlier checks of this
-    snapshot walked up to its root, so a later proof stops where it meets
+    snapshot walked up to its root, so a later walk stops where it meets
     one of them (see the module docstring for why that is sound).  The
-    entry is still re-hashed and its proof still built on every check.
-    The set lives as long as the snapshot."""
+    entry is still re-hashed on every check, and a walk reads only the
+    siblings below the first verified node.  The set lives as long as the
+    snapshot."""
     root: bytes
     log: NodeLog
     size: int
@@ -250,13 +265,41 @@ class PublishedLog:
 
     def proves(self, packet_id: int, event: EventKind) -> bool:
         """True iff the snapshot holds a (packet_id, event) entry whose
-        inclusion proof verifies against the published root."""
-        index = self.log.claim_index(packet_id, event, self.size)
+        inclusion proof verifies against the published root.  The walk is
+        `MerkleTree.proof` and `MerkleTree.verify` fused: each sibling is
+        read where `proof` reads it, and the walk stops at the first node
+        in `verified`, or at the root.  A malformed sibling is False."""
+        log, n = self.log, self.size
+        index = log.claim_index(packet_id, event, n)
         if index is None:
             return False
-        proof = self.log.tree.proof(index, self.size)
-        return MerkleTree.verify(self.root, leaf_hash(self.log.entries[index]),
-                                 proof, self.verified)
+        sha256 = hashlib.sha256
+        tree = log._tree        # publishing hashed the snapshot's entries
+        blocks, verified = tree.blocks, self.verified
+        node = leaf_hash(log.entries[index])
+        path = []
+        try:
+            for k in range((n - 1).bit_length()):
+                at = index >> k
+                sib = at ^ 1
+                if (sib + 1) << k <= n:
+                    sibling = blocks[k][sib]
+                elif sib << k < n:
+                    sibling = tree._edges(n)[k]
+                else:           # the last node of its level, promoted
+                    continue
+                node = sha256(NODE_TAG + sibling + node if at & 1
+                              else NODE_TAG + node + sibling).digest()
+                if node in verified:
+                    break
+                path.append(node)
+            else:
+                if node != self.root:
+                    return False
+        except (TypeError, ValueError):
+            return False
+        verified.update(path)
+        return True
 
 
 class DuplicateEntryError(Exception):
@@ -269,11 +312,15 @@ class TimestampRegressionError(Exception):
 
 class NodeLog:
     """Append-only evidence log committed to an append-only Merkle tree.
-    Each (packet id, event) claim names exactly one entry."""
+    Each (packet id, event) claim names exactly one entry.  `append` only
+    checks and records an entry; reading `tree`, which `publish` does,
+    hashes every entry appended since the last read.  So an entry is
+    committed at its first publish, and editing it afterwards fails every
+    check of a snapshot that holds it."""
 
     def __init__(self):
         self.entries: list[LogEntry] = []
-        self.tree = MerkleTree()
+        self._tree = MerkleTree()
         self._claims: dict[tuple[int, EventKind], int] = {}
         self._last_ts = float("-inf")
 
@@ -287,7 +334,14 @@ class NodeLog:
         self._claims[claim] = len(self.entries)
         self._last_ts = entry.timestamp
         self.entries.append(entry)
-        self.tree.append(leaf_hash(entry))
+
+    @property
+    def tree(self) -> MerkleTree:
+        """The tree over every entry appended so far."""
+        tree = self._tree
+        if len(tree) < len(self.entries):
+            tree.extend([leaf_hash(e) for e in self.entries[len(tree):]])
+        return tree
 
     def claim_index(self, packet_id: int, event: EventKind,
                     size: int) -> Optional[int]:
@@ -439,7 +493,8 @@ def entry_from_list(data: Sequence,
             is type(dseq) is int):
         raise TypeError(f"packet id, event code and counters "
                         f"{[pid, code, sseq, oseq, dseq]!r} must be integers")
-    if type(ts) not in (float, int) or not math.isfinite(ts):
+    # an int compares exactly: 10**400 fails, where isfinite overflows
+    if type(ts) not in (float, int) or not abs(ts) <= sys.float_info.max:
         raise ValueError(f"timestamp {ts!r} is not a finite number")
     event = _EVENT_BY_CODE.get(code)
     if event is None:

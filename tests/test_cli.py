@@ -139,6 +139,17 @@ def _nan_timestamp(export):
     return export, "recorded log of node"
 
 
+def _huge_timestamp(export):
+    # a JSON integer too large for a float
+    return _first_entry(export, 7, 10 ** 400)
+
+
+def _huge_path_timestamp(export):
+    i, path = next((i, p) for i, p in enumerate(export["paths"]) if p["data"])
+    path["data"][0][7] = 10 ** 400
+    return export, f"recorded path {i}"
+
+
 def _bool_flow(export):
     export["paths"][0]["flow"] = True
     return export, "recorded path 0"
@@ -188,6 +199,7 @@ def desk_trace_lines(tmp_path_factory):
                                      _nodes_as_list, _export_as_list,
                                      _float_packet_id, _string_counter,
                                      _fractional_event, _nan_timestamp,
+                                     _huge_timestamp, _huge_path_timestamp,
                                      _bool_flow, _negative_packet_id,
                                      _bool_relay, _float_destination,
                                      _relays_as_string, _padded_node_key],
@@ -196,6 +208,7 @@ def desk_trace_lines(tmp_path_factory):
                               "nodes-list", "export-list",
                               "float-packet-id", "string-counter",
                               "fractional-event", "nan-timestamp",
+                              "huge-timestamp", "huge-path-timestamp",
                               "bool-flow", "negative-packet-id",
                               "bool-relay", "float-destination",
                               "relays-as-string", "padded-node-key"])

@@ -17,6 +17,7 @@ from tap3sim.logaudit import (
     DuplicateEntryError,
     EventKind,
     FELLOW,
+    LEAF_TAG,
     LogEntry,
     MerkleTree,
     NOT_FELLOW,
@@ -86,6 +87,7 @@ DIGESTS = st.binary(min_size=32, max_size=32).map(Pseudonym)
                   2 ** 63 - 1, -1, alias(0), float("-inf")))
 def test_serialize_entry_matches_field_by_field_encoding(e):
     assert serialize_entry(e) == field_by_field_encoding(e)
+    assert leaf_hash(e) == hashlib.sha256(LEAF_TAG + serialize_entry(e)).digest()
 
 
 def test_root_order_sensitive():
@@ -183,19 +185,26 @@ def test_incremental_tree_equals_from_scratch(snapshots, extra, events):
 
 @settings(max_examples=60, deadline=None)
 @given(total=st.integers(0, 70),
-       ops=st.lists(st.one_of(st.none(), st.integers(0, 10 ** 6)),
+       ops=st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 40)),
+                              st.integers(0, 10 ** 6)),
                     max_size=40))
 @example(total=70, ops=[70, 1, 64, 5, None, 65, 3, 70, 66, 64, 0, 65])
+@example(total=70, ops=[(3,), 2, (13,), None, 16, (1,), 9, (35,), 52,
+                        (40,), 70, 33])
 def test_sizes_in_any_order_equal_from_scratch(total, ops):
-    # None appends one more leaf, any other op asks for a size of the tree
-    # so far: the right edge of one size is kept, so both the order of the
-    # sizes and the appends in between must leave the answers unchanged
+    # None appends one more leaf, (m,) extends the tree by the next m
+    # leaves in one call, any other op asks for a size of the tree so far:
+    # the right edge of one size is kept, so both the order of the sizes
+    # and the appends in between must leave the answers unchanged
     leaves = [leaf_hash(entry(pid=i, ts=float(i))) for i in range(total)]
     tree = MerkleTree()
     for op in ops:
         if op is None:
             if len(tree) < total:
                 tree.append(leaves[len(tree)])
+            continue
+        if isinstance(op, tuple):
+            tree.extend(leaves[len(tree):len(tree) + op[0]])
             continue
         n = op % (len(tree) + 1)
         root, proofs = reference_tree(leaves[:n])
@@ -297,16 +306,18 @@ def test_hash_verify_detects_post_commit_tamper():
     assert not MerkleTree.verify(pub.root, leaf_hash(forged), stale_proof)
 
 
-def test_hash_verify_malformed_proof_is_failure(monkeypatch):
-    pub = honest_published([entry(pid=1, ts=0.0)])
-    key = (1, EventKind.RECEIVED)
+def test_hash_verify_malformed_proof_is_failure():
+    pub = honest_published([entry(pid=0, ts=0.0), entry(pid=1, ts=1.0)])
+    key = (0, EventKind.RECEIVED)
     assert pub.proves(*key)
-    # the node answers with a malformed proof; `proves` must reject it
-    for malformed in ([(b"short", "x")], [(None, False)], [("text", True)],
-                      [(b"x" * 32,)]):
-        monkeypatch.setattr(MerkleTree, "proof",
-                            lambda self, index, size=None: malformed)
+    verified = set(pub.verified)
+    # the node answers with a malformed sibling, planted where the walk
+    # reads it; `proves` must reject it, never raise, and keep no node of
+    # the failed walk
+    for malformed in (b"short", None, "text", b"x" * 32):
+        pub.log.tree.blocks[0][1] = malformed
         assert not pub.proves(*key), malformed
+        assert pub.verified == verified
 
 
 def interior_nodes(leaves):
