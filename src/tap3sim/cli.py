@@ -20,6 +20,7 @@ import math
 import struct
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import logaudit
 from .metrics import (
@@ -128,8 +129,16 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.rng_seed = args.seed
-    result = run_scenario(cfg, trace=args.trace is not None,
-                          check_privacy=True)
+    cfg.validate()
+    # a fault inside a valid run is a run failure, as under `sweep`, even
+    # when it is a ValueError
+    try:
+        result = run_scenario(cfg, trace=args.trace is not None,
+                              check_privacy=True)
+    except Exception as exc:
+        raise RuntimeError(
+            f"run failed at ({cfg.protocol.value}, "
+            f"pause={cfg.pause_time:g}, seed={cfg.rng_seed}): {exc}") from exc
     report = report_from_result(result)
     csv_text = CSV_COLUMNS + "\n" + report.csv_row() + "\n"
     if args.out is not None:
@@ -162,10 +171,20 @@ _MALFORMED = (logaudit.DuplicateEntryError, logaudit.TimestampRegressionError,
               KeyError, IndexError, TypeError, ValueError, struct.error)
 
 
+def forwarded_pids(records: Iterable[logaudit.LogEntry]) -> list[int]:
+    """The sorted, distinct ids of the packets that a recorded path's
+    source entries show as Forwarded: what `logaudit.audit_route` takes.
+    A record of any other event names nothing to audit."""
+    return sorted({e.packet_id for e in records
+                   if e.event is logaudit.FORWARDED})
+
+
 def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     """Rebuild the recorded evidence logs and re-run every recorded path
     audit through `logaudit.audit_route`, as the live simulation did.  A
-    log or path record that cannot be rebuilt, or an export of the wrong
+    path's `control` and `data` records are the source's entries; the
+    audit takes the ids of those it Forwarded (`forwarded_pids`).  A log
+    or path record that cannot be rebuilt, or an export of the wrong
     shape, is the trace's fault, so it is a `UsageError` naming the part,
     node or path."""
     if not isinstance(export, dict):
@@ -198,10 +217,10 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
                                 "integers")
             route_logs = [published.get(r) for r in relays]
             dest = published.get(dst)
-            control = [logaudit.entry_from_list(e, aliases)
-                       for e in record["control"]]
-            data = [logaudit.entry_from_list(e, aliases)
-                    for e in record["data"]]
+            control = forwarded_pids([logaudit.entry_from_list(e, aliases)
+                                      for e in record["control"]])
+            data = forwarded_pids([logaudit.entry_from_list(e, aliases)
+                                   for e in record["data"]])
         except _MALFORMED as exc:
             raise UsageError(f"recorded path {i}: {exc!r}") from exc
         reports.append(logaudit.audit_route(route_logs, dest, control, data))

@@ -3,15 +3,18 @@
 Every node keeps an append-only log of the packets it handled and commits
 it to a Merkle root.  The entries appended since the last publish are
 hashed at the next one, in one pass, so an entry is committed at its first
-publish.  A source audits a route from its own log: for every packet it
-Forwarded, the destination must prove Received and Replied, and a relay
+publish.  A source audits a route from its own records: for every packet
+it Forwarded, the destination must prove Received and Replied, and a relay
 must prove Received plus Forwarded (or, in the passive scan, a Dropped
-record for a broken link).  Each required record is one (packet id, event)
-lookup in the published snapshot and one proof walk to the snapshot's
-root, made when the auditor asks for it.  Three checks compose:
-destination verification, reverse-scan active-attacker location, and
-forward-scan passive-dropper listing.  The simulator's live audits and the
-replay of a trace both run `audit_route`.
+record for a broken link).  The audit functions take those packets as
+their ids, sorted and distinct; choosing the Forwarded records is the
+caller's job (the simulator's source records only what it Forwarded, and
+`cli.forwarded_pids` filters the records a trace holds).  Each required
+record is one (packet id, event) lookup in the published snapshot and one
+proof walk to the snapshot's root, made when the auditor asks for it.
+Three checks compose: destination verification, reverse-scan
+active-attacker location, and forward-scan passive-dropper listing.  The
+simulator's live audits and the replay of a trace both run `audit_route`.
 
 An audit asks one snapshot for many records, and their proofs share the
 upper part of the tree.  Each snapshot therefore keeps the interior nodes
@@ -360,16 +363,10 @@ DESTINATION_EVENTS = (RECEIVED, REPLIED)
 RELAY_EVENTS = (RECEIVED, FORWARDED)
 
 
-def _forwarded_pids(observed: Sequence[LogEntry]) -> list[int]:
-    return sorted({e.packet_id for e in observed
-                   if e.event is FORWARDED})
-
-
 def apply_rules(events: Sequence[EventKind],
-                observed: Sequence[LogEntry]) -> list[Expected]:
-    """One expected record per event and per packet id the auditor's own
-    log shows as Forwarded, in event order then packet-id order."""
-    pids = _forwarded_pids(observed)
+                pids: Sequence[int]) -> list[Expected]:
+    """One expected record per event and per packet id the auditor
+    Forwarded, in event order then in the order of `pids`."""
     return [Expected(pid, event) for event in events for pid in pids]
 
 
@@ -388,7 +385,7 @@ def _proves_all(published: Optional[PublishedLog],
     return all(proves(*record) for record in expected)
 
 
-def check_destination(tau_c: Sequence[LogEntry],
+def check_destination(tau_c: Sequence[int],
                       dest_published: Optional[PublishedLog]) -> str:
     if _proves_all(dest_published, apply_rules(DESTINATION_EVENTS, tau_c)):
         return FELLOW
@@ -396,7 +393,7 @@ def check_destination(tau_c: Sequence[LogEntry],
 
 
 def detect_active_attacker(route_logs: Sequence[Optional[PublishedLog]],
-                           tau_c: Sequence[LogEntry]):
+                           tau_c: Sequence[int]):
     """Reverse scan of the intermediaries.  The deepest node whose records
     all verify locates the forger immediately downstream of it; if even the
     last intermediary verifies the destination itself lied."""
@@ -411,13 +408,13 @@ def detect_active_attacker(route_logs: Sequence[Optional[PublishedLog]],
 
 
 def detect_passive_attackers(route_logs: Sequence[Optional[PublishedLog]],
-                             tau_c: Sequence[LogEntry]) -> list[int]:
-    """Forward scan; a relay is fake when, for some packet its verified
-    upstream passed on, it cannot prove Received plus either Forwarded or
-    a Dropped (link-failure) record.  Each hop is only held to the packets
-    its upstream Forwarded, so droppers do not taint honest nodes
-    downstream of them."""
-    pids = _forwarded_pids(tau_c)
+                             pids: Sequence[int]) -> list[int]:
+    """Forward scan over the ids of the packets the auditor Forwarded; a
+    relay is fake when, for some packet its verified upstream passed on,
+    it cannot prove Received plus either Forwarded or a Dropped
+    (link-failure) record.  Each hop is only held to the packets its
+    upstream Forwarded, so droppers do not taint honest nodes downstream
+    of them."""
     fake: list[int] = []
     for j, published in enumerate(route_logs, start=1):
         proves = (published or _SILENT).proves
@@ -447,10 +444,12 @@ class AuditReport:
 
 def audit_route(route_logs: Sequence[Optional[PublishedLog]],
                 dest_published: Optional[PublishedLog],
-                tau_c_control: Sequence[LogEntry],
-                tau_c_data: Sequence[LogEntry]) -> AuditReport:
+                tau_c_control: Sequence[int],
+                tau_c_data: Sequence[int]) -> AuditReport:
     """Destination check first; its verdict dispatches to the active-attack
-    scan (reverse) or the passive-dropper scan (forward)."""
+    scan (reverse) or the passive-dropper scan (forward).  The two
+    arguments are the sorted, distinct ids of the control and the data
+    packets the source Forwarded on the route."""
     verdict = check_destination(tau_c_control, dest_published)
     if verdict != FELLOW:
         if not route_logs:

@@ -16,7 +16,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import logaudit, seqmon
 from .crypto import (
@@ -210,10 +210,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 class Mobility:
     """Random-waypoint movement of one node.  `position(t)` must be asked
-    for non-decreasing `t`; the legs a node walks depend only on its rng,
-    never on which times are asked for.  Only the current leg is kept: the
-    node walks from `origin` to `waypoint` at `speed` from `leg_start`,
-    then pauses there for `pause_time`."""
+    for non-decreasing `t`, which the simulation clock guarantees (see
+    `Simulation.run`); the legs a node walks depend only on its rng, never
+    on which times are asked for, or how often.  Only the current leg is
+    kept: the node walks from `origin` to `waypoint` at `speed` from
+    `leg_start`, then pauses there for `pause_time`."""
 
     def __init__(self, rng: random.Random, start: tuple[float, float],
                  area: tuple[float, float], max_speed: float,
@@ -343,13 +344,32 @@ class Flow:
     backoff: float = BACKOFF_START
     discovery_outstanding: Optional[int] = None
     suspects: set[int] = field(default_factory=set)
+    # `select_paths` over `paths` and `suspects`, or None once
+    # `update_routes` has dropped it (see `Simulation._usable_paths`)
+    usable: Optional[list[PathInfo]] = field(default=None, repr=False,
+                                             compare=False)
     # round -> the source's Forwarded entry for its route request; filled
     # under the trust layer only, for `Simulation.run_audits`
-    tau_c_control: dict[int, list[LogEntry]] = field(default_factory=dict)
-    # (round, path id) -> (relays, the source's Forwarded entry for every
-    # data packet sent on that path and not yet audited, oldest first)
-    audit_queue: dict[tuple, tuple[list[int], list[LogEntry]]] = field(
-        default_factory=dict)
+    tau_c_control: dict[int, LogEntry] = field(default_factory=dict)
+    # (round, path id) -> (relays, a (packet id, send time) record of every
+    # data packet the source Forwarded on that path and has not audited
+    # yet, oldest first)
+    audit_queue: dict[tuple, tuple[list[int], list[tuple[int, float]]]] = \
+        field(default_factory=dict)
+
+    def update_routes(self, paths: Optional[list[PathInfo]] = None,
+                      broken: Sequence[PathInfo] = (),
+                      suspects: Optional[set[int]] = None) -> None:
+        """Replace the path list, mark paths broken, or replace the
+        suspects: the one writer of the three once the flow runs.  Each
+        can change which paths are usable, so the memo goes here."""
+        if paths is not None:
+            self.paths = paths
+        for path in broken:
+            path.broken = True
+        if suspects is not None:
+            self.suspects = suspects
+        self.usable = None
 
 
 @dataclass
@@ -404,8 +424,6 @@ class Simulation:
         self.uses_pseudonyms = config.protocol.uses_pseudonyms
         self.check_privacy = check_privacy and self.uses_pseudonyms
         self.now = 0.0
-        self._positions_at = -math.inf
-        self._positions: list[Optional[tuple[float, float]]] = []
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
@@ -481,17 +499,8 @@ class Simulation:
         return self._next_pid
 
     def position(self, nid: int) -> tuple[float, float]:
-        """Where node `nid` is at `self.now`.  Positions are kept until the
-        clock moves, which is sound because it never moves back (see
-        `run`)."""
-        if self._positions_at != self.now:
-            self._positions_at = self.now
-            self._positions = [None] * len(self.nodes)
-        pos = self._positions[nid]
-        if pos is None:
-            pos = self._positions[nid] = \
-                self.nodes[nid].mobility.position(self.now)
-        return pos
+        """Where node `nid` is at `self.now`."""
+        return self.nodes[nid].mobility.position(self.now)
 
     def link(self, a: int, b: int) -> tuple[bool, float]:
         d = math.dist(self.position(a), self.position(b))
@@ -511,10 +520,9 @@ class Simulation:
 
     def _trace(self, t: float, pkt: Packet, frm: int, to: int,
                size: int) -> None:
-        if self.trace:
-            self.result.packet_rows.append(
-                f"{t:.6f},{pkt.kind.text},{frm},{to},{pkt.packet_id},"
-                f"{pkt.path_id},{size}")
+        self.result.packet_rows.append(
+            f"{t:.6f},{pkt.kind.text},{frm},{to},{pkt.packet_id},"
+            f"{pkt.path_id},{size}")
 
     def transmit(self, sender: int, to: Optional[int], pkt: Packet,
                  control: bool) -> bool:
@@ -527,7 +535,8 @@ class Simulation:
         changes no state, and every other event keeps its time and its
         order.  Every receiver gets `pkt` itself: frames are read-only
         once transmitted (see `Packet`).  The frame is sized without
-        being encoded; only the privacy scan encodes the header."""
+        being encoded; only the privacy scan, which reads control frames
+        alone, encodes the header."""
         if to is None and pkt.kind is not RREQ:
             raise ValueError(f"cannot broadcast a {pkt.kind.text} frame")
         node = self.nodes[sender]
@@ -543,9 +552,10 @@ class Simulation:
             self.result.control_tx += 1
         else:
             self.result.data_tx += 1
-        if self.check_privacy:
+        if control and self.check_privacy:
             self._privacy_scan(pkt)
-        self._trace(start, pkt, sender, -1 if to is None else to, size)
+        if self.trace:
+            self._trace(start, pkt, sender, -1 if to is None else to, size)
         if to is None:
             here = self.position(sender)
             radio_range = self.config.radio_range
@@ -662,8 +672,8 @@ class Simulation:
             pkt.src_addr = flow.src
             pkt.dst_addr = flow.dst
         if self.trust_layer:
-            flow.tau_c_control[rnd] = [
-                src_node.log_entry(pid, FORWARDED, pkt, self.now)]
+            flow.tau_c_control[rnd] = src_node.log_entry(pid, FORWARDED, pkt,
+                                                         self.now)
         key = self._rreq_key(pkt)
         if key in self.rreq_listeners:
             raise RuntimeError(f"route-request key {key!r} originated twice")
@@ -834,16 +844,19 @@ class Simulation:
         if verdict is not None and verdict.label is seqmon.Label.MALICIOUS:
             self.flag(flow.src, frm)
             return
+        paths = flow.paths
         if flow.discovery_outstanding == pkt.round:
+            # no path of an outstanding round is kept yet, so the duplicate
+            # test below finds none and the filtered list is stored
             flow.discovery_outstanding = None
-            flow.paths = [p for p in flow.paths if p.round == pkt.round]
+            paths = [p for p in paths if p.round == pkt.round]
             flow.backoff = BACKOFF_START
         path = PathInfo(pkt.path_id, pkt.round, list(pkt.route_record),
                         pkt.dseq, self.now, next_hop=frm)
         if any(p.path_id == path.path_id and p.round == path.round
-               for p in flow.paths):
+               for p in paths):
             return
-        flow.paths.append(path)
+        flow.update_routes(paths=paths + [path])
         flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
         ack = Packet(RREP_ACK, flow.flow_id, self.new_pid(),
                      round=pkt.round, path_id=pkt.path_id)
@@ -887,7 +900,14 @@ class Simulation:
         self.packet_state[pid] = fate
 
     def _usable_paths(self, flow: Flow) -> list[PathInfo]:
-        return select_paths(flow.paths, flow.suspects, self.config.protocol)
+        """`select_paths` over the flow's paths and suspects, kept on the
+        flow until `Flow.update_routes` changes either.  Callers only read
+        the list."""
+        usable = flow.usable
+        if usable is None:
+            usable = flow.usable = select_paths(flow.paths, flow.suspects,
+                                                self.config.protocol)
+        return usable
 
     def _send_or_buffer(self, flow: Flow, pid: int, origin: float) -> None:
         usable = self._usable_paths(flow)
@@ -899,7 +919,7 @@ class Simulation:
                 path = usable[0]
             if self._send_data(flow, pid, origin, path):
                 return
-            path.broken = True
+            flow.update_routes(broken=(path,))
             usable = self._usable_paths(flow)
         # no usable route: buffer and rediscover
         if len(flow.pending) >= SEND_BUFFER_CAP:
@@ -922,10 +942,10 @@ class Simulation:
             return False
         if self.trust_layer:
             key = (path.round, path.path_id)
-            if key not in flow.audit_queue:
-                flow.audit_queue[key] = (list(path.relays), [])
-            flow.audit_queue[key][1].append(self.nodes[flow.src].log_entry(
-                pid, FORWARDED, pkt, self.now))
+            queued = flow.audit_queue.get(key)
+            if queued is None:
+                queued = flow.audit_queue[key] = (list(path.relays), [])
+            queued[1].append((pid, self.now))
         return True
 
     def _flush_pending(self, flow: Flow) -> None:
@@ -970,9 +990,9 @@ class Simulation:
     def on_rerr(self, node: SimNode, pkt: Packet, frm: int) -> None:
         flow = self.flows[pkt.flow_id]
         if node.id == flow.src:
-            for p in flow.paths:
-                if p.round == pkt.round and p.path_id == pkt.path_id:
-                    p.broken = True
+            flow.update_routes(broken=[
+                p for p in flow.paths
+                if p.round == pkt.round and p.path_id == pkt.path_id])
             if not self._usable_paths(flow) and flow.discovery_outstanding is None:
                 self.start_discovery(flow)
             return
@@ -1003,6 +1023,9 @@ class Simulation:
             self.result.packet_rows.extend([resp] * hops_up)
 
     def run_audits(self, flow: Flow) -> None:
+        """Audit every path with data records older than the settle time.
+        The audit reads only the packet ids; a traced run exports each
+        record as the source's Forwarded entry for it."""
         cutoff = self.now - AUDIT_SETTLE
         cache: dict[int, logaudit.PublishedLog] = {}
 
@@ -1013,33 +1036,38 @@ class Simulation:
 
         queue, flow.audit_queue = flow.audit_queue, {}
         for key in sorted(queue):
-            relays, tau_c = queue[key]
-            tau_data = [e for e in tau_c if e.timestamp < cutoff]
-            keep = [e for e in tau_c if e.timestamp >= cutoff]
+            relays, sent = queue[key]
+            tau_data = [r for r in sent if r[1] < cutoff]
+            keep = [r for r in sent if r[1] >= cutoff]
             if keep:
                 flow.audit_queue[key] = (relays, keep)
             if not tau_data:
                 continue
             self._charge_audit_traffic(flow, relays)
-            tau_ctl = flow.tau_c_control.get(key[0], [])
+            control = flow.tau_c_control[key[0]]
             if self.trace:
+                # a DATA frame carries zero counters, and the source is
+                # its own previous hop
+                alias = self.nodes[flow.src].log_alias
                 self._audit_records.append({
                     "flow": flow.flow_id, "dst": flow.dst, "relays": relays,
-                    "control": [logaudit.entry_to_list(e) for e in tau_ctl],
-                    "data": [logaudit.entry_to_list(e) for e in tau_data]})
+                    "control": [logaudit.entry_to_list(control)],
+                    "data": [logaudit.entry_to_list(LogEntry(
+                        alias, pid, FORWARDED, 0, 0, 0, alias, t))
+                        for pid, t in tau_data]})
             report = logaudit.audit_route(
                 [published(r) for r in relays], published(flow.dst),
-                tau_ctl, tau_data)
+                [control.packet_id], sorted(pid for pid, _ in tau_data))
             if report.verdict != logaudit.FELLOW:
                 nid = (flow.dst if report.target_lied
                        else relays[report.active_attacker - 1])
-                flow.suspects.add(nid)
+                suspects = flow.suspects | {nid}
                 self.result.audit_active.add(nid)
             else:
                 accused = {relays[pos - 1] for pos in report.passive_attackers}
-                flow.suspects.difference_update(relays)
-                flow.suspects.update(accused)
+                suspects = flow.suspects.difference(relays) | accused
                 self.result.audit_passive.update(accused)
+            flow.update_routes(suspects=suspects)
             if self.trace:
                 self.result.audit_rows.append(report.csv_row(flow.flow_id))
         if any(r in flow.suspects for p in flow.paths for r in p.relays):

@@ -16,7 +16,7 @@ import pytest
 
 from tap3sim import logaudit, seqmon
 from tap3sim.crypto import hmac_tag
-from tap3sim.logaudit import FELLOW, LogEntry, MerkleTree, leaf_hash
+from tap3sim.logaudit import FELLOW, LogEntry, MerkleTree, NodeLog, leaf_hash
 from tap3sim.metrics import SweepSpec, sweep
 from tap3sim.routing import ProtocolKind
 from tap3sim.sim import desk_profile, run_scenario
@@ -168,10 +168,34 @@ def test_criterion_7_crypto_vectors_and_log_tamper():
             leaf_hash(victim)))
         if not MerkleTree.verify(tree.root, leaf_hash(tampered), proof):
             rejected += 1
-    ok = vectors_ok and rejected == trials
+    # The same tamper against the verifier live audits and `tap3sim audit`
+    # run.  Earlier checks of the snapshot fill its verified nodes; then a
+    # committed entry is edited in place, and its next two checks must
+    # fail: the first must not leave the second a verified node to stop at.
+    live_rejected = 0
+    for _ in range(trials):
+        log = NodeLog()
+        for pid in range(rng.randint(2, 40)):
+            event = rng.choice((logaudit.EventKind.RECEIVED,
+                                logaudit.EventKind.FORWARDED))
+            log.append(LogEntry(alias(1), pid, event, 1, 2, 3, alias(0),
+                                float(pid)))
+        published = log.publish()
+        earlier = rng.sample(log.entries, rng.randint(1, len(log.entries)))
+        honest = all(published.proves(e.packet_id, e.event) for e in earlier)
+        index = rng.randrange(len(log.entries))
+        victim = log.entries[index]
+        log.entries[index] = replace(victim,
+                                     dseq=victim.dseq + rng.randint(1, 1000))
+        if (honest and published.verified
+                and not published.proves(victim.packet_id, victim.event)
+                and not published.proves(victim.packet_id, victim.event)):
+            live_rejected += 1
+    ok = vectors_ok and rejected == trials and live_rejected == trials
     report(7, ok, f"HMAC-SHA-256 matches all {len(RFC4231)} published "
                   f"vectors: {vectors_ok}; {rejected}/{trials} tampered "
-                  f"log entries rejected")
+                  f"log entries rejected; {live_rejected}/{trials} edited "
+                  f"after earlier checks rejected by PublishedLog.proves")
 
 
 def test_criterion_8_bitwise_reproducibility(tmp_path):

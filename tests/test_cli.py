@@ -9,18 +9,26 @@ from pathlib import Path
 import pytest
 
 import tap3sim
-from tap3sim import metrics
-from tap3sim.cli import _parse_pauses, main, replay_audits
+from tap3sim import metrics, sim
+from tap3sim.cli import _parse_pauses, forwarded_pids, main, replay_audits
 from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
     FELLOW,
+    FORWARDED,
     EventKind,
     LogEntry,
     NodeLog,
     audit_route,
+    entry_to_list,
 )
 from tap3sim.metrics import CSV_COLUMNS
-from tap3sim.sim import DESK_CONFIG_TEXT, desk_profile, run_scenario
+from tap3sim.routing import PacketKind
+from tap3sim.sim import (
+    DESK_CONFIG_TEXT,
+    Simulation,
+    desk_profile,
+    run_scenario,
+)
 
 
 def write_config(tmp_path, text=DESK_CONFIG_TEXT):
@@ -346,6 +354,25 @@ def test_sweep_run_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [("run", []),
+                                           ("sweep", SWEEP_ARGS)],
+                         ids=["run", "sweep"])
+def test_value_error_inside_a_run_exits_two(tmp_path, capsys, monkeypatch,
+                                            command, extra):
+    """A fault inside a valid run is a run failure under both commands,
+    even when it is a ValueError, which is otherwise a usage error."""
+    def failing_run(self):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(Simulation, "run", failing_run)
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, small_config_text())
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "boom" in err
+
+
 def test_bad_usage_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -398,8 +425,8 @@ def fresh_alias_reports(export):
         published[int(nid)] = log.publish()
     return [audit_route([published.get(r) for r in record["relays"]],
                         published.get(record["dst"]),
-                        [entry(e) for e in record["control"]],
-                        [entry(e) for e in record["data"]])
+                        forwarded_pids([entry(e) for e in record["control"]]),
+                        forwarded_pids([entry(e) for e in record["data"]]))
             for record in export["paths"]]
 
 
@@ -434,3 +461,66 @@ def test_replayed_audits_match_honest_runs():
         assert result.audit_rows
         assert "\n".join(replayed_rows(result)) == \
             "\n".join(result.audit_rows), seed
+
+
+def _audit_rows(lines):
+    start = lines.index("# audits") + 2
+    return lines[start:lines.index("# audit-log")]
+
+
+@pytest.mark.parametrize("code, ignored", [(int(EventKind.RECEIVED), True),
+                                           (int(FORWARDED), False)],
+                         ids=["received", "forwarded"])
+def test_audit_reads_only_forwarded_data_records(tmp_path, capsys,
+                                                 desk_trace_lines, code,
+                                                 ignored):
+    """`tap3sim audit` holds a relay only to the data packets the source's
+    recorded entries show as Forwarded: a record of another event for a
+    packet no relay logged leaves every row as the live audit wrote it,
+    and the same record as Forwarded accuses the first relay."""
+    lines = list(desk_trace_lines)
+    at = lines.index("# audit-log") + 1
+    export = json.loads(lines[at])
+    live = _audit_rows(lines)
+    i = next(i for i, (record, row) in enumerate(zip(export["paths"], live))
+             if record["relays"] and row.endswith(",FELLOW,,"))
+    extra = list(export["paths"][i]["data"][-1])
+    extra[1], extra[2] = 10 ** 9, code        # a packet id no node logged
+    export["paths"][i]["data"].append(extra)
+    lines[at] = json.dumps(export)
+    trace = tmp_path / "extra.trace"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--trace", str(trace)]) == 0
+    replayed = capsys.readouterr().out.splitlines()[1:]
+    if ignored:
+        assert replayed == live
+    else:
+        assert replayed[i] != live[i] and replayed[i].endswith(",FELLOW,,1")
+        assert replayed[:i] + replayed[i + 1:] == live[:i] + live[i + 1:]
+
+
+class SendRecordingSimulation(Simulation):
+    """Keeps, for every data packet a flow's source sends, the source's
+    Forwarded entry for it, built from the frame as the source sent it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent_entries = {}
+
+    def transmit(self, sender, to, pkt, control):
+        ok = super().transmit(sender, to, pkt, control)
+        if (ok and pkt.kind is PacketKind.DATA
+                and sender == self.flows[pkt.flow_id].src):
+            self.sent_entries[pkt.packet_id] = self.nodes[sender].log_entry(
+                pkt.packet_id, FORWARDED, pkt, self.now)
+        return ok
+
+
+def test_exported_data_records_are_the_sources_forwarded_entries():
+    cfg = replace(desk_profile(seed=2), sim_duration=60.0)
+    traced = SendRecordingSimulation(cfg, trace=True)
+    export = traced.run().audit_export
+    rows = [row for record in export["paths"] for row in record["data"]]
+    assert rows
+    assert rows == [entry_to_list(traced.sent_entries[row[1]])
+                    for row in rows]

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tap3sim.cli import forwarded_pids
 from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
     EMPTY_ROOT,
@@ -246,14 +247,14 @@ def test_append_rejects_timestamp_regression():
 # ---- rules ------------------------------------------------------------------
 
 def test_apply_rules_empty():
-    assert apply_rules([], [entry()]) == []
+    assert apply_rules([], forwarded_pids([entry()])) == []
 
 
 def test_apply_rules_binds_per_packet():
     observed = [entry(pid=5, event=EventKind.FORWARDED, ts=0.0),
                 entry(pid=9, event=EventKind.FORWARDED, ts=1.0),
                 entry(pid=7, event=EventKind.RECEIVED, ts=2.0)]
-    out = apply_rules((EventKind.RECEIVED,), observed)
+    out = apply_rules((EventKind.RECEIVED,), forwarded_pids(observed))
     assert [p.packet_id for p in out] == [5, 9]
     assert all(p.event == EventKind.RECEIVED for p in out)
 
@@ -261,15 +262,15 @@ def test_apply_rules_binds_per_packet():
 def test_apply_rules_unmatched_lhs_absent():
     # nothing is expected of packets the auditor never Forwarded
     assert apply_rules((EventKind.RECEIVED,),
-                       [entry(event=EventKind.RECEIVED)]) == []
+                       forwarded_pids([entry(event=EventKind.RECEIVED)])) == []
 
 
 def test_apply_rules_monotone():
     rng = random.Random(3)
     observed = [entry(pid=i, event=rng.choice(list(EventKind)), ts=float(i))
                 for i in range(20)]
-    small = apply_rules(RELAY_EVENTS, observed[:10])
-    big = apply_rules(RELAY_EVENTS, observed)
+    small = apply_rules(RELAY_EVENTS, forwarded_pids(observed[:10]))
+    big = apply_rules(RELAY_EVENTS, forwarded_pids(observed))
     assert set(small) <= set(big)
 
 
@@ -435,9 +436,14 @@ def dest_log(pids, omit_reply=False):
     return log.publish()
 
 
-def source_tau(pids):
+def source_records(pids):
     return [LogEntry(alias(0), pid, EventKind.FORWARDED, 1, 2, 3, alias(0),
                      float(i)) for i, pid in enumerate(pids)]
+
+
+def source_tau(pids):
+    """What the audit takes from the source's records: the packet ids."""
+    return forwarded_pids(source_records(pids))
 
 
 def test_check_destination_honest_and_omission():
@@ -451,7 +457,8 @@ def test_check_destination_honest_and_omission():
 
 def test_check_destination_vacuous_without_rules():
     # no Forwarded packet in the source's records: nothing to prove
-    received = [replace(e, event=EventKind.RECEIVED) for e in source_tau([1])]
+    received = forwarded_pids([replace(e, event=EventKind.RECEIVED)
+                               for e in source_records([1])])
     assert check_destination(received, dest_log([])) == FELLOW
     assert check_destination([], None) == FELLOW
 

@@ -11,7 +11,13 @@ from tap3sim.cli import replay_audits, write_trace_file
 from tap3sim.crypto import encode_node_id
 from tap3sim.logaudit import EventKind
 from tap3sim.metrics import report_from_result
-from tap3sim.routing import Packet, PacketKind, ProtocolKind, header_bytes
+from tap3sim.routing import (
+    Packet,
+    PacketKind,
+    ProtocolKind,
+    header_bytes,
+    select_paths,
+)
 from tap3sim.sim import (
     DESK_CONFIG_TEXT,
     FATES,
@@ -411,12 +417,30 @@ def small_scenario(seed):
 class DiscoveryCheckedSimulation(Simulation):
     """Checks, each time a discovery round times out still outstanding,
     that the source kept no path of that round: `_source_accept` clears
-    the round before it appends one."""
+    the round before it appends one.  Also checks, at every read of a
+    flow's usable paths and after every audit, which can change the
+    suspects, that a kept memo holds the very paths, in the same order,
+    that `select_paths` gives afresh."""
 
     def discovery_check(self, flow, rnd):
         if flow.round == rnd and flow.discovery_outstanding == rnd:
             assert not any(p.round == rnd for p in flow.paths)
         super().discovery_check(flow, rnd)
+
+    def _usable_paths(self, flow):
+        usable = super()._usable_paths(flow)
+        self._check_memo(flow)
+        return usable
+
+    def run_audits(self, flow):
+        super().run_audits(flow)
+        self._check_memo(flow)
+
+    def _check_memo(self, flow):
+        if flow.usable is not None:
+            fresh = select_paths(flow.paths, flow.suspects,
+                                 self.config.protocol)
+            assert list(map(id, flow.usable)) == list(map(id, fresh))
 
 
 @settings(max_examples=70, deadline=None, derandomize=True)
@@ -433,7 +457,8 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
     """Whole-run invariants away from the desk and sparse shapes: every
     sent data packet has exactly one fate, nodes stay in the area,
     pseudonymous headers name no endpoint, exactly `flows` flows run,
-    the trace's audit logs replay to the live verdicts, and a second run
+    the trace's audit logs replay to the live verdicts, a flow's memoized
+    usable paths stay equal to a fresh `select_paths`, and a second run
     gives the same rows.  A discovery round still outstanding when it
     times out has no path, and only the trust layer advances the alias
     chains, so a baseline's destination keeps its first alias."""
