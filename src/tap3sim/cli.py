@@ -15,6 +15,8 @@ Exit codes: 0 success, 1 usage/configuration error, 2 run failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import struct
@@ -35,6 +37,8 @@ from .sim import ConfigError, RunResult, parse_config, run_scenario
 
 TRACE_HEADER = "# tap3sim trace v1"
 AUDIT_COLUMNS = "flow_id,verdict,active_pos,passive_positions"
+# the audit log's encoding: sorted keys, no spaces
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class UsageError(Exception):
@@ -110,19 +114,31 @@ def _load_config(path: str):
 
 
 def write_trace_file(path: str, result: RunResult) -> None:
-    lines = [TRACE_HEADER, "# packets",
-             "time,kind,from,to,packet_id,path_id,bytes"]
-    lines += result.packet_rows
-    lines += ["# verdicts",
-              "node_id,sseq,oseq,dseq_delta,distance,threshold,label"]
-    lines += result.verdict_rows
-    lines += ["# audits", AUDIT_COLUMNS]
-    lines += result.audit_rows
-    if result.audit_export is not None:
-        lines += ["# audit-log",
-                  json.dumps(result.audit_export, sort_keys=True,
-                             separators=(",", ":"))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the trace a line at a time.  Its last line is the audit log,
+    `json.dumps(result.audit_export, sort_keys=True, separators=(",", ":"))`
+    of the export `Simulation.run` builds, written one node's log and one
+    path record at a time, so the whole trace is never held in memory."""
+    with open(path, "w") as out:
+        out.writelines(f"{line}\n" for line in itertools.chain(
+            [TRACE_HEADER, "# packets",
+             "time,kind,from,to,packet_id,path_id,bytes"],
+            result.packet_rows,
+            ["# verdicts",
+             "node_id,sseq,oseq,dseq_delta,distance,threshold,label"],
+            result.verdict_rows,
+            ["# audits", AUDIT_COLUMNS],
+            result.audit_rows))
+        export = result.audit_export
+        if export is not None:
+            nodes = export["nodes"]
+            out.write('# audit-log\n{"nodes":{')
+            out.writelines(
+                f"{',' if i else ''}{_dumps(nid)}:{_dumps(nodes[nid])}"
+                for i, nid in enumerate(sorted(nodes)))
+            out.write('},"paths":[')
+            out.writelines(f"{',' if i else ''}{_dumps(record)}"
+                           for i, record in enumerate(export["paths"]))
+            out.write("]}\n")
 
 
 def _cmd_run(args) -> int:
@@ -228,16 +244,18 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
 
 
 def _cmd_audit(args) -> int:
+    # read up to the line after the first `# audit-log` marker
+    export = None
     try:
-        text = Path(args.trace).read_text()
+        with open(args.trace) as trace:
+            for line in trace:
+                if line.removesuffix("\n") == "# audit-log":
+                    line = next(trace, None)
+                    if line is not None:
+                        export = json.loads(line.removesuffix("\n"))
+                    break
     except OSError as exc:
         raise UsageError(f"cannot read trace {args.trace}: {exc}") from exc
-    export = None
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line == "# audit-log" and i + 1 < len(lines):
-            export = json.loads(lines[i + 1])
-            break
     if export is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
     reports = replay_audits(export)

@@ -356,6 +356,9 @@ class Flow:
     # yet, oldest first)
     audit_queue: dict[tuple, tuple[list[int], list[tuple[int, float]]]] = \
         field(default_factory=dict)
+    # the event number of the flow's last pushed CBR send; the next send
+    # takes the next one (see `Simulation.schedule_cbr`)
+    cbr_seq: int = 0
 
     def update_routes(self, paths: Optional[list[PathInfo]] = None,
                       broken: Sequence[PathInfo] = (),
@@ -879,12 +882,43 @@ class Simulation:
     # -- data plane ---------------------------------------------------------
 
     def schedule_cbr(self, flow: Flow, t: float) -> None:
+        """Start the flow's CBR sends: one at `t`, then one every
+        1 / pkt_rate s, accumulated by `t += period`, while
+        `t < sim_duration - DRAIN_WINDOW`.
+
+        Only the first send goes on the heap.  Each send's event number is
+        reserved here, as if every send were scheduled now, and each
+        `app_send` pushes the next send, at the next accumulated time,
+        under the next reserved number.  The pop order is the one of
+        pushing every send now: each send keeps the (time, number) key it
+        would have had, keys are distinct, and a send's key exceeds its
+        predecessor's, so it cannot be the heap's minimum before its
+        predecessor pops, and from then on it is in the heap.  So ties
+        break as before (a send still runs before a route refresh or an
+        audit tick scheduled after flow start for the same instant),
+        `_event_seq` ends where it would, and the heap holds at most one
+        send per flow instead of all of them."""
         period = 1.0 / self.config.pkt_rate
-        while t < self.config.sim_duration - DRAIN_WINDOW:
-            self.schedule(t, lambda f=flow: self.app_send(f))
-            t += period
+        count, u = 0, t
+        while u < self.config.sim_duration - DRAIN_WINDOW:
+            count += 1
+            u += period
+        flow.cbr_seq = self._event_seq
+        self._event_seq += count
+        self._push_send(flow, t)
+
+    def _push_send(self, flow: Flow, t: float) -> None:
+        """Push the flow's send at `t`, under its next reserved number,
+        unless `t` is past its last send."""
+        if t < self.config.sim_duration - DRAIN_WINDOW:
+            flow.cbr_seq += 1
+            heapq.heappush(self._events, (t, flow.cbr_seq,
+                                          functools.partial(self.app_send,
+                                                            flow)))
 
     def app_send(self, flow: Flow) -> None:
+        # the next send first: the same sum as `schedule_cbr`'s loop
+        self._push_send(flow, self.now + 1.0 / self.config.pkt_rate)
         pid = self.new_pid()
         self.packet_state[pid] = IN_FLIGHT
         self._send_or_buffer(flow, pid, self.now)

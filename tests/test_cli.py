@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,15 @@ import pytest
 
 import tap3sim
 from tap3sim import metrics, sim
-from tap3sim.cli import _parse_pauses, forwarded_pids, main, replay_audits
+from tap3sim.cli import (
+    AUDIT_COLUMNS,
+    TRACE_HEADER,
+    _parse_pauses,
+    forwarded_pids,
+    main,
+    replay_audits,
+    write_trace_file,
+)
 from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
     FELLOW,
@@ -22,7 +31,7 @@ from tap3sim.logaudit import (
     entry_to_list,
 )
 from tap3sim.metrics import CSV_COLUMNS
-from tap3sim.routing import PacketKind
+from tap3sim.routing import PacketKind, ProtocolKind
 from tap3sim.sim import (
     DESK_CONFIG_TEXT,
     Simulation,
@@ -524,3 +533,92 @@ def test_exported_data_records_are_the_sources_forwarded_entries():
     assert rows
     assert rows == [entry_to_list(traced.sent_entries[row[1]])
                     for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# the trace writer streams what the one-string writer wrote
+
+def one_string_trace(result) -> str:
+    """The trace as the writer once built it: every line and the whole
+    audit log joined into one string."""
+    lines = [TRACE_HEADER, "# packets",
+             "time,kind,from,to,packet_id,path_id,bytes"]
+    lines += result.packet_rows
+    lines += ["# verdicts",
+              "node_id,sseq,oseq,dseq_delta,distance,threshold,label"]
+    lines += result.verdict_rows
+    lines += ["# audits", AUDIT_COLUMNS]
+    lines += result.audit_rows
+    if result.audit_export is not None:
+        lines += ["# audit-log",
+                  json.dumps(result.audit_export, sort_keys=True,
+                             separators=(",", ":"))]
+    return "\n".join(lines) + "\n"
+
+
+TRACED_RUNS = {
+    "desk-tap3": desk_profile(),
+    "sparse-tap3": replace(desk_profile(), node_count=60, area_x=600.0,
+                           area_y=600.0, sim_duration=100.0),
+    "desk-mprf": desk_profile(ProtocolKind.MPRF),
+}
+
+
+@pytest.fixture(scope="module")
+def traced_result():
+    results = {}
+
+    def get(name):
+        if name not in results:
+            results[name] = run_scenario(TRACED_RUNS[name], trace=True,
+                                         check_privacy=True)
+        return results[name]
+    return get
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_RUNS))
+def test_streamed_trace_equals_one_string_trace(tmp_path, traced_result,
+                                                name):
+    result = traced_result(name)
+    assert (result.audit_export is None) == (name == "desk-mprf")
+    trace = tmp_path / "run.trace"
+    write_trace_file(str(trace), result)
+    assert trace.read_bytes() == one_string_trace(result).encode()
+
+
+def transient_peak(write, path, result) -> int:
+    """The most memory `write(path, result)` holds at once beyond what
+    was allocated when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write(str(path), result)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_write_holds_less_than_the_trace(tmp_path, traced_result):
+    result = traced_result("desk-tap3")
+    trace = tmp_path / "run.trace"
+    peak = transient_peak(write_trace_file, trace, result)
+    size = trace.stat().st_size
+    assert peak < size
+    # the measure sees a writer that holds the whole trace
+    one_string = transient_peak(
+        lambda path, res: Path(path).write_text(one_string_trace(res)),
+        tmp_path / "one-string.trace", result)
+    assert one_string > size
+
+
+def test_audit_reads_crlf_trace(tmp_path, capsys, traced_result):
+    trace = tmp_path / "run.trace"
+    write_trace_file(str(trace), traced_result("desk-tap3"))
+    crlf = tmp_path / "crlf.trace"
+    crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["audit", "--trace", str(trace)]) == 0
+    rows = capsys.readouterr().out
+    assert main(["audit", "--trace", str(crlf)]) == 0
+    assert capsys.readouterr().out == rows
+    assert len(rows.splitlines()) > 1

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from tap3sim.routing import (
 )
 from tap3sim.sim import (
     DESK_CONFIG_TEXT,
+    DRAIN_WINDOW,
     FATES,
     IN_FLIGHT,
     LINK_RATE_BPS,
@@ -681,6 +683,104 @@ def test_broadcast_of_a_reply_is_an_error():
     with pytest.raises(ValueError, match="broadcast"):
         sim.transmit(3, None, Packet(PacketKind.RREP, 0, 1), control=True)
     assert sim.result.control_tx == 0 and not sim._events
+
+
+# ---------------------------------------------------------------------------
+# CBR sends scheduled one at a time keep the order of scheduling them all
+
+class EagerCbrSimulation(Simulation):
+    """The earlier CBR scheduling: every send of a flow is pushed at flow
+    start, each under the next event number."""
+
+    def schedule_cbr(self, flow, t):
+        period = 1.0 / self.config.pkt_rate
+        while t < self.config.sim_duration - DRAIN_WINDOW:
+            self.schedule(t, lambda f=flow: self.app_send(f))
+            t += period
+
+    def app_send(self, flow):
+        pid = self.new_pid()
+        self.packet_state[pid] = IN_FLIGHT
+        self._send_or_buffer(flow, pid, self.now)
+
+
+def timed(sim_class):
+    """`sim_class` recording each CBR send, route refresh and audit tick
+    as `(time, event, flow id)`, and the most sends of one flow that the
+    heap holds after a send, counting the `app_send` partials.  The class
+    keeps its last instance as `last`."""
+
+    class Timed(sim_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.timeline = []
+            self.most_pending_sends = 0
+            Timed.last = self
+
+        def app_send(self, flow):
+            self.timeline.append((self.now, "send", flow.flow_id))
+            super().app_send(flow)
+            pending = collections.Counter(
+                fn.args[0].flow_id for _, _, fn in self._events
+                if isinstance(fn, functools.partial)
+                and fn.func == self.app_send)
+            self.most_pending_sends = max(self.most_pending_sends,
+                                          *pending.values(), 0)
+
+        def refresh_route(self, flow):
+            self.timeline.append((self.now, "refresh", flow.flow_id))
+            super().refresh_route(flow)
+
+        def audit_tick(self, flow):
+            self.timeline.append((self.now, "audit", flow.flow_id))
+            super().audit_tick(flow)
+
+    return Timed
+
+
+CBR_SHAPES = {
+    # flow 0 starts at 1.0 s and sends every 0.25 s, so its sends fall on
+    # its route refreshes (11.0 s baselines, 31.0 s tap3) and audit ticks
+    # (26.0 s)
+    "desk": {},
+    # a period of 1/3 s: the accumulated send times drift from 1.0 + k/3
+    "rate3": {"pkt_rate": 3.0, "sim_duration": 30.0},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CBR_SHAPES))
+@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.S_MPRF,
+                                      ProtocolKind.MPRF])
+def test_one_pending_send_per_flow_changes_no_output(tmp_path, protocol,
+                                                     shape):
+    """Pushing each flow's next CBR send only when its last one runs,
+    under the event number reserved for it at flow start, gives the CSV
+    row, the trace bytes, the event order and the event count of pushing
+    every send at flow start, and keeps one send per flow in the heap."""
+    cfg = replace(desk_profile(protocol), **CBR_SHAPES[shape])
+    eager_cls, lazy_cls = timed(EagerCbrSimulation), timed(Simulation)
+    eager_events, eager = observed(eager_cls, cfg, tmp_path / "eager")
+    lazy_events, lazy = observed(lazy_cls, cfg, tmp_path / "lazy")
+    assert lazy == eager
+    assert lazy_events == eager_events
+    timeline = lazy_cls.last.timeline
+    assert timeline == eager_cls.last.timeline
+    assert lazy_cls.last.most_pending_sends == 1
+    if shape == "desk":
+        # a flow's send and its refresh or audit tick at one instant: the
+        # send, numbered at flow start, runs first
+        first = {}
+        for i, (t, event, fid) in enumerate(timeline):
+            first.setdefault((t, event == "send", fid), i)
+        tied = [(t, fid) for t, is_send, fid in first
+                if not is_send and (t, True, fid) in first]
+        assert tied
+        assert all(first[(t, True, fid)] < first[(t, False, fid)]
+                   for t, fid in tied)
+    else:
+        sends = [t for t, event, fid in timeline
+                 if event == "send" and fid == 0]
+        assert any(t != 1.0 + k / 3.0 for k, t in enumerate(sends))
 
 
 # ---------------------------------------------------------------------------
