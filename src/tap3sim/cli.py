@@ -22,7 +22,7 @@ import math
 import struct
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import logaudit
 from .metrics import (
@@ -87,11 +87,18 @@ def _parse_pauses(text: str, duration: float) -> list[float]:
     return [round(start + i * step, 9) for i in range(math.floor(span) + 1)]
 
 
-def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s]
+def _parse_seeds(text: str) -> Sequence[int]:
+    """A comma list, or an inclusive `lo..hi` range, returned as a lazy
+    `range`.  A range is checked without being built: both ends must be
+    64-bit unsigned seeds."""
+    if ".." not in text:
+        return [int(s) for s in text.split(",") if s]
+    lo, _, hi = text.partition("..")
+    lo, hi = int(lo), int(hi)
+    if not (0 <= lo < 2 ** 64 and 0 <= hi < 2 ** 64):
+        raise UsageError(f"seed range {text!r} leaves [0, 2**64), the "
+                         "64-bit seeds")
+    return range(lo, hi + 1)
 
 
 def _parse_protocols(text: str) -> list[ProtocolKind]:

@@ -120,21 +120,14 @@ class TrapdoorIndex:
             chain = chain.advanced()
         self._next = chain
 
-    def lookup(self, candidate: Pseudonym) -> Optional[int]:
-        """Chain index of `candidate`, or None if it is not indexed."""
-        return self.entries.get(candidate.digest)
-
-    def consume(self, index: int) -> None:
-        """Note that `index` was matched; extend the window when half is spent."""
-        if index - self._low < self.window // 2:
-            return
-        self._extend(index - self._low)
-        self._low = index
-
 
 def trapdoor_check(index: TrapdoorIndex,
                    candidate: Pseudonym) -> Optional[int]:
-    match = index.lookup(candidate)
-    if match is not None:
-        index.consume(match)
+    """Chain index of `candidate`, or None if it is not indexed.  A match
+    slides the window: once half of it is spent, it is extended past the
+    matched alias."""
+    match = index.entries.get(candidate.digest)
+    if match is not None and match - index._low >= index.window // 2:
+        index._extend(match - index._low)
+        index._low = match
     return match

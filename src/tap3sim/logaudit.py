@@ -151,9 +151,6 @@ class MerkleTree:
     def __len__(self) -> int:
         return len(self.blocks[0])
 
-    def append(self, leaf: bytes) -> None:
-        self.extend((leaf,))
-
     def extend(self, leaves: Sequence[bytes]) -> None:
         """Append `leaves` in order.  Level k + 1 always holds one node per
         complete pair of level k, so the pairs a level completes are those

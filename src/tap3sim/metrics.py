@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .routing import ProtocolKind
 from .sim import ConfigError, RunResult, ScenarioConfig, run_scenario
@@ -98,7 +98,7 @@ class SweepSpec:
     base: ScenarioConfig
     pause_times: list[float]
     protocols: list[ProtocolKind]
-    seeds: list[int]
+    seeds: Sequence[int]      # a list, or a lazy `range` from `--seeds lo..hi`
 
     def config(self, protocol: ProtocolKind, pause: float,
                seed: int) -> ScenarioConfig:
@@ -107,17 +107,24 @@ class SweepSpec:
 
     def validate(self) -> None:
         """Check the whole grid before any run, so that a bad cell is a
-        configuration error, not a failure part-way through the sweep."""
+        configuration error, not a failure part-way through the sweep.  A
+        seed is checked only against its 64-bit bound, so each (protocol,
+        pause) cell is checked with the smallest and the largest seed, and
+        the seeds, which may be a huge `range`, are never walked."""
         if not (self.pause_times and self.protocols and self.seeds):
             raise ValueError("sweep lists must be non-empty")
-        for protocol, pause, seed in itertools.product(
-                self.protocols, self.pause_times, self.seeds):
-            try:
-                self.config(protocol, pause, seed).validate()
-            except ConfigError as exc:
-                raise ConfigError(f"at ({protocol.value}, pause={pause:g}, "
-                                  f"seed={seed}): {p}"
-                                  for p in exc.problems) from None
+        seeds = self.seeds
+        if isinstance(seeds, range):      # a range's extremes are its ends
+            seeds = (seeds[0], seeds[-1])
+        for protocol, pause in itertools.product(self.protocols,
+                                                 self.pause_times):
+            for seed in dict.fromkeys((min(seeds), max(seeds))):
+                try:
+                    self.config(protocol, pause, seed).validate()
+                except ConfigError as exc:
+                    raise ConfigError(
+                        f"at ({protocol.value}, pause={pause:g}, "
+                        f"seed={seed}): {p}" for p in exc.problems) from None
 
 
 @dataclass
@@ -196,7 +203,8 @@ def render_plots(result: SweepResult) -> dict[str, str]:
 
 
 def _polyline_chart(points: dict[str, list[tuple[float, float]]],
-                    label: str, width: int = 480, height: int = 320) -> str:
+                    label: str) -> str:
+    width, height = 480, 320
     all_pts = [p for pts in points.values() for p in pts]
     if not all_pts:
         return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -76,6 +76,8 @@ class Packet:
     payload_size: int = 0
     origin_time: float = 0.0
     route_record: list[NodeId] = field(default_factory=list)
+    # the endpoints' HMAC over `header_bytes`; it travels as the header's
+    # last field, which `header_size` counts and `header_bytes` leaves out
     tag: bytes = b""
 
     def copy(self) -> "Packet":
@@ -86,11 +88,11 @@ class Packet:
 
 
 # Field tags for header serialization.  Every tag byte is >= 0x80 and no
-# scalar field spans more than 4 bytes, so outside the alias digests and
-# the tag the 8-byte big-endian encoding of a small node id (7 zero bytes
-# + value) occurs only where an address field literally contains it.  The
-# tag is opaque and may hold it: a blackhole forges 32 zero bytes, which
-# contain node 0's encoding.  The tag field comes last (`tag_field_size`).
+# scalar field spans more than 4 bytes, so outside the alias digests the
+# 8-byte big-endian encoding of a small node id (7 zero bytes + value)
+# occurs only where an address field literally contains it.  The encoding
+# leaves out the integrity tag, which is opaque and may hold such bytes: a
+# blackhole forges 32 zero bytes, which contain node 0's encoding.
 # `_T_MISC` fences the hop-count byte, a sized slot written as 0.
 _T_KIND = 0x80
 _T_FWD = 0x81
@@ -100,7 +102,6 @@ _T_DST = 0x84
 _T_SEQ = 0x85
 _T_MISC = 0x86
 _T_ROUTE = 0x87
-_T_TAG = 0x88
 
 # the eight tagged 32-bit sequence fields, the misc byte (always 0) and the
 # route-record header (length); then one tagged 16-bit id per route entry
@@ -110,12 +111,13 @@ _U32 = 0xFFFFFFFF
 _NODE_ID_SIZE = len(encode_node_id(0))
 
 
-def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
-    """Canonical control-header encoding, used for tagging, privacy checks
-    and size accounting.  Sequence fields keep their low 32 bits, the
-    route-record length its low 8 and each route entry its low 16.  The
-    hop-count byte is a sized slot written as 0: no handler reads a hop
-    count, so a relay forwards a tagged reply unchanged."""
+def header_bytes(pkt: Packet) -> bytes:
+    """Canonical control-header encoding without the tag field: the bytes
+    the endpoints tag and the privacy scan reads.  Sequence fields keep
+    their low 32 bits, the route-record length its low 8 and each route
+    entry its low 16.  The hop-count byte is a sized slot written as 0: no
+    handler reads a hop count, so a relay forwards a tagged reply
+    unchanged."""
     parts = [bytes([_T_KIND, pkt.kind.code])]
     if pkt.forward_alias is not None:
         parts.append(bytes([_T_FWD]) + pkt.forward_alias.digest)
@@ -135,19 +137,13 @@ def header_bytes(pkt: Packet, include_tag: bool = True) -> bytes:
     if route:
         entry = _ROUTE_ENTRY.pack
         parts.extend([entry(_T_ROUTE, nid & 0xFFFF) for nid in route])
-    if include_tag and pkt.tag:
-        parts.append(bytes([_T_TAG]) + pkt.tag)
     return b"".join(parts)
 
 
-def tag_field_size(pkt: Packet) -> int:
-    """Bytes the trailing tag field adds to `header_bytes(pkt)`, so that
-    `hdr[:len(hdr) - tag_field_size(pkt)]` is the header without it."""
-    return 1 + len(pkt.tag) if pkt.tag else 0
-
-
 def header_size(pkt: Packet) -> int:
-    """`len(header_bytes(pkt))`, counted without encoding the header."""
+    """Size of the header on the air: `len(header_bytes(pkt))` plus a
+    trailing tag field (one field byte and the tag) when there is a tag,
+    counted without encoding the header."""
     # the kind field, the fixed fields and one entry per route hop
     size = 2 + _FIXED.size + _ROUTE_ENTRY.size * len(pkt.route_record)
     if pkt.forward_alias is not None:
@@ -158,7 +154,9 @@ def header_size(pkt: Packet) -> int:
         size += 1 + _NODE_ID_SIZE
     if pkt.dst_addr is not None:
         size += 1 + _NODE_ID_SIZE
-    return size + tag_field_size(pkt)
+    if pkt.tag:
+        size += 1 + len(pkt.tag)
+    return size
 
 
 def packet_size(pkt: Packet) -> int:
@@ -183,10 +181,6 @@ class PathInfo:
     next_hop: Optional[NodeId] = None
     broken: bool = False
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.relays) + 1
-
 
 def select_paths(paths: list[PathInfo], flagged: set[NodeId],
                  protocol: ProtocolKind) -> list[PathInfo]:
@@ -198,9 +192,11 @@ def select_paths(paths: list[PathInfo], flagged: set[NodeId],
     if protocol.trust_layer:
         usable = [p for p in alive
                   if not any(r in flagged for r in p.relays)]
-        usable.sort(key=lambda p: (p.hop_count, p.established_at, p.path_id))
+        usable.sort(key=lambda p: (len(p.relays), p.established_at,
+                                   p.path_id))
         return usable
-    alive.sort(key=lambda p: (-p.dseq, p.hop_count, p.established_at, p.path_id))
+    alive.sort(key=lambda p: (-p.dseq, len(p.relays), p.established_at,
+                               p.path_id))
     return alive
 
 

@@ -172,7 +172,6 @@ def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     problems = []
     fields = {f: type(getattr(cfg, f)) for f in _NUMERIC_FIELDS}
-    cfg.attackers = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -300,7 +299,6 @@ class SimNode:
         self.max_dseq_seen = 0
         self.rev_routes: dict[tuple, RevEntry] = {}
         self.fwd_routes: dict[tuple, RouteEntry] = {}
-        self.dest_flows: dict[int, DestFlowState] = {}
         # evidence log and sequence monitor: TAP3 nodes only
         self.log = NodeLog() if trust_layer else None
         self.monitor = Monitor() if trust_layer else None
@@ -336,6 +334,7 @@ class Flow:
     start_time: float
     ps_chain: PseudonymChain
     pd_chain: PseudonymChain
+    dest: DestFlowState     # the destination's state for this flow
     round: int = 0
     last_known_dseq: int = 0
     paths: list[PathInfo] = field(default_factory=list)
@@ -425,6 +424,8 @@ class Simulation:
         # the two protocol facts the simulator asks for, read once
         self.trust_layer = config.protocol.trust_layer
         self.uses_pseudonyms = config.protocol.uses_pseudonyms
+        self.refresh_period = (ROUTE_REFRESH if self.trust_layer
+                               else BASELINE_ROUTE_TIMEOUT)
         self.check_privacy = check_privacy and self.uses_pseudonyms
         self.now = 0.0
         self._events: list = []
@@ -485,11 +486,10 @@ class Simulation:
                 MasterKey.from_seed(cfg.rng_seed, dst), src)
             ps = PseudonymChain.start(key, src)
             pd = PseudonymChain.start(key, dst)
-            flow = Flow(fid, src, dst, key, 1.0 + 0.25 * fid, ps, pd)
-            self.flows.append(flow)
-            self.nodes[dst].dest_flows[fid] = DestFlowState(
-                TrapdoorIndex(pd, TRAPDOOR_WINDOW)
-                if self.trust_layer else None)
+            dest = DestFlowState(TrapdoorIndex(pd, TRAPDOOR_WINDOW)
+                                 if self.trust_layer else None)
+            self.flows.append(Flow(fid, src, dst, key, 1.0 + 0.25 * fid,
+                                   ps, pd, dest))
 
     # -- event machinery ----------------------------------------------------
 
@@ -514,9 +514,9 @@ class Simulation:
             return
         flow = self.flows[pkt.flow_id]
         self.result.privacy_checks += 1
-        # the tag is an opaque digest (a forged one is all zero bytes), so
-        # only the fields before it can carry an address
-        fields = header_bytes(pkt, include_tag=False)
+        # `header_bytes` leaves out the tag, an opaque digest (a forged one
+        # is all zero bytes); only the fields it encodes can carry an address
+        fields = header_bytes(pkt)
         for nid in (flow.src, flow.dst):
             if encode_node_id(nid) in fields:
                 self.result.privacy_violations += 1
@@ -568,14 +568,13 @@ class Simulation:
                 dist = math.dist(here, self.position(other))
                 if dist <= radio_range:
                     arrival = start + ttx + dist / SPEED_OF_LIGHT
-                    self.schedule(arrival, self._receiver(other, pkt, sender))
+                    self.schedule(arrival, functools.partial(
+                        self.dispatch, other, pkt, sender))
         else:
             arrival = start + ttx + dist / SPEED_OF_LIGHT
-            self.schedule(arrival, self._receiver(to, pkt, sender))
+            self.schedule(arrival, functools.partial(self.dispatch, to, pkt,
+                                                     sender))
         return True
-
-    def _receiver(self, nid: int, pkt: Packet, frm: int):
-        return functools.partial(self.dispatch, nid, pkt, frm)
 
     def dispatch(self, nid: int, pkt: Packet, frm: int) -> None:
         node = self.nodes[nid]
@@ -635,12 +634,6 @@ class Simulation:
             self.result.classifier_flags.add((flagger, suspect))
 
     # -- route discovery ----------------------------------------------------
-
-    @property
-    def refresh_period(self) -> float:
-        if self.trust_layer:
-            return ROUTE_REFRESH
-        return BASELINE_ROUTE_TIMEOUT
 
     def start_flow(self, flow: Flow) -> None:
         self.start_discovery(flow)
@@ -709,16 +702,18 @@ class Simulation:
                  else pkt.src_addr)
         return (token, pkt.oseq)
 
-    def _is_destination(self, node: SimNode, pkt: Packet) -> bool:
-        if pkt.dst_addr is not None:
-            return node.id == pkt.dst_addr
-        ds = node.dest_flows.get(pkt.flow_id)
-        if ds is None:
+    def _is_destination(self, node: SimNode, flow: Flow, pkt: Packet) -> bool:
+        """The node id is tested first: a trapdoor match slides the
+        window, so only the flow's destination may run the check."""
+        if node.id != flow.dst:
             return False
-        if ds.trapdoor is not None:
-            return trapdoor_check(ds.trapdoor, pkt.forward_alias) is not None
+        if pkt.dst_addr is not None:
+            return True
+        if flow.dest.trapdoor is not None:
+            return trapdoor_check(flow.dest.trapdoor,
+                                  pkt.forward_alias) is not None
         # without the trust layer the chain never advances
-        return self.flows[pkt.flow_id].pd_chain.current == pkt.forward_alias
+        return flow.pd_chain.current == pkt.forward_alias
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
         """A node outside the key's listener record already holds the key
@@ -734,8 +729,8 @@ class Simulation:
             return
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
         flow = self.flows[pkt.flow_id]
-        if self._is_destination(node, pkt):
-            rounds = node.dest_flows[pkt.flow_id].rounds
+        if self._is_destination(node, flow, pkt):
+            rounds = flow.dest.rounds
             if pkt.round not in rounds:
                 rounds[pkt.round] = (pkt, [])
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
@@ -789,7 +784,7 @@ class Simulation:
         """Answer round `rnd` at the flow's destination.  `on_rreq`
         schedules it on the round's first candidate path; the round's record
         stays, so no later copy schedules it again."""
-        ds = node.dest_flows[flow.flow_id]
+        ds = flow.dest
         rreq, cands = ds.rounds[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
@@ -799,8 +794,7 @@ class Simulation:
             ds.dseq += 1
             rrep = self._reply(node, rreq, ds.dseq, idx, relays)
             if self.uses_pseudonyms:
-                rrep.tag = hmac_tag(flow.key,
-                                    header_bytes(rrep, include_tag=False))
+                rrep.tag = hmac_tag(flow.key, header_bytes(rrep))
             nxt = relays[-1] if relays else flow.src
             self.transmit(node.id, nxt, rrep, control=True)
 
@@ -835,8 +829,7 @@ class Simulation:
             return
         delta = pkt.dseq - flow.last_known_dseq
         if self.uses_pseudonyms:
-            if not verify_hmac(flow.key, header_bytes(pkt, include_tag=False),
-                               pkt.tag):
+            if not verify_hmac(flow.key, header_bytes(pkt), pkt.tag):
                 self.flag(flow.src, frm)
                 return
             # the tag proves the value came from the true destination, so it
@@ -865,7 +858,7 @@ class Simulation:
                      round=pkt.round, path_id=pkt.path_id)
         if self.uses_pseudonyms:
             ack.forward_alias = pkt.reverse_alias
-            ack.tag = hmac_tag(flow.key, header_bytes(ack, include_tag=False))
+            ack.tag = hmac_tag(flow.key, header_bytes(ack))
         else:
             ack.dst_addr = flow.dst
         self.transmit(flow.src, frm, ack, control=True)

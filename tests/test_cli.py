@@ -15,6 +15,7 @@ from tap3sim.cli import (
     AUDIT_COLUMNS,
     TRACE_HEADER,
     _parse_pauses,
+    _parse_seeds,
     forwarded_pids,
     main,
     replay_audits,
@@ -307,6 +308,31 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
+def _in_child(code, *args):
+    """Run `code` with `args` in a child with a time and memory limit, so
+    that a range that is built or walked before it is checked fails the
+    test instead of growing or running without bound."""
+    src = str(Path(tap3sim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_limit_memory)
+
+
+def _sweep_in_child(tmp_path, pauses, seeds):
+    """`tap3sim sweep` on a 30 s desk config, run by `_in_child`.  Returns
+    the child and the CSV path."""
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, DESK_CONFIG_TEXT.replace(
+        "sim_duration = 200", "sim_duration = 30"))
+    proc = _in_child(
+        "import sys; from tap3sim.cli import main; sys.exit(main())",
+        "sweep", "--config", cfg, "--out", str(out), f"--pause={pauses}",
+        "--protocols", "tap3", f"--seeds={seeds}")
+    return proc, out
+
+
 @pytest.mark.parametrize("pauses, message", [
     ("0:1e12:1", "leaves [0, 30] s"),
     ("1:2:1e-17", "does not change a pause"),
@@ -314,25 +340,46 @@ def _limit_memory():
 ], ids=["past-end", "step-below-resolution", "negative-start"])
 def test_unbuildable_pause_range_exits_one(tmp_path, pauses, message):
     """A range whose pauses cannot all be valid exits 1 before its list is
-    built.  `cli.main` runs in a child with a time and memory limit, so a
-    range that is built first fails the test instead of growing without
-    bound."""
-    out = tmp_path / "out.csv"
-    cfg = write_config(tmp_path, DESK_CONFIG_TEXT.replace(
-        "sim_duration = 200", "sim_duration = 30"))
-    src = str(Path(tap3sim.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from tap3sim.cli import main; sys.exit(main())",
-         "sweep", "--config", cfg, "--out", str(out), f"--pause={pauses}",
-         "--protocols", "tap3", "--seeds", "1"],
-        env=env, capture_output=True, text=True, timeout=30,
-        preexec_fn=_limit_memory)
+    built."""
+    proc, out = _sweep_in_child(tmp_path, pauses, "1")
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0..18446744073709551616",
+                                   "-1..3"], ids=["past-end", "negative"])
+def test_seed_range_outside_64_bits_exits_one(tmp_path, seeds):
+    """A `lo..hi` seed range with an end outside [0, 2**64) exits 1 when
+    it is parsed, before it is built or any CSV is written."""
+    proc, out = _sweep_in_child(tmp_path, "0", seeds)
+    assert proc.returncode == 1, proc.stderr
+    assert "leaves [0, 2**64)" in proc.stderr
+    assert not out.exists()
+
+
+def test_sweep_grid_check_never_walks_the_seeds():
+    """The grid check of a valid range of 2**64 seeds takes its two ends
+    only; walking the range would run into the child's time limit."""
+    proc = _in_child(
+        "from tap3sim.metrics import SweepSpec\n"
+        "from tap3sim.sim import desk_profile\n"
+        "cfg = desk_profile()\n"
+        "SweepSpec(cfg, [0.0], [cfg.protocol], range(2 ** 64)).validate()")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_seed_range_is_lazy_and_inclusive(tmp_path, capsys):
+    assert _parse_seeds("1..3") == range(1, 4)
+    assert _parse_seeds("3,1") == [3, 1]
+    # a backward range is empty, and an empty grid exits 1 with no CSV
+    assert not _parse_seeds("3..1")
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, small_config_text())
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--pause",
+                 "0", "--protocols", "tap3", "--seeds", "3..1"]) == 1
+    assert not out.exists()
+    assert "non-empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text, extra, message", [

@@ -193,7 +193,7 @@ def test_incremental_tree_equals_from_scratch(snapshots, extra, events):
 @example(total=70, ops=[(3,), 2, (13,), None, 16, (1,), 9, (35,), 52,
                         (40,), 70, 33])
 def test_sizes_in_any_order_equal_from_scratch(total, ops):
-    # None appends one more leaf, (m,) extends the tree by the next m
+    # None extends the tree by one more leaf, (m,) by the next m
     # leaves in one call, any other op asks for a size of the tree so far:
     # the right edge of one size is kept, so both the order of the sizes
     # and the appends in between must leave the answers unchanged
@@ -202,7 +202,7 @@ def test_sizes_in_any_order_equal_from_scratch(total, ops):
     for op in ops:
         if op is None:
             if len(tree) < total:
-                tree.append(leaves[len(tree)])
+                tree.extend([leaves[len(tree)]])
             continue
         if isinstance(op, tuple):
             tree.extend(leaves[len(tree):len(tree) + op[0]])

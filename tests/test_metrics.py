@@ -15,7 +15,7 @@ from tap3sim.metrics import (
     sweep,
 )
 from tap3sim.routing import ProtocolKind
-from tap3sim.sim import ScenarioConfig
+from tap3sim.sim import ConfigError, ScenarioConfig
 
 
 def test_pdr_arithmetic_and_sentinels():
@@ -78,6 +78,15 @@ def test_sweep_validates_empty_grid():
     spec.seeds = []
     with pytest.raises(ValueError):
         sweep(spec)
+
+
+def test_sweep_names_a_seed_past_64_bits():
+    """The grid check tests each cell's smallest and largest seed, so a
+    bad top seed of a range is named."""
+    spec = tiny_spec()
+    spec.seeds = range(2 ** 64 - 2, 2 ** 64 + 1)
+    with pytest.raises(ConfigError, match="seed=18446744073709551616"):
+        spec.validate()
 
 
 def test_plots_render_polylines():

@@ -13,7 +13,6 @@ from tap3sim.routing import (
     packet_size,
     pick_disjoint_paths,
     select_paths,
-    tag_field_size,
 )
 
 
@@ -43,9 +42,9 @@ def rand_packet(rng, pseudonymous=True):
 def test_headers_never_leak_node_id_encodings():
     """No 8-byte node-id encoding can appear in a pseudonymous header,
     whatever the field values: every serialized field is fenced by tag
-    bytes >= 0x80 within any 8-byte span.  (The alias and tag digests are
-    random here; a forged all-zero tag does hold node 0's encoding, which
-    is why the privacy scan leaves the tag out.)"""
+    bytes >= 0x80 within any 8-byte span.  (The alias digests are random
+    here.  The encoding leaves out the integrity tag: a forged all-zero tag
+    does hold node 0's encoding.)"""
     rng = random.Random(7)
     encodings = [encode_node_id(i) for i in range(64)]
     for _ in range(500):
@@ -64,15 +63,17 @@ def test_plaintext_headers_do_contain_addresses():
 
 def test_header_changes_with_sequence_fields():
     pkt = rand_packet(random.Random(9))
-    base = header_bytes(pkt, include_tag=False)
+    base = header_bytes(pkt)
     bumped = pkt.copy()
     bumped.dseq += 1
-    assert header_bytes(bumped, include_tag=False) != base
+    assert header_bytes(bumped) != base
 
 
 def loop_header_bytes(pkt, include_tag=True):
-    """Reference: the header written out field by field, one byte string
-    per field, with the masks spelled out."""
+    """Reference: the header as sent written out field by field, one byte
+    string per field, with the masks spelled out, the tag field last.
+    `header_bytes` is this without the tag field; `header_size` is the
+    length of all of it."""
     parts = [bytes([0x80, list(PacketKind).index(pkt.kind) + 1])]
     if pkt.forward_alias is not None:
         parts.append(bytes([0x81]) + pkt.forward_alias.digest)
@@ -113,38 +114,35 @@ ROUTE = (st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=6)
 @given(kind=st.sampled_from(list(PacketKind)),
        seqs=st.tuples(*[WIDE] * 8),
        route=ROUTE, fwd=ALIAS, rev=ALIAS, src=ADDRESS, dst=ADDRESS,
-       tag=st.binary(max_size=40), include_tag=st.booleans())
+       tag=st.binary(max_size=40))
 @example(kind=PacketKind.RREQ, seqs=(-1, 2 ** 32, 2 ** 32 + 5, -2 ** 31,
                                      0, 7, 2 ** 40, -7),
          route=list(range(65530, 65530 + 257)),
          fwd=Pseudonym(bytes(32)), rev=None, src=None, dst=2 ** 63,
-         tag=b"t" * 32, include_tag=True)
+         tag=b"t" * 32)
 @example(kind=PacketKind.RREP, seqs=(0,) * 8, route=[],
          fwd=Pseudonym(bytes(32)), rev=Pseudonym(b"r" * 32), src=0,
-         dst=2 ** 64 - 1, tag=b"t" * 32, include_tag=False)
+         dst=2 ** 64 - 1, tag=b"t" * 32)
 @example(kind=PacketKind.DATA, seqs=(0,) * 8, route=[],
-         fwd=None, rev=None, src=None, dst=None, tag=b"", include_tag=True)
+         fwd=None, rev=None, src=None, dst=None, tag=b"")
 def test_header_bytes_matches_field_by_field_encoding(
-        kind, seqs, route, fwd, rev, src, dst, tag, include_tag):
+        kind, seqs, route, fwd, rev, src, dst, tag):
     sseq, oseq, dseq, req_oseq, packet_id, flow_id, rnd, path_id = seqs
     pkt = Packet(kind, flow_id, packet_id, round=rnd, forward_alias=fwd,
                  reverse_alias=rev, src_addr=src, dst_addr=dst, sseq=sseq,
                  oseq=oseq, dseq=dseq, req_oseq=req_oseq, path_id=path_id,
                  route_record=route, tag=tag)
-    assert header_bytes(pkt, include_tag) == \
-        loop_header_bytes(pkt, include_tag)
-    # the tag field is last, so cutting it off leaves the untagged header
-    hdr = header_bytes(pkt)
-    assert hdr[:len(hdr) - tag_field_size(pkt)] == \
-        header_bytes(pkt, include_tag=False)
-    # sizing counts the same bytes without encoding them
-    assert header_size(pkt) == len(hdr)
+    # the encoding is the header as sent without its trailing tag field
+    assert header_bytes(pkt) == loop_header_bytes(pkt, include_tag=False)
+    # sizing counts the header as sent, tag field included, without
+    # encoding it
+    assert header_size(pkt) == len(loop_header_bytes(pkt))
 
 
 def test_packet_size_is_header_plus_payload():
     pkt = rand_packet(random.Random(10))
     pkt.payload_size = 256
-    assert packet_size(pkt) == len(header_bytes(pkt)) + 256
+    assert packet_size(pkt) == len(loop_header_bytes(pkt)) + 256
 
 
 def test_copy_is_deep_for_route_record():

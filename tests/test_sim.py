@@ -16,7 +16,6 @@ from tap3sim.routing import (
     Packet,
     PacketKind,
     ProtocolKind,
-    header_bytes,
     select_paths,
 )
 from tap3sim.sim import (
@@ -36,6 +35,7 @@ from tap3sim.sim import (
     parse_config,
     run_scenario,
 )
+from test_routing import loop_header_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,83 @@ def test_waypoint_step_draws_valid_leg():
     assert 0.0 <= mob.waypoint[1] <= 100.0
     assert 0.0 < mob.speed <= 25.0
     assert mob.leg_start == 12.0
+
+
+# The statistical tests below draw legs with fixed seeds.  Each bound
+# follows from the sampling error alone: a one-sample
+# Kolmogorov-Smirnov distance below sqrt(ln(2 / alpha) / 2n), a chi-square
+# below its 0.999 quantile, and a sample mean within 4 standard errors.
+ALPHA = 1e-3
+LEGS = 20_000
+
+
+def drawn_legs(seed, area, max_speed, n=LEGS):
+    """(origin, waypoint, speed) of `n` consecutive legs of one node after
+    its first, each drawn from the waypoint where the one before ended."""
+    mob = Mobility(random.Random(seed), (0.0, 0.0), area, max_speed, 0.0)
+    legs = []
+    for _ in range(n):
+        mob._begin_leg(mob.waypoint, 0.0)
+        legs.append((mob.origin, mob.waypoint, mob.speed))
+    return legs
+
+
+def ks_distance_from_uniform(values):
+    """Kolmogorov-Smirnov distance of `values` in [0, 1] from U(0, 1)."""
+    xs = sorted(values)
+    n = len(xs)
+    return max(max((i + 1) / n - x, x - i / n) for i, x in enumerate(xs))
+
+
+def ks_bound(n):
+    return math.sqrt(math.log(2 / ALPHA) / (2 * n))
+
+
+def test_waypoints_are_uniform_over_the_area():
+    """Each coordinate is uniform on its side, and the two together fill
+    a 10 x 10 grid of the area evenly (chi-square, 99 degrees of freedom).
+    The area is not square, so a coordinate drawn on the wrong side shows."""
+    area = (300.0, 200.0)
+    points = [w for _, w, _ in drawn_legs(11, area, 25.0)]
+    for axis in (0, 1):
+        d = ks_distance_from_uniform([p[axis] / area[axis] for p in points])
+        assert d < ks_bound(len(points))
+    cells = collections.Counter(
+        (min(int(10 * x / area[0]), 9), min(int(10 * y / area[1]), 9))
+        for x, y in points)
+    expected = len(points) / 100
+    chi2 = sum((cells[(i, j)] - expected) ** 2 / expected
+               for i in range(10) for j in range(10))
+    # Wilson-Hilferty: the 1 - ALPHA quantile of chi-square with k dof
+    k, z = 99, 3.090232
+    assert chi2 < k * (1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k))) ** 3
+
+
+def test_mean_leg_length_is_the_mean_distance_in_a_square():
+    """A leg joins two independent uniform points, so on a square of side
+    L its mean length is L (2 + sqrt 2 + 5 ln(1 + sqrt 2)) / 15, about
+    0.5214 L, with variance L^2 / 3 - mean^2.  Every other leg is used, so
+    the lengths averaged share no waypoint and are independent."""
+    side = 300.0
+    legs = drawn_legs(12, (side, side), 25.0)[::2]
+    mean = sum(math.dist(o, w) for o, w, _ in legs) / (len(legs) * side)
+    exact = (2 + math.sqrt(2) + 5 * math.log(1 + math.sqrt(2))) / 15
+    assert abs(exact - 0.5214) < 1e-4
+    stderr = math.sqrt(1 / 3 - exact ** 2) / math.sqrt(len(legs))
+    assert abs(mean - exact) < 4 * stderr
+
+
+def test_leg_speeds_are_uniform_up_to_max_speed():
+    """Speeds lie in (0, max_speed], are uniform there, and average
+    max_speed / 2 (standard deviation max_speed / sqrt 12)."""
+    max_speed = 25.0
+    speeds = [v for _, _, v in drawn_legs(13, (300.0, 300.0), max_speed)]
+    assert all(0.0 < v <= max_speed for v in speeds)
+    n = len(speeds)
+    assert ks_distance_from_uniform([v / max_speed for v in speeds]) \
+        < ks_bound(n)
+    mean = sum(speeds) / n
+    assert abs(mean - max_speed / 2) < 4 * max_speed / math.sqrt(12 * n)
 
 
 class ReferenceMobility:
@@ -355,9 +432,9 @@ def test_privacy_scan_only_applies_to_pseudonymous_protocols():
 
 def test_forged_zero_tag_is_not_an_address_leak():
     """A blackhole forges its reply tag as 32 zero bytes, which hold the
-    8-byte encoding of node 0.  The tag carries no address, so with node 0
-    as a flow endpoint the scan counts no violation; an address field
-    that names node 0 still counts one."""
+    8-byte encoding of node 0, so the header as sent holds it.  The tag
+    carries no address, so with node 0 as a flow endpoint the scan counts
+    no violation; an address field that names node 0 still counts one."""
     sim = Simulation(two_node_config(ProtocolKind.TAP3), positions=TWO_NODES,
                      check_privacy=True)
     flow = sim.flows[0]
@@ -365,7 +442,7 @@ def test_forged_zero_tag_is_not_an_address_leak():
     forged = Packet(PacketKind.RREP, flow.flow_id, sim.new_pid(),
                     forward_alias=flow.ps_chain.current,
                     reverse_alias=flow.pd_chain.current, tag=bytes(32))
-    assert encode_node_id(0) in header_bytes(forged)
+    assert encode_node_id(0) in loop_header_bytes(forged)
     sim.transmit(1, 0, forged, control=True)
     assert (sim.result.privacy_checks, sim.result.privacy_violations) == (1, 0)
     leaky = forged.copy()
@@ -551,14 +628,15 @@ def test_desk_scenario_detects_all_attacker_kinds():
 class FullFloodSimulation(Simulation):
     """Reference radio: a broadcast schedules a reception at every node in
     range, including those that already hold the request and will drop
-    it on arrival, and every frame is sized by encoding its header."""
+    it on arrival, and every frame is sized by encoding its header as
+    sent, tag field included (`loop_header_bytes`)."""
 
     def transmit(self, sender, to, pkt, control):
         if to is not None:
             return super().transmit(sender, to, pkt, control)
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
-        size = len(header_bytes(pkt)) + pkt.payload_size
+        size = len(loop_header_bytes(pkt)) + pkt.payload_size
         ttx = size * 8.0 / LINK_RATE_BPS
         node.busy_until = start + ttx
         if control:
@@ -575,7 +653,8 @@ class FullFloodSimulation(Simulation):
             dist = math.dist(here, self.position(other))
             if dist <= self.config.radio_range:
                 arrival = start + ttx + dist / SPEED_OF_LIGHT
-                self.schedule(arrival, self._receiver(other, pkt, sender))
+                self.schedule(arrival, functools.partial(
+                    self.dispatch, other, pkt, sender))
         return True
 
 
@@ -661,7 +740,7 @@ def test_late_request_copy_is_not_answered_again(protocol):
     sim.run()
     flow = sim.flows[0]
     dst = sim.nodes[flow.dst]
-    rreq, cands = dst.dest_flows[flow.flow_id].rounds[1]
+    rreq, cands = flow.dest.rounds[1]
     heard, oseq = len(cands), dst.oseq
     assert flow.paths and oseq > 0      # the round was answered
     sim.dispatch(dst.id, rreq, flow.src)
