@@ -106,7 +106,7 @@ class TrapdoorIndex:
     true endpoint recognizes itself in constant time.  Refilled once
     half-consumed."""
 
-    def __init__(self, chain: PseudonymChain, window: int = 16):
+    def __init__(self, chain: PseudonymChain, window: int):
         self.window = window
         self.entries: dict[bytes, int] = {}
         self._low = chain.index

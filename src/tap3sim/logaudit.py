@@ -47,7 +47,7 @@ EMPTY_TAG = b"\x02"
 
 
 class EventKind(IntEnum):
-    """An entry's event; its value is the 1-byte code `serialize_entry`
+    """An entry's event; its value is the 1-byte code `leaf_hash`
     packs.  An int member hashes and packs in C, where a plain `Enum`
     member hashes its name in Python."""
     RECEIVED = 1
@@ -99,24 +99,14 @@ _SLOT_SETTERS = tuple(getattr(LogEntry, f.name).__set__
                       for f in fields(LogEntry))
 
 
-# alias, packet id, event code, sseq, oseq, dseq, previous-hop alias, time
-_ENTRY = struct.Struct(">32sQBqqq32sd")
-
-
-def serialize_entry(entry: LogEntry) -> bytes:
-    """Canonical byte encoding: fixed field order, 8-byte big-endian
-    integers, 32-byte aliases, 1-byte event code."""
-    return _ENTRY.pack(entry.node_alias.digest, entry.packet_id,
-                       entry.event, entry.sseq, entry.oseq, entry.dseq,
-                       entry.prev_hop_alias.digest, entry.timestamp)
-
-
-# `serialize_entry`'s layout behind one pad byte, which packs as LEAF_TAG
+# One pad byte, which packs as LEAF_TAG, then the entry's canonical
+# encoding: alias, packet id, event code, sseq, oseq, dseq, previous-hop
+# alias, time; 8-byte big-endian numbers, 32-byte aliases, 1-byte event.
 _LEAF = struct.Struct(">x32sQBqqq32sd")
 
 
 def leaf_hash(entry: LogEntry) -> bytes:
-    """SHA-256 of LEAF_TAG + `serialize_entry(entry)`, packed in one call."""
+    """SHA-256 of LEAF_TAG + the entry's encoding, packed in one call."""
     return hashlib.sha256(_LEAF.pack(
         entry.node_alias.digest, entry.packet_id, entry.event, entry.sseq,
         entry.oseq, entry.dseq, entry.prev_hop_alias.digest,
@@ -369,7 +359,6 @@ def apply_rules(events: Sequence[EventKind],
 
 FELLOW = "FELLOW"
 NOT_FELLOW = "NOT_FELLOW"
-TARGET = "Target"
 
 
 # Stands in for a node that published nothing: it proves no record.
@@ -390,17 +379,15 @@ def check_destination(tau_c: Sequence[int],
 
 
 def detect_active_attacker(route_logs: Sequence[Optional[PublishedLog]],
-                           tau_c: Sequence[int]):
-    """Reverse scan of the intermediaries.  The deepest node whose records
-    all verify locates the forger immediately downstream of it; if even the
-    last intermediary verifies the destination itself lied."""
-    n = len(route_logs)
-    if n == 0:
-        raise ValueError("no intermediaries")
+                           tau_c: Sequence[int]) -> int:
+    """Reverse scan of the n intermediaries: the forger's route position.
+    The deepest node whose records all verify locates the forger
+    immediately downstream of it, at 1..n; if even the last intermediary
+    verifies (or there is none) it is the destination, at n + 1."""
     expected = apply_rules(RELAY_EVENTS, tau_c)
-    for m in range(n, 0, -1):
+    for m in range(len(route_logs), 0, -1):
         if _proves_all(route_logs[m - 1], expected):
-            return TARGET if m == n else m + 1
+            return m + 1
     return 1
 
 
@@ -449,12 +436,10 @@ def audit_route(route_logs: Sequence[Optional[PublishedLog]],
     packets the source Forwarded on the route."""
     verdict = check_destination(tau_c_control, dest_published)
     if verdict != FELLOW:
-        if not route_logs:
+        pos = detect_active_attacker(route_logs, tau_c_control)
+        if pos > len(route_logs):
             return AuditReport(NOT_FELLOW, target_lied=True)
-        result = detect_active_attacker(route_logs, tau_c_control)
-        if result == TARGET:
-            return AuditReport(NOT_FELLOW, target_lied=True)
-        return AuditReport(NOT_FELLOW, active_attacker=result)
+        return AuditReport(NOT_FELLOW, active_attacker=pos)
     passive = detect_passive_attackers(route_logs, tau_c_data)
     return AuditReport(FELLOW, passive_attackers=passive)
 

@@ -55,11 +55,11 @@ class Packet:
     Only two handlers change a field of a received frame, each on its own
     `copy()`: a route-request relay appends itself to `route_record`, and
     a sequence-inflating attacker raises a reply's `dseq`.  A broadcast
-    (always a route request) is delivered only to the nodes in the request
-    key's listener record (`Simulation.rreq_listeners`): a node that
-    already holds the key and is not the flow's destination would drop the
-    copy unread, and it still holds the key when the copy would arrive, so
-    leaving the copy out changes nothing."""
+    (always a route request) is delivered only to the nodes in the
+    listener record of its (flow, round) (`Simulation.rreq_listeners`): a
+    node that already holds the request and is not the flow's destination
+    would drop the copy unread, and it still holds the request when the
+    copy would arrive, so leaving the copy out changes nothing."""
     kind: PacketKind
     flow_id: int
     packet_id: int
@@ -164,13 +164,6 @@ def packet_size(pkt: Packet) -> int:
 
 
 @dataclass
-class RouteEntry:
-    """Per-node forwarding state for one flow round and path."""
-    next_hop: NodeId
-    prev_hop: NodeId
-
-
-@dataclass
 class PathInfo:
     """A discovered path as known to the source."""
     path_id: int
@@ -201,7 +194,7 @@ def select_paths(paths: list[PathInfo], flagged: set[NodeId],
 
 
 def pick_disjoint_paths(candidates: list[tuple[int, float, list[NodeId]]],
-                        max_paths: int, hop_slack: int = 1
+                        max_paths: int, hop_slack: int
                         ) -> list[list[NodeId]]:
     """Greedy link-disjoint selection from (hop_count, arrival, relays)
     route-request arrivals: shortest/earliest first, admitting only routes

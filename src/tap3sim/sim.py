@@ -44,7 +44,6 @@ from .routing import (
     PacketKind,
     PathInfo,
     ProtocolKind,
-    RouteEntry,
     header_bytes,
     packet_size,
     pick_disjoint_paths,
@@ -297,8 +296,10 @@ class SimNode:
         self.busy_until = 0.0
         self.oseq = 0
         self.max_dseq_seen = 0
+        # (flow, round) -> the hop back, written once; (flow, round, path
+        # id) -> the hop on, whose hop back is the round's reverse route
         self.rev_routes: dict[tuple, RevEntry] = {}
-        self.fwd_routes: dict[tuple, RouteEntry] = {}
+        self.fwd_routes: dict[tuple, int] = {}
         # evidence log and sequence monitor: TAP3 nodes only
         self.log = NodeLog() if trust_layer else None
         self.monitor = Monitor() if trust_layer else None
@@ -402,7 +403,6 @@ class RunResult:
     classifier_flags: set[tuple[int, int]] = field(default_factory=set)
     audit_active: set[int] = field(default_factory=set)
     audit_passive: set[int] = field(default_factory=set)
-    positions_ok: bool = True
     audit_export: Optional[dict] = None
     log_duplicates: int = 0     # evidence-log appends refused as duplicates
 
@@ -431,7 +431,7 @@ class Simulation:
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
-        # route-request key -> its listener record (see `start_discovery`)
+        # a route request's (flow, round) -> its listener record
         self.rreq_listeners: dict[tuple, dict[int, None]] = {}
         self.result = RunResult(config)
         # the training epoch; attacks activate when it ends (`_attack`)
@@ -531,12 +531,12 @@ class Simulation:
                  control: bool) -> bool:
         """Queue a frame on the sender's radio.  Unicast returns False when
         the next hop is out of range (link-layer sensing).  A broadcast is
-        always a route request; it reaches the in-range nodes of its key's
-        listener record (`rreq_listeners`), visited in id order, and no
-        other node's position is looked up.  A node outside the record
-        would only drop the copy on arrival, so leaving it unscheduled
-        changes no state, and every other event keeps its time and its
-        order.  Every receiver gets `pkt` itself: frames are read-only
+        always a route request; it reaches the in-range nodes of its
+        (flow, round) listener record (`rreq_listeners`), visited in id
+        order, and no other node's position is looked up.  A node outside
+        the record would only drop the copy on arrival, so leaving it
+        unscheduled changes no state, and every other event keeps its time
+        and its order.  Every receiver gets `pkt` itself: frames are read-only
         once transmitted (see `Packet`).  The frame is sized without
         being encoded; only the privacy scan, which reads control frames
         alone, encodes the header."""
@@ -562,7 +562,7 @@ class Simulation:
         if to is None:
             here = self.position(sender)
             radio_range = self.config.radio_range
-            for other in self.rreq_listeners[self._rreq_key(pkt)]:
+            for other in self.rreq_listeners[pkt.flow_id, pkt.round]:
                 if other == sender:
                     continue
                 dist = math.dist(here, self.position(other))
@@ -670,15 +670,14 @@ class Simulation:
         if self.trust_layer:
             flow.tau_c_control[rnd] = src_node.log_entry(pid, FORWARDED, pkt,
                                                          self.now)
-        key = self._rreq_key(pkt)
-        if key in self.rreq_listeners:
-            raise RuntimeError(f"route-request key {key!r} originated twice")
-        # The key's listener record: the ids of the nodes that would still
-        # act on a copy, in ascending order.  Every node but the source
-        # starts in it.  A node leaves when it takes the key in `on_rreq`,
-        # except the flow's destination: a trapdoor miss makes it take the
-        # key as a relay, but it stays and checks later copies.
-        self.rreq_listeners[key] = dict.fromkeys(
+        # The request's listener record, under its (flow, round), which
+        # `flow.round` rising on every call keeps unique: the ids of the
+        # nodes that would still act on a copy, in ascending order.  Every
+        # node but the source starts in it.  A node leaves when it takes the
+        # request in `on_rreq`, except the flow's destination: a trapdoor
+        # miss makes it take the request as a relay, but it stays and
+        # checks later copies.
+        self.rreq_listeners[flow.flow_id, rnd] = dict.fromkeys(
             nid for nid in range(len(self.nodes)) if nid != flow.src)
         src_node.max_dseq_seen = max(src_node.max_dseq_seen, pkt.dseq)
         flow.discovery_outstanding = rnd
@@ -697,11 +696,6 @@ class Simulation:
                 self.schedule(self.now + delay,
                               lambda: self.start_discovery(flow))
 
-    def _rreq_key(self, pkt: Packet) -> tuple:
-        token = (pkt.reverse_alias.digest if pkt.reverse_alias is not None
-                 else pkt.src_addr)
-        return (token, pkt.oseq)
-
     def _is_destination(self, node: SimNode, flow: Flow, pkt: Packet) -> bool:
         """The node id is tested first: a trapdoor match slides the
         window, so only the flow's destination may run the check."""
@@ -716,15 +710,17 @@ class Simulation:
         return flow.pd_chain.current == pkt.forward_alias
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
-        """A node outside the key's listener record already holds the key
-        and drops the copy (RFC 3561 section 6.5).  The record only
-        shrinks, so a copy that is inert when it is sent is still inert
-        when it arrives.  Dropping it also skips raising `max_dseq_seen`
-        to its `dseq`, which is sound because every copy of one key
-        carries the same `dseq` and a node raised the field to it when it
-        took the key.  A destination that took the key as a relay stays in
-        the record; its reverse route marks the key as taken."""
-        listeners = self.rreq_listeners[self._rreq_key(pkt)]
+        """A copy's (flow, round) names its request in both the listener
+        record and the reverse routes.  A node outside the record already
+        holds the request and drops the copy (RFC 3561 section 6.5).  The
+        record only shrinks, so a copy that is inert when it is sent is
+        still inert when it arrives.  Dropping it also skips raising
+        `max_dseq_seen` to its `dseq`, which is sound because every copy of
+        one request carries the same `dseq` and a node raised the field to
+        it when it took the request.  A destination that took the request
+        as a relay stays in the record; its reverse route marks it taken."""
+        key = (pkt.flow_id, pkt.round)
+        listeners = self.rreq_listeners[key]
         if node.id not in listeners:
             return
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
@@ -738,12 +734,11 @@ class Simulation:
             rounds[pkt.round][1].append(
                 (len(pkt.route_record), self.now, list(pkt.route_record)))
             return
-        rev_key = (pkt.flow_id, pkt.round)
-        if rev_key in node.rev_routes:
+        if key in node.rev_routes:
             return
         if node.id != flow.dst:
             del listeners[node.id]
-        node.rev_routes[rev_key] = RevEntry(frm, pkt.dseq)
+        node.rev_routes[key] = RevEntry(frm, pkt.dseq)
         atk = self._attack(node)
         if atk and atk.kind is AttackKind.BLACK_HOLE:
             # claim to be the target: fresher than anything, fewer hops
@@ -799,13 +794,14 @@ class Simulation:
             self.transmit(node.id, nxt, rrep, control=True)
 
     def on_rrep(self, node: SimNode, pkt: Packet, frm: int) -> None:
+        """A reply reaches only the source or a node that took its request
+        (the destination sends it to the last relay, a blackhole to the hop
+        it heard, a relay along its reverse route), so the route is there."""
         flow = self.flows[pkt.flow_id]
         if node.id == flow.src:
             self._source_accept(flow, node, pkt, frm)
             return
-        rev = node.rev_routes.get((pkt.flow_id, pkt.round))
-        if rev is None:
-            return
+        rev = node.rev_routes[pkt.flow_id, pkt.round]
         if node.monitor is not None:
             freshest = node.monitor.freshest_dseq.get(pkt.flow_id, 0)
             verdict = self.monitor_sample(
@@ -819,8 +815,7 @@ class Simulation:
         if atk and atk.kind is AttackKind.SEQ_INFLATION:
             pkt = pkt.copy()
             pkt.dseq += int(atk.param)
-        node.fwd_routes[(pkt.flow_id, pkt.round, pkt.path_id)] = RouteEntry(
-            frm, rev.prev_hop)
+        node.fwd_routes[pkt.flow_id, pkt.round, pkt.path_id] = frm
         self.transmit(node.id, rev.prev_hop, pkt, control=True)
 
     def _source_accept(self, flow: Flow, node: SimNode, pkt: Packet,
@@ -868,9 +863,9 @@ class Simulation:
         flow = self.flows[pkt.flow_id]
         if node.id == flow.dst:
             return
-        entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
-        if entry is not None:
-            self.transmit(node.id, entry.next_hop, pkt, control=True)
+        nxt = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
+        if nxt is not None:
+            self.transmit(node.id, nxt, pkt, control=True)
 
     # -- data plane ---------------------------------------------------------
 
@@ -996,14 +991,14 @@ class Simulation:
                         and self.rng_attack.random() < atk.param)):
             self._settle(pkt.packet_id, "dropped_attack")
             return
-        entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
-        if entry is None:
+        nxt = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
+        if nxt is None:
             self._settle(pkt.packet_id, "dropped_noroute")
             return
         forge = atk is not None and atk.kind is AttackKind.LOG_FORGERY
         node.log_event(pkt.packet_id, RECEIVED, pkt, self.now, prev_alias,
                        forge=forge)
-        if self.transmit(node.id, entry.next_hop, pkt, control=False):
+        if self.transmit(node.id, nxt, pkt, control=False):
             node.log_event(pkt.packet_id, FORWARDED, pkt, self.now,
                            prev_alias, forge=forge)
         else:
@@ -1012,7 +1007,8 @@ class Simulation:
                            prev_alias)
             rerr = Packet(RERR, pkt.flow_id, self.new_pid(),
                           round=pkt.round, path_id=pkt.path_id)
-            self.transmit(node.id, entry.prev_hop, rerr, control=True)
+            prev = node.rev_routes[pkt.flow_id, pkt.round].prev_hop
+            self.transmit(node.id, prev, rerr, control=True)
 
     def on_rerr(self, node: SimNode, pkt: Packet, frm: int) -> None:
         flow = self.flows[pkt.flow_id]
@@ -1023,9 +1019,9 @@ class Simulation:
             if not self._usable_paths(flow) and flow.discovery_outstanding is None:
                 self.start_discovery(flow)
             return
-        entry = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
-        if entry is not None:
-            self.transmit(node.id, entry.prev_hop, pkt, control=True)
+        if (pkt.flow_id, pkt.round, pkt.path_id) in node.fwd_routes:
+            prev = node.rev_routes[pkt.flow_id, pkt.round].prev_hop
+            self.transmit(node.id, prev, pkt, control=True)
 
     # -- audits -------------------------------------------------------------
 
@@ -1126,7 +1122,8 @@ class Simulation:
             x, y = node.mobility.position(cfg.sim_duration)
             if not (-1e-9 <= x <= cfg.area_x + 1e-9
                     and -1e-9 <= y <= cfg.area_y + 1e-9):
-                self.result.positions_ok = False
+                raise RuntimeError(f"node {node.id} left the area: it is "
+                                   f"at ({x!r}, {y!r})")
         for flow in self.flows:
             for pid, _ in flow.pending:
                 self._settle(pid, "buffered_end")
