@@ -139,8 +139,7 @@ class SweepResult:
 
 
 def _mean(values: list[float]) -> float:
-    parsed = [math.nan if v is None else v for v in values]
-    return sum(parsed) / len(parsed)
+    return sum(values) / len(values)
 
 
 def sweep(spec: SweepSpec) -> SweepResult:

@@ -77,14 +77,11 @@ def classify(sample: SeqVector, window: TrainingWindow) -> Verdict:
 
 def advance_window(window: TrainingWindow,
                    new_samples: list[SeqVector]) -> TrainingWindow:
-    """Merge a fully-normal batch into the training set, evicting the
-    oldest entries to keep the sample count fixed.  A batch containing any
-    malicious sample is discarded and the window returned unchanged."""
+    """Merge a batch into the training set, evicting the oldest entries to
+    keep the sample count fixed.  Callers pass samples that `window`
+    judged normal, so the batch is not classified again."""
     if not new_samples:
         return window
-    for s in new_samples:
-        if classify(s, window).label is Label.MALICIOUS:
-            return window
     merged = (window.samples + new_samples)[-len(window.samples):]
     out = TrainingWindow(samples=merged)
     out.train()

@@ -303,7 +303,6 @@ class SimNode:
         # evidence log and sequence monitor: TAP3 nodes only
         self.log = NodeLog() if trust_layer else None
         self.monitor = Monitor() if trust_layer else None
-        self.log_duplicates = 0
 
     def log_entry(self, pid: int, event: EventKind, pkt: Packet, now: float,
                   prev_alias: Optional[Pseudonym] = None) -> LogEntry:
@@ -316,14 +315,12 @@ class SimNode:
     def log_event(self, pid: int, event: EventKind, pkt: Packet, now: float,
                   prev_alias: Optional[Pseudonym] = None,
                   forge: bool = False) -> None:
+        """Append the record to a TAP3 node's evidence log.  A claim made
+        twice raises `logaudit.DuplicateEntryError` and fails the run."""
         if self.log is None:
             return
         real_pid = pid + 1_000_000 if forge else pid
-        try:
-            self.log.append(self.log_entry(real_pid, event, pkt, now,
-                                           prev_alias))
-        except logaudit.DuplicateEntryError:
-            self.log_duplicates += 1
+        self.log.append(self.log_entry(real_pid, event, pkt, now, prev_alias))
 
 
 @dataclass
@@ -342,7 +339,8 @@ class Flow:
     rr_index: int = 0
     pending: deque = field(default_factory=deque)
     backoff: float = BACKOFF_START
-    discovery_outstanding: Optional[int] = None
+    # round `round` is outstanding: none of its replies accepted yet
+    discovering: bool = False
     suspects: set[int] = field(default_factory=set)
     # `select_paths` over `paths` and `suspects`, or None once
     # `update_routes` has dropped it (see `Simulation._usable_paths`)
@@ -404,7 +402,6 @@ class RunResult:
     audit_active: set[int] = field(default_factory=set)
     audit_passive: set[int] = field(default_factory=set)
     audit_export: Optional[dict] = None
-    log_duplicates: int = 0     # evidence-log appends refused as duplicates
 
 
 def _stream(seed: int, tag: str) -> random.Random:
@@ -608,23 +605,24 @@ class Simulation:
         if prev is None:
             return None
         sample = seqmon.SeqVector(sseq - prev[0], oseq - prev[1], delta)
-        if self.now < self.train_end:
-            mon.window.samples.append(sample)
+        window = mon.window
+        if self.now < self.train_end or (
+                not window.trained and len(window.samples) < MIN_TRAIN_SAMPLES):
+            window.samples.append(sample)
             return None
-        if not mon.window.trained:
-            if len(mon.window.samples) < MIN_TRAIN_SAMPLES:
-                mon.window.samples.append(sample)
-                return None
-            mon.window.train()
+        if not window.trained:
+            window.train()
             mon.next_merge = self.now + self.train_end
-        verdict = seqmon.classify(sample, mon.window)
+        verdict = seqmon.classify(sample, window)
         if self.trace:
             self.result.verdict_rows.append(seqmon.verdict_csv_row(
-                node.id, sample, verdict, mon.window.threshold))
+                node.id, sample, verdict, window.threshold))
+        # the batch holds only samples this window judged normal, and the
+        # window changes only here, when the batch is merged and emptied
         if verdict.label is seqmon.Label.NORMAL:
             mon.batch.append(sample)
         if self.now >= mon.next_merge and mon.batch:
-            mon.window = seqmon.advance_window(mon.window, mon.batch)
+            mon.window = seqmon.advance_window(window, mon.batch)
             mon.batch = []
             mon.next_merge = self.now + self.train_end
         return verdict
@@ -679,14 +677,13 @@ class Simulation:
         # checks later copies.
         self.rreq_listeners[flow.flow_id, rnd] = dict.fromkeys(
             nid for nid in range(len(self.nodes)) if nid != flow.src)
-        src_node.max_dseq_seen = max(src_node.max_dseq_seen, pkt.dseq)
-        flow.discovery_outstanding = rnd
+        flow.discovering = True
         self.transmit(flow.src, None, pkt, control=True)
         self.schedule(self.now + RREP_WAIT, lambda: self.discovery_check(flow, rnd))
 
     def discovery_check(self, flow: Flow, rnd: int) -> None:
-        # `_source_accept` clears the round before it keeps a path of it
-        if flow.round != rnd or flow.discovery_outstanding != rnd:
+        # `_source_accept` clears the flag before it keeps a path of the round
+        if flow.round != rnd or not flow.discovering:
             return
         # this round produced nothing; retry with backoff if traffic waits
         if flow.pending or not [p for p in flow.paths if not p.broken]:
@@ -695,6 +692,12 @@ class Simulation:
             if self.now + delay < self.config.sim_duration:
                 self.schedule(self.now + delay,
                               lambda: self.start_discovery(flow))
+
+    def _rediscover(self, flow: Flow) -> None:
+        """Start a round unless one is outstanding: the one rediscovery
+        rule of `_send_or_buffer`, `on_rerr` and `run_audits`."""
+        if not flow.discovering:
+            self.start_discovery(flow)
 
     def _is_destination(self, node: SimNode, flow: Flow, pkt: Packet) -> bool:
         """The node id is tested first: a trapdoor match slides the
@@ -836,11 +839,11 @@ class Simulation:
             self.flag(flow.src, frm)
             return
         paths = flow.paths
-        if flow.discovery_outstanding == pkt.round:
-            # no path of an outstanding round is kept yet, so the duplicate
-            # test below finds none and the filtered list is stored
-            flow.discovery_outstanding = None
-            paths = [p for p in paths if p.round == pkt.round]
+        if flow.discovering:
+            # the round's first reply: every kept path is of an older round,
+            # so the new round's list starts empty and no duplicate is found
+            flow.discovering = False
+            paths = []
             flow.backoff = BACKOFF_START
         path = PathInfo(pkt.path_id, pkt.round, list(pkt.route_record),
                         pkt.dseq, self.now, next_hop=frm)
@@ -948,8 +951,7 @@ class Simulation:
             old_pid, _ = flow.pending.popleft()
             self._settle(old_pid, "dropped_noroute")
         flow.pending.append((pid, origin))
-        if flow.discovery_outstanding is None:
-            self.start_discovery(flow)
+        self._rediscover(flow)
 
     def _send_data(self, flow: Flow, pid: int, origin: float,
                    path: PathInfo) -> bool:
@@ -1016,8 +1018,8 @@ class Simulation:
             flow.update_routes(broken=[
                 p for p in flow.paths
                 if p.round == pkt.round and p.path_id == pkt.path_id])
-            if not self._usable_paths(flow) and flow.discovery_outstanding is None:
-                self.start_discovery(flow)
+            if not self._usable_paths(flow):
+                self._rediscover(flow)
             return
         if (pkt.flow_id, pkt.round, pkt.path_id) in node.fwd_routes:
             prev = node.rev_routes[pkt.flow_id, pkt.round].prev_hop
@@ -1094,8 +1096,7 @@ class Simulation:
             if self.trace:
                 self.result.audit_rows.append(report.csv_row(flow.flow_id))
         if any(r in flow.suspects for p in flow.paths for r in p.relays):
-            if flow.discovery_outstanding is None:
-                self.start_discovery(flow)
+            self._rediscover(flow)
 
     # -- main loop ----------------------------------------------------------
 
@@ -1132,7 +1133,6 @@ class Simulation:
         for fate in FATES:
             setattr(self.result, fate, fates[fate])
         self.result.in_flight_end = fates[IN_FLIGHT]
-        self.result.log_duplicates = sum(n.log_duplicates for n in self.nodes)
         if self.trace and self.trust_layer:
             self.result.audit_export = {
                 "nodes": {str(n.id): [logaudit.entry_to_list(e)

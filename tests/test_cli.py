@@ -519,6 +519,20 @@ def test_replayed_audits_match_honest_runs():
             "\n".join(result.audit_rows), seed
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replayed_audits_match_runs_with_a_log_forger(seed):
+    """Desk tap3 with a live log forger as node 3: the forger's exported
+    log holds its forged claims (ids shifted by 1,000,000), and the replay
+    still reproduces every live audit row."""
+    cfg = replace(sim.parse_config(DESK_CONFIG_TEXT
+                                   + "attacker = 3:logforgery:1\n"),
+                  rng_seed=seed)
+    result = run_scenario(cfg, trace=True)
+    assert result.audit_rows
+    assert replayed_rows(result) == result.audit_rows
+    assert any(e[1] >= 1_000_000 for e in result.audit_export["nodes"]["3"])
+
+
 def _audit_rows(lines):
     start = lines.index("# audits") + 2
     return lines[start:lines.index("# audit-log")]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tap3sim.cli import replay_audits, write_trace_file
 from tap3sim.crypto import encode_node_id
-from tap3sim.logaudit import EventKind
+from tap3sim.logaudit import DuplicateEntryError, EventKind
 from tap3sim.metrics import report_from_result
 from tap3sim.routing import (
     Packet,
@@ -524,17 +524,24 @@ def small_scenario(seed):
 
 
 class DiscoveryCheckedSimulation(Simulation):
-    """Checks, each time a discovery round times out still outstanding,
+    """Checks, each time a discovery round times out still outstanding and
+    each time the source takes a reply while its round is outstanding,
     that the source kept no path of that round: `_source_accept` clears
-    the round before it appends one.  Also checks, at every read of a
-    flow's usable paths and after every audit, which can change the
-    suspects, that a kept memo holds the very paths, in the same order,
-    that `select_paths` gives afresh."""
+    `discovering` before it appends one, which is why it starts the
+    round's path list empty.  Also checks, at every read of a flow's
+    usable paths and after every audit, which can change the suspects,
+    that a kept memo holds the very paths, in the same order, that
+    `select_paths` gives afresh."""
 
     def discovery_check(self, flow, rnd):
-        if flow.round == rnd and flow.discovery_outstanding == rnd:
+        if flow.round == rnd and flow.discovering:
             assert not any(p.round == rnd for p in flow.paths)
         super().discovery_check(flow, rnd)
+
+    def _source_accept(self, flow, node, pkt, frm):
+        if flow.discovering and pkt.round == flow.round:
+            assert not any(p.round == pkt.round for p in flow.paths)
+        super()._source_accept(flow, node, pkt, frm)
 
     def _usable_paths(self, flow):
         usable = super()._usable_paths(flow)
@@ -935,12 +942,15 @@ def test_baseline_runs_build_no_trust_layer_state(protocol):
         assert flow.audit_queue == {}
 
 
-def test_log_duplicates_are_counted():
-    assert run_scenario(desk_profile(seed=1)).log_duplicates == 0
-    sim = Simulation(replace(desk_profile(seed=1), sim_duration=60.0))
+def test_second_log_event_of_a_claim_raises():
+    """A duplicate evidence-log claim is an error that fails the run, not
+    a refused append."""
+    sim = Simulation(desk_profile(seed=1))
     node = sim.nodes[5]
     pkt = Packet(PacketKind.DATA, 0, 10 ** 9)  # no real packet has this id
-    for _ in range(2):
+    node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, 0.0,
+                   node.log_alias)
+    with pytest.raises(DuplicateEntryError):
         node.log_event(pkt.packet_id, EventKind.RECEIVED, pkt, 0.0,
                        node.log_alias)
-    assert sim.run().log_duplicates == 1
+    assert len(node.log.entries) == 1
