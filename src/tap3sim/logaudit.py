@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
@@ -64,8 +64,9 @@ REPLIED = EventKind.REPLIED
 DROPPED = EventKind.DROPPED
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LogEntry:
+class LogEntry(NamedTuple):
+    """One evidence-log record: immutable, and equal to any entry with
+    the same fields."""
     node_alias: Pseudonym
     packet_id: int
     event: EventKind
@@ -74,29 +75,6 @@ class LogEntry:
     dseq: int
     prev_hop_alias: Pseudonym
     timestamp: float
-
-    def __init__(self, node_alias: Pseudonym, packet_id: int,
-                 event: EventKind, sseq: int, oseq: int, dseq: int,
-                 prev_hop_alias: Pseudonym, timestamp: float):
-        # Each field is stored through its own slot's setter.  The
-        # generated frozen init calls `object.__setattr__` per field, which
-        # looks the name up on the class each time and takes about twice
-        # as long on CPython 3.11.  Filling `__dict__` in one call would be
-        # as fast, but a materialised dict doubles an entry's memory.
-        (set_alias, set_pid, set_event, set_sseq, set_oseq, set_dseq,
-         set_prev, set_time) = _SLOT_SETTERS
-        set_alias(self, node_alias)
-        set_pid(self, packet_id)
-        set_event(self, event)
-        set_sseq(self, sseq)
-        set_oseq(self, oseq)
-        set_dseq(self, dseq)
-        set_prev(self, prev_hop_alias)
-        set_time(self, timestamp)
-
-
-_SLOT_SETTERS = tuple(getattr(LogEntry, f.name).__set__
-                      for f in fields(LogEntry))
 
 
 # One pad byte, which packs as LEAF_TAG, then the entry's canonical

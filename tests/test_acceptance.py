@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -163,7 +162,7 @@ def test_criterion_7_crypto_vectors_and_log_tamper():
                                 1, 2, 3, alias(0), 99.0))
         tree = MerkleTree([leaf_hash(e) for e in entries])
         victim = entries[rng.randrange(len(entries))]
-        tampered = replace(victim, dseq=victim.dseq + rng.randint(1, 1000))
+        tampered = victim._replace(dseq=victim.dseq + rng.randint(1, 1000))
         proof = tree.proof([leaf_hash(e) for e in entries].index(
             leaf_hash(victim)))
         if not MerkleTree.verify(tree.root, leaf_hash(tampered), proof):
@@ -185,8 +184,8 @@ def test_criterion_7_crypto_vectors_and_log_tamper():
         honest = all(published.proves(e.packet_id, e.event) for e in earlier)
         index = rng.randrange(len(log.entries))
         victim = log.entries[index]
-        log.entries[index] = replace(victim,
-                                     dseq=victim.dseq + rng.randint(1, 1000))
+        log.entries[index] = victim._replace(
+            dseq=victim.dseq + rng.randint(1, 1000))
         if (honest and published.verified
                 and not published.proves(victim.packet_id, victim.event)
                 and not published.proves(victim.packet_id, victim.event)):
