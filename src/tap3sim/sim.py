@@ -377,8 +377,8 @@ class Flow:
 class RunResult:
     """What one run reports.  Every sent data packet has exactly one of
     six fates: delivered, lost_link (a relay's next hop was out of range),
-    dropped_attack, dropped_noroute (send buffer overflow or no route at a
-    relay), buffered_end (still waiting for a route when the run ended) or
+    dropped_attack, dropped_noroute (send-buffer overflow at the source),
+    buffered_end (still waiting for a route when the run ended) or
     in_flight_end (still on its way).  The six counters are filled once,
     at the end of `Simulation.run`, from the packet ledger, so they always
     sum to `sent`."""
@@ -823,6 +823,9 @@ class Simulation:
 
     def _source_accept(self, flow: Flow, node: SimNode, pkt: Packet,
                        frm: int) -> None:
+        """Keep the reply's path.  No kept path has its (round, path id):
+        each reply is sent once per (round, path id) and travels one
+        loop-free reverse chain, so the source takes it at most once."""
         if pkt.round != flow.round:
             return
         delta = pkt.dseq - flow.last_known_dseq
@@ -841,15 +844,12 @@ class Simulation:
         paths = flow.paths
         if flow.discovering:
             # the round's first reply: every kept path is of an older round,
-            # so the new round's list starts empty and no duplicate is found
+            # so the new round's list starts empty
             flow.discovering = False
             paths = []
             flow.backoff = BACKOFF_START
         path = PathInfo(pkt.path_id, pkt.round, list(pkt.route_record),
                         pkt.dseq, self.now, next_hop=frm)
-        if any(p.path_id == path.path_id and p.round == path.round
-               for p in paths):
-            return
         flow.update_routes(paths=paths + [path])
         flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
         ack = Packet(RREP_ACK, flow.flow_id, self.new_pid(),
@@ -979,6 +979,13 @@ class Simulation:
             self._send_or_buffer(flow, pid, origin)
 
     def on_data(self, node: SimNode, pkt: Packet, frm: int) -> None:
+        """A relay's forwarding entry is there: a DATA frame reaches a
+        relay only from the node that the relay sent the path's reply to
+        (the source's next hop is the reply's sender, a relay's is the hop
+        it heard the reply from), and each reply is sent once per (round,
+        path id) along one loop-free reverse chain.  A blackhole drops the
+        frame before the lookup; it forged the path's reply and holds no
+        entry."""
         flow = self.flows[pkt.flow_id]
         prev_alias = self.nodes[frm].log_alias
         if node.id == flow.dst:
@@ -993,10 +1000,7 @@ class Simulation:
                         and self.rng_attack.random() < atk.param)):
             self._settle(pkt.packet_id, "dropped_attack")
             return
-        nxt = node.fwd_routes.get((pkt.flow_id, pkt.round, pkt.path_id))
-        if nxt is None:
-            self._settle(pkt.packet_id, "dropped_noroute")
-            return
+        nxt = node.fwd_routes[pkt.flow_id, pkt.round, pkt.path_id]
         forge = atk is not None and atk.kind is AttackKind.LOG_FORGERY
         node.log_event(pkt.packet_id, RECEIVED, pkt, self.now, prev_alias,
                        forge=forge)
@@ -1013,6 +1017,10 @@ class Simulation:
             self.transmit(node.id, prev, rerr, control=True)
 
     def on_rerr(self, node: SimNode, pkt: Packet, frm: int) -> None:
+        """A relay forwards the error over its reverse route, which is
+        there: the error comes from a hop that lost the path's next link
+        and sent it over its own reverse route, where it had sent the
+        path's one reply, so this relay relayed that reply."""
         flow = self.flows[pkt.flow_id]
         if node.id == flow.src:
             flow.update_routes(broken=[
@@ -1021,9 +1029,8 @@ class Simulation:
             if not self._usable_paths(flow):
                 self._rediscover(flow)
             return
-        if (pkt.flow_id, pkt.round, pkt.path_id) in node.fwd_routes:
-            prev = node.rev_routes[pkt.flow_id, pkt.round].prev_hop
-            self.transmit(node.id, prev, pkt, control=True)
+        prev = node.rev_routes[pkt.flow_id, pkt.round].prev_hop
+        self.transmit(node.id, prev, pkt, control=True)
 
     # -- audits -------------------------------------------------------------
 

@@ -528,7 +528,9 @@ class DiscoveryCheckedSimulation(Simulation):
     each time the source takes a reply while its round is outstanding,
     that the source kept no path of that round: `_source_accept` clears
     `discovering` before it appends one, which is why it starts the
-    round's path list empty.  Also checks, at every read of a flow's
+    round's path list empty.  After every reply the source takes, checks
+    that no two kept paths share a (round, path id), which `_source_accept`
+    does not test.  Also checks, at every read of a flow's
     usable paths and after every audit, which can change the suspects,
     that a kept memo holds the very paths, in the same order, that
     `select_paths` gives afresh."""
@@ -542,6 +544,8 @@ class DiscoveryCheckedSimulation(Simulation):
         if flow.discovering and pkt.round == flow.round:
             assert not any(p.round == pkt.round for p in flow.paths)
         super()._source_accept(flow, node, pkt, frm)
+        kept = [(p.round, p.path_id) for p in flow.paths]
+        assert len(set(kept)) == len(kept)
 
     def _usable_paths(self, flow):
         usable = super()._usable_paths(flow)
