@@ -80,8 +80,6 @@ def advance_window(window: TrainingWindow,
     """Merge a batch into the training set, evicting the oldest entries to
     keep the sample count fixed.  Callers pass samples that `window`
     judged normal, so the batch is not classified again."""
-    if not new_samples:
-        return window
     merged = (window.samples + new_samples)[-len(window.samples):]
     out = TrainingWindow(samples=merged)
     out.train()

@@ -350,11 +350,11 @@ def test_unbuildable_pause_range_exits_one(tmp_path, pauses, message):
 @pytest.mark.parametrize("seeds", ["0..18446744073709551616",
                                    "-1..3"], ids=["past-end", "negative"])
 def test_seed_range_outside_64_bits_exits_one(tmp_path, seeds):
-    """A `lo..hi` seed range with an end outside [0, 2**64) exits 1 when
-    it is parsed, before it is built or any CSV is written."""
+    """A `lo..hi` seed range with an end outside [0, 2**64) exits 1 at
+    the grid check, before the range is walked or any CSV is written."""
     proc, out = _sweep_in_child(tmp_path, "0", seeds)
     assert proc.returncode == 1, proc.stderr
-    assert "leaves [0, 2**64)" in proc.stderr
+    assert "rng_seed must be a 64-bit unsigned integer" in proc.stderr
     assert not out.exists()
 
 
