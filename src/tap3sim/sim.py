@@ -692,6 +692,10 @@ class Simulation:
             if self.now + delay < self.config.sim_duration:
                 self.schedule(self.now + delay,
                               lambda: self.start_discovery(flow))
+        else:
+            # older paths still carry the traffic: the round is over, so a
+            # later path break or buffered packet may start the next one
+            flow.discovering = False
 
     def _rediscover(self, flow: Flow) -> None:
         """Start a round unless one is outstanding: the one rediscovery

@@ -530,15 +530,34 @@ class DiscoveryCheckedSimulation(Simulation):
     `discovering` before it appends one, which is why it starts the
     round's path list empty.  After every reply the source takes, checks
     that no two kept paths share a (round, path id), which `_source_accept`
-    does not test.  Also checks, at every read of a flow's
-    usable paths and after every audit, which can change the suspects,
-    that a kept memo holds the very paths, in the same order, that
-    `select_paths` gives afresh."""
+    does not test.  Each time a data packet is sent or buffered, checks
+    that no packet waits behind a round that timed out with no retry
+    scheduled, unless that retry would have fallen after the run's end.
+    Also checks, at every read of a flow's usable paths and after every
+    audit, which can change the suspects, that a kept memo holds the very
+    paths, in the same order, that `select_paths` gives afresh."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # (flow id, round) of each round that timed out outstanding ->
+        # whether it stayed outstanding with no retry scheduled
+        self.timed_out = {}
 
     def discovery_check(self, flow, rnd):
-        if flow.round == rnd and flow.discovering:
+        outstanding = flow.round == rnd and flow.discovering
+        if outstanding:
             assert not any(p.round == rnd for p in flow.paths)
+        seq, backoff = self._event_seq, flow.backoff
         super().discovery_check(flow, rnd)
+        if outstanding:
+            self.timed_out[flow.flow_id, rnd] = (
+                flow.discovering and self._event_seq == seq
+                and self.now + backoff < self.config.sim_duration)
+
+    def _send_or_buffer(self, flow, pid, origin):
+        super()._send_or_buffer(flow, pid, origin)
+        if flow.pending and flow.discovering:
+            assert not self.timed_out.get((flow.flow_id, flow.round))
 
     def _source_accept(self, flow, node, pkt, frm):
         if flow.discovering and pkt.round == flow.round:
@@ -580,7 +599,9 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
     the trace's audit logs replay to the live verdicts, a flow's memoized
     usable paths stay equal to a fresh `select_paths`, and a second run
     gives the same rows.  A discovery round still outstanding when it
-    times out has no path, and only the trust layer advances the alias
+    times out has no path, and no packet waits behind it unless its retry
+    is scheduled or would fall after the end; no two kept paths share a
+    (round, path id); and only the trust layer advances the alias
     chains, so a baseline's destination keeps its first alias."""
     sim = DiscoveryCheckedSimulation(cfg, trace=True, check_privacy=True)
     res = sim.run()
@@ -606,6 +627,17 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
             again.audit_export) == (res.packet_rows, res.verdict_rows,
                                     res.audit_rows, res.audit_export)
     assert report_from_result(again) == report_from_result(res)
+
+
+def test_timed_out_round_does_not_hold_back_rediscovery():
+    """Tap3 at seed 19, pause 10: flow 3's source rejects every reply of a
+    refresh round while its older paths still carry the traffic.  When
+    those paths break later, the packets it buffers start a new round; they
+    do not wait for the next refresh behind the timed-out one."""
+    sim = DiscoveryCheckedSimulation(desk_profile(ProtocolKind.TAP3, 10.0,
+                                                  19))
+    sim.run()
+    assert (3, 6) in sim.timed_out
 
 
 # ---------------------------------------------------------------------------
