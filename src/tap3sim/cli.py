@@ -213,7 +213,7 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     if not isinstance(paths, list):
         raise UsageError("recorded audit log: 'paths' is not a JSON list")
     published = {}
-    aliases: dict = {}      # alias hex -> its one Pseudonym in this replay
+    aliases: dict = {}      # alias hex -> its one digest in this replay
     for nid, entries in nodes.items():
         try:
             node = int(nid)

@@ -33,13 +33,14 @@ stops there gives the verdict a full walk to the root gives.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
-from .crypto import Pseudonym
+from .crypto import DIGEST_LEN
 
 LEAF_TAG = b"\x00"
 NODE_TAG = b"\x01"
@@ -66,14 +67,15 @@ DROPPED = EventKind.DROPPED
 
 class LogEntry(NamedTuple):
     """One evidence-log record: immutable, and equal to any entry with
-    the same fields."""
-    node_alias: Pseudonym
+    the same fields.  The aliases are raw 32-byte digests and the fields
+    are in `_LEAF`'s order, so `_LEAF.pack(*entry)` is the leaf."""
+    node_alias: bytes
     packet_id: int
     event: EventKind
     sseq: int
     oseq: int
     dseq: int
-    prev_hop_alias: Pseudonym
+    prev_hop_alias: bytes
     timestamp: float
 
 
@@ -85,10 +87,7 @@ _LEAF = struct.Struct(">x32sQBqqq32sd")
 
 def leaf_hash(entry: LogEntry) -> bytes:
     """SHA-256 of LEAF_TAG + the entry's encoding, packed in one call."""
-    return hashlib.sha256(_LEAF.pack(
-        entry.node_alias.digest, entry.packet_id, entry.event, entry.sseq,
-        entry.oseq, entry.dseq, entry.prev_hop_alias.digest,
-        entry.timestamp)).digest()
+    return hashlib.sha256(_LEAF.pack(*entry)).digest()
 
 
 def _interior(left: bytes, right: bytes) -> bytes:
@@ -293,22 +292,26 @@ class NodeLog:
         self._last_ts = float("-inf")
 
     def append(self, entry: LogEntry) -> None:
-        if entry.timestamp < self._last_ts:
+        _, pid, event, _, _, _, _, ts = entry
+        if ts < self._last_ts:
             raise TimestampRegressionError(
-                f"timestamp {entry.timestamp} precedes {self._last_ts}")
-        claim = (entry.packet_id, entry.event)
+                f"timestamp {ts} precedes {self._last_ts}")
+        claim = (pid, event)
         if claim in self._claims:
             raise DuplicateEntryError(f"duplicate entry {claim}")
         self._claims[claim] = len(self.entries)
-        self._last_ts = entry.timestamp
+        self._last_ts = ts
         self.entries.append(entry)
 
     @property
     def tree(self) -> MerkleTree:
-        """The tree over every entry appended so far."""
+        """The tree over every entry appended so far.  The new leaves are
+        hashed as `leaf_hash` hashes them, without a Python call per leaf."""
         tree = self._tree
         if len(tree) < len(self.entries):
-            tree.extend([leaf_hash(e) for e in self.entries[len(tree):]])
+            sha256 = hashlib.sha256
+            tree.extend([sha256(leaf).digest() for leaf in itertools.starmap(
+                _LEAF.pack, self.entries[len(tree):])])
         return tree
 
     def claim_index(self, packet_id: int, event: EventKind,
@@ -425,27 +428,30 @@ def audit_route(route_logs: Sequence[Optional[PublishedLog]],
 def entry_to_list(entry: LogEntry) -> list:
     """Plain-data form of a log entry for trace export; the event is its
     plain int code."""
-    return [entry.node_alias.digest.hex(), entry.packet_id, int(entry.event),
+    return [entry.node_alias.hex(), entry.packet_id, int(entry.event),
             entry.sseq, entry.oseq, entry.dseq,
-            entry.prev_hop_alias.digest.hex(), entry.timestamp]
+            entry.prev_hop_alias.hex(), entry.timestamp]
 
 
 _EVENT_BY_CODE = {int(e): e for e in EventKind}
 
 
-def _new_alias(aliases: dict[str, Pseudonym], text: str) -> Pseudonym:
-    alias = aliases[text] = Pseudonym(bytes.fromhex(text))
+def _new_alias(aliases: dict[str, bytes], text: str) -> bytes:
+    alias = bytes.fromhex(text)
+    # `_LEAF` would pad a short alias and cut a long one without a word
+    if len(alias) != DIGEST_LEN:
+        raise ValueError("pseudonym must be 32 bytes")
+    aliases[text] = alias
     return alias
 
 
-def entry_from_list(data: Sequence,
-                    aliases: dict[str, Pseudonym]) -> LogEntry:
+def entry_from_list(data: Sequence, aliases: dict[str, bytes]) -> LogEntry:
     """The entry whose `entry_to_list` form, read back from JSON, is
     `data`.  The packet id, event code and counters must be JSON integers
-    (a bool is not one) and the timestamp a finite JSON number; any other
-    value raises TypeError or ValueError.  `aliases` maps alias hex to its
-    Pseudonym and gains every alias not in it yet, so that one replay
-    builds one Pseudonym per alias."""
+    (a bool is not one), the timestamp a finite JSON number and each alias
+    the hex of 32 bytes; any other value raises TypeError or ValueError.
+    `aliases` maps alias hex to its digest and gains every alias not in it
+    yet, so that one replay builds one `bytes` per alias."""
     node_hex, pid, code, sseq, oseq, dseq, prev_hex, ts = data
     # exact type tests: int() would truncate 1.9 and take "12" or True
     if not (type(pid) is type(code) is type(sseq) is type(oseq)

@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 from . import logaudit, seqmon
 from .crypto import (
     MasterKey,
-    Pseudonym,
     PseudonymChain,
     TrapdoorIndex,
     derive_pairwise_key,
@@ -76,6 +75,8 @@ RREP = PacketKind.RREP
 RREP_ACK = PacketKind.RREP_ACK
 DATA = PacketKind.DATA
 RERR = PacketKind.RERR
+# `tuple.__new__` read once, as above: it builds a `LogEntry` in C
+_tuple_new = tuple.__new__
 
 # a data packet's ledger state until `Simulation._settle` gives it a fate
 IN_FLIGHT = "in_flight"
@@ -287,7 +288,7 @@ class Monitor:
 
 
 class SimNode:
-    def __init__(self, nid: int, mobility: Mobility, log_alias: Pseudonym,
+    def __init__(self, nid: int, mobility: Mobility, log_alias: bytes,
                  attacker: Optional[AttackerSpec], trust_layer: bool):
         self.id = nid
         self.mobility = mobility
@@ -305,15 +306,18 @@ class SimNode:
         self.monitor = Monitor() if trust_layer else None
 
     def log_entry(self, pid: int, event: EventKind, pkt: Packet, now: float,
-                  prev_alias: Optional[Pseudonym] = None) -> LogEntry:
+                  prev_alias: Optional[bytes] = None) -> LogEntry:
         """The record of `event` on `pkt` here; the previous hop defaults
-        to this node, as on a packet it originates or answers."""
-        prev = self.log_alias if prev_alias is None else prev_alias
-        return LogEntry(self.log_alias, pid, event, pkt.sseq, pkt.oseq,
-                        pkt.dseq, prev, now)
+        to this node, as on a packet it originates or answers.  Built by
+        the C call that the generated `LogEntry.__new__` wraps, which
+        takes half its time."""
+        alias = self.log_alias
+        return _tuple_new(LogEntry, (
+            alias, pid, event, pkt.sseq, pkt.oseq, pkt.dseq,
+            alias if prev_alias is None else prev_alias, now))
 
     def log_event(self, pid: int, event: EventKind, pkt: Packet, now: float,
-                  prev_alias: Optional[Pseudonym] = None,
+                  prev_alias: Optional[bytes] = None,
                   forge: bool = False) -> None:
         """Append the record to a TAP3 node's evidence log.  A claim made
         twice raises `logaudit.DuplicateEntryError` and fails the run."""
@@ -445,9 +449,9 @@ class Simulation:
         attackers = {a.node_id: a for a in config.attackers}
         self.nodes: list[SimNode] = []
         for i in range(config.node_count):
-            alias = Pseudonym(hashlib.sha256(
+            alias = hashlib.sha256(
                 b"node-alias" + seed.to_bytes(8, "big") + encode_node_id(i)
-            ).digest())
+            ).digest()
             mob = Mobility(_stream(seed, f"mob{i}"), positions[i],
                            (config.area_x, config.area_y),
                            config.max_speed, config.pause_time)
@@ -498,12 +502,10 @@ class Simulation:
         self._next_pid += 1
         return self._next_pid
 
-    def position(self, nid: int) -> tuple[float, float]:
-        """Where node `nid` is at `self.now`."""
-        return self.nodes[nid].mobility.position(self.now)
-
     def link(self, a: int, b: int) -> tuple[bool, float]:
-        d = math.dist(self.position(a), self.position(b))
+        nodes, now = self.nodes, self.now
+        d = math.dist(nodes[a].mobility.position(now),
+                      nodes[b].mobility.position(now))
         return d <= self.config.radio_range, d
 
     def _privacy_scan(self, pkt: Packet) -> None:
@@ -557,12 +559,13 @@ class Simulation:
         if self.trace:
             self._trace(start, pkt, sender, -1 if to is None else to, size)
         if to is None:
-            here = self.position(sender)
+            nodes, now = self.nodes, self.now
+            here = node.mobility.position(now)
             radio_range = self.config.radio_range
             for other in self.rreq_listeners[pkt.flow_id, pkt.round]:
                 if other == sender:
                     continue
-                dist = math.dist(here, self.position(other))
+                dist = math.dist(here, nodes[other].mobility.position(now))
                 if dist <= radio_range:
                     arrival = start + ttx + dist / SPEED_OF_LIGHT
                     self.schedule(arrival, functools.partial(

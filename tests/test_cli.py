@@ -21,7 +21,6 @@ from tap3sim.cli import (
     replay_audits,
     write_trace_file,
 )
-from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
     FELLOW,
     FORWARDED,
@@ -195,6 +194,34 @@ def _relays_as_string(export):
     return export, "recorded path 0"
 
 
+def _first_alias(export, field, value):
+    """Set one alias field of the first entry of the first recorded log
+    to `value(old)`; the error must name that node."""
+    nid, entries = next(iter(export["nodes"].items()))
+    entries[0][field] = value(entries[0][field])
+    return export, f"recorded log of node {nid}: "
+
+
+def _short_alias(export):
+    # `struct`'s 32s would pad it with a zero byte
+    export, where = _first_alias(export, 0, lambda old: old[:-2])
+    return export, where + "ValueError('pseudonym must be 32 bytes')"
+
+
+def _long_alias(export):
+    # `struct`'s 32s would cut the extra byte
+    export, where = _first_alias(export, 6, lambda old: old + "ab")
+    return export, where + "ValueError('pseudonym must be 32 bytes')"
+
+
+def _non_hex_alias(export):
+    return _first_alias(export, 6, lambda old: "zz" * 32)
+
+
+def _integer_alias(export):
+    return _first_alias(export, 0, lambda old: 7)
+
+
 def _padded_node_key(export):
     nid = next(iter(export["nodes"]))
     export["nodes"]["0" + nid] = export["nodes"].pop(nid)
@@ -220,7 +247,9 @@ def desk_trace_lines(tmp_path_factory):
                                      _huge_timestamp, _huge_path_timestamp,
                                      _bool_flow, _negative_packet_id,
                                      _bool_relay, _float_destination,
-                                     _relays_as_string, _padded_node_key],
+                                     _relays_as_string, _padded_node_key,
+                                     _short_alias, _long_alias,
+                                     _non_hex_alias, _integer_alias],
                          ids=["repeated-claim", "timestamp-back",
                               "null-relays", "path-without-flow",
                               "nodes-list", "export-list",
@@ -229,7 +258,9 @@ def desk_trace_lines(tmp_path_factory):
                               "huge-timestamp", "huge-path-timestamp",
                               "bool-flow", "negative-packet-id",
                               "bool-relay", "float-destination",
-                              "relays-as-string", "padded-node-key"])
+                              "relays-as-string", "padded-node-key",
+                              "31-byte-alias", "33-byte-alias",
+                              "non-hex-alias", "integer-alias"])
 def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
                                        malform):
     """A trace whose recorded logs or paths cannot be rebuilt, or whose
@@ -465,13 +496,13 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
 
 
 def fresh_alias_reports(export):
-    """The replay of `export` with one new Pseudonym for every alias field
+    """The replay of `export` with one new `bytes` for every alias field
     of every entry: the reference that `replay_audits`, which shares one
-    Pseudonym per alias, must match."""
+    `bytes` per alias, must match."""
     def entry(data):
-        return LogEntry(Pseudonym(bytes.fromhex(data[0])), data[1],
+        return LogEntry(bytes.fromhex(data[0]), data[1],
                         EventKind(data[2]), data[3], data[4], data[5],
-                        Pseudonym(bytes.fromhex(data[6])), data[7])
+                        bytes.fromhex(data[6]), data[7])
 
     published = {}
     for nid, entries in export["nodes"].items():

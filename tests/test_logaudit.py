@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import itertools
+import math
 import random
 import struct
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tap3sim.cli import forwarded_pids
-from tap3sim.crypto import Pseudonym
 from tap3sim.logaudit import (
     EMPTY_ROOT,
     RELAY_EVENTS,
@@ -34,8 +34,8 @@ from tap3sim.logaudit import (
 )
 
 
-def alias(n: int) -> Pseudonym:
-    return Pseudonym(bytes([n % 256]) * 32)
+def alias(n: int) -> bytes:
+    return bytes([n % 256]) * 32
 
 
 def entry(node=1, pid=10, event=EventKind.RECEIVED, sseq=1, oseq=2, dseq=3,
@@ -61,19 +61,19 @@ def test_single_leaf_root():
 def field_by_field_encoding(e):
     """The entry encoding `leaf_hash` packs, one pack per field, joined."""
     return b"".join((
-        e.node_alias.digest,
+        e.node_alias,
         e.packet_id.to_bytes(8, "big"),
         bytes([e.event.value]),
         struct.pack(">q", e.sseq),
         struct.pack(">q", e.oseq),
         struct.pack(">q", e.dseq),
-        e.prev_hop_alias.digest,
+        e.prev_hop_alias,
         struct.pack(">d", e.timestamp),
     ))
 
 
 SIGNED_64 = st.integers(-2 ** 63, 2 ** 63 - 1)
-DIGESTS = st.binary(min_size=32, max_size=32).map(Pseudonym)
+DIGESTS = st.binary(min_size=32, max_size=32)
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,6 +178,41 @@ def test_incremental_tree_equals_from_scratch(snapshots, extra, events):
             assert pub.proves(i, events[i])
         for i in range(n, total):
             assert not pub.proves(i, events[i])
+
+
+EXTREME_ROW = (alias(255), 2 ** 64 - 1, EventKind.DROPPED, -2 ** 63,
+               2 ** 63 - 1, -1, alias(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(DIGESTS, st.integers(0, 2 ** 64 - 1),
+                               st.sampled_from(list(EventKind)), SIGNED_64,
+                               SIGNED_64, SIGNED_64, DIGESTS, st.floats()),
+                     max_size=40, unique_by=lambda row: row[1:3]),
+       publish_at=st.sets(st.integers(0, 40)))
+@example(rows=[EXTREME_ROW + (-math.inf,),
+               (alias(1), 0, EventKind.RECEIVED, 0, 0, 0, alias(1), math.nan),
+               EXTREME_ROW[:2] + (EventKind.REPLIED,) + EXTREME_ROW[3:]
+               + (math.inf,)],
+         publish_at={0, 1, 2, 3})
+def test_publish_hashes_each_new_leaf_as_leaf_hash(rows, publish_at):
+    """`NodeLog.tree` hashes the entries appended since the last publish
+    in one batch; each leaf must equal `leaf_hash` of its entry, and the
+    root the from-scratch root, for any field values an entry can hold.
+    The timestamps are the drawn ones, the non-NaN ones put in order so
+    that every append is accepted."""
+    stamps = iter(sorted(row[7] for row in rows if not math.isnan(row[7])))
+    log = NodeLog()
+    for i in range(len(rows) + 1):
+        if i in publish_at:
+            published = log.publish()
+            leaves = [leaf_hash(e) for e in log.entries]
+            assert log.tree.blocks[0] == leaves
+            assert published.root == reference_tree(leaves)[0]
+        if i < len(rows):
+            ts = rows[i][7]
+            log.append(LogEntry(*rows[i][:7],
+                                ts if math.isnan(ts) else next(stamps)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -718,11 +718,12 @@ class FullFloodSimulation(Simulation):
         if self.check_privacy:
             self._privacy_scan(pkt)
         self._trace(start, pkt, sender, -1, size)
-        here = self.position(sender)
+        here = node.mobility.position(self.now)
         for other in range(len(self.nodes)):
             if other == sender:
                 continue
-            dist = math.dist(here, self.position(other))
+            dist = math.dist(here,
+                             self.nodes[other].mobility.position(self.now))
             if dist <= self.config.radio_range:
                 arrival = start + ttx + dist / SPEED_OF_LIGHT
                 self.schedule(arrival, functools.partial(
