@@ -1,8 +1,10 @@
 """Keyed primitives for pseudonymous routing: pairwise key derivation,
 PRF-based alias chains, the destination trapdoor table and message tags.
 
-All keyed operations are HMAC-SHA-256.  Node identifiers enter the PRF as
-8-byte big-endian integers; aliases are fed back in raw.
+All keyed operations are HMAC-SHA-256.  Every key and alias is a plain
+`DIGEST_LEN`-byte SHA-256 or HMAC-SHA-256 digest, so none is checked for
+length.  Node identifiers enter the PRF as 8-byte big-endian integers;
+aliases are fed back in raw.
 """
 
 from __future__ import annotations
@@ -21,64 +23,29 @@ def encode_node_id(node_id: NodeId) -> bytes:
     return node_id.to_bytes(8, "big")
 
 
-@dataclass(frozen=True)
-class MasterKey:
-    bytes: bytes
-
-    def __post_init__(self):
-        if len(self.bytes) != DIGEST_LEN:
-            raise ValueError("master key must be 32 bytes")
-
-    @classmethod
-    def from_seed(cls, seed: int, node_id: NodeId) -> "MasterKey":
-        """Deterministic per-node master key for reproducible scenarios."""
-        material = hashlib.sha256(
-            b"master" + seed.to_bytes(8, "big") + encode_node_id(node_id)
-        ).digest()
-        return cls(material)
+def master_key(seed: int, node_id: NodeId) -> bytes:
+    """Deterministic per-node master key for reproducible scenarios."""
+    return hashlib.sha256(
+        b"master" + seed.to_bytes(8, "big") + encode_node_id(node_id)
+    ).digest()
 
 
-@dataclass(frozen=True)
-class PairwiseKey:
-    bytes: bytes
-
-    def __post_init__(self):
-        if len(self.bytes) != DIGEST_LEN:
-            raise ValueError("pairwise key must be 32 bytes")
-
-
-@dataclass(frozen=True)
-class Pseudonym:
-    digest: bytes
-
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_LEN:
-            raise ValueError("pseudonym must be 32 bytes")
-
-    def __repr__(self):
-        return f"Pseudonym({self.digest.hex()[:12]}..)"
-
-
-def derive_pairwise_key(receiver_master: MasterKey,
-                        sender: NodeId) -> PairwiseKey:
+def derive_pairwise_key(receiver_master: bytes, sender: NodeId) -> bytes:
     """Pairwise key between a sender and the holder of `receiver_master`."""
-    raw = hmac.new(receiver_master.bytes, encode_node_id(sender),
-                   hashlib.sha256).digest()
-    return PairwiseKey(raw)
+    return hmac.new(receiver_master, encode_node_id(sender),
+                    hashlib.sha256).digest()
 
 
-def prf(key, data: bytes) -> Pseudonym:
-    """Keyed PRF over raw bytes; accepts a PairwiseKey or raw key bytes."""
-    key_bytes = key.bytes if isinstance(key, PairwiseKey) else key
-    return Pseudonym(hmac.new(key_bytes, data, hashlib.sha256).digest())
+def prf(key: bytes, data: bytes) -> bytes:
+    """Keyed PRF over raw bytes: the next alias of a chain."""
+    return hmac.new(key, data, hashlib.sha256).digest()
 
 
-def hmac_tag(key, message: bytes) -> bytes:
-    key_bytes = key.bytes if isinstance(key, PairwiseKey) else key
-    return hmac.new(key_bytes, message, hashlib.sha256).digest()
+def hmac_tag(key: bytes, message: bytes) -> bytes:
+    return hmac.new(key, message, hashlib.sha256).digest()
 
 
-def verify_hmac(key, message: bytes, tag: bytes) -> bool:
+def verify_hmac(key: bytes, message: bytes, tag: bytes) -> bool:
     return hmac.compare_digest(hmac_tag(key, message), tag)
 
 
@@ -86,19 +53,18 @@ def verify_hmac(key, message: bytes, tag: bytes) -> bool:
 class PseudonymChain:
     """Alias chain seeded from a real identity: element i+1 = PRF(key, element i)."""
 
-    key: PairwiseKey
+    key: bytes
     index: int
-    current: Pseudonym
+    current: bytes
 
     @classmethod
-    def start(cls, key: PairwiseKey,
-              seed_identity: NodeId) -> "PseudonymChain":
+    def start(cls, key: bytes, seed_identity: NodeId) -> "PseudonymChain":
         first = prf(key, encode_node_id(seed_identity))
         return cls(key, 1, first)
 
     def advanced(self) -> "PseudonymChain":
         return PseudonymChain(self.key, self.index + 1,
-                              prf(self.key, self.current.digest))
+                              prf(self.key, self.current))
 
 
 class TrapdoorIndex:
@@ -116,17 +82,17 @@ class TrapdoorIndex:
     def _extend(self, count: int) -> None:
         chain = self._next
         for _ in range(count):
-            self.entries[chain.current.digest] = chain.index
+            self.entries[chain.current] = chain.index
             chain = chain.advanced()
         self._next = chain
 
 
 def trapdoor_check(index: TrapdoorIndex,
-                   candidate: Pseudonym) -> Optional[int]:
+                   candidate: bytes) -> Optional[int]:
     """Chain index of `candidate`, or None if it is not indexed.  A match
     slides the window: once half of it is spent, it is extended past the
     matched alias."""
-    match = index.entries.get(candidate.digest)
+    match = index.entries.get(candidate)
     if match is not None and match - index._low >= index.window // 2:
         index._extend(match - index._low)
         index._low = match

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .crypto import NodeId, Pseudonym, encode_node_id
+from .crypto import NodeId, encode_node_id
 
 
 class ProtocolKind(Enum):
@@ -64,8 +64,8 @@ class Packet:
     flow_id: int
     packet_id: int
     round: int = 0
-    forward_alias: Optional[Pseudonym] = None
-    reverse_alias: Optional[Pseudonym] = None
+    forward_alias: Optional[bytes] = None
+    reverse_alias: Optional[bytes] = None
     src_addr: Optional[NodeId] = None
     dst_addr: Optional[NodeId] = None
     sseq: int = 0
@@ -120,9 +120,9 @@ def header_bytes(pkt: Packet) -> bytes:
     unchanged."""
     parts = [bytes([_T_KIND, pkt.kind.code])]
     if pkt.forward_alias is not None:
-        parts.append(bytes([_T_FWD]) + pkt.forward_alias.digest)
+        parts.append(bytes([_T_FWD]) + pkt.forward_alias)
     if pkt.reverse_alias is not None:
-        parts.append(bytes([_T_REV]) + pkt.reverse_alias.digest)
+        parts.append(bytes([_T_REV]) + pkt.reverse_alias)
     if pkt.src_addr is not None:
         parts.append(bytes([_T_SRC]) + encode_node_id(pkt.src_addr))
     if pkt.dst_addr is not None:
@@ -147,9 +147,9 @@ def header_size(pkt: Packet) -> int:
     # the kind field, the fixed fields and one entry per route hop
     size = 2 + _FIXED.size + _ROUTE_ENTRY.size * len(pkt.route_record)
     if pkt.forward_alias is not None:
-        size += 1 + len(pkt.forward_alias.digest)
+        size += 1 + len(pkt.forward_alias)
     if pkt.reverse_alias is not None:
-        size += 1 + len(pkt.reverse_alias.digest)
+        size += 1 + len(pkt.reverse_alias)
     if pkt.src_addr is not None:
         size += 1 + _NODE_ID_SIZE
     if pkt.dst_addr is not None:

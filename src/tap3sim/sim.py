@@ -20,12 +20,12 @@ from typing import Callable, Optional, Sequence
 
 from . import logaudit, seqmon
 from .crypto import (
-    MasterKey,
     PseudonymChain,
     TrapdoorIndex,
     derive_pairwise_key,
     encode_node_id,
     hmac_tag,
+    master_key,
     trapdoor_check,
     verify_hmac,
 )
@@ -332,7 +332,7 @@ class Flow:
     flow_id: int
     src: int
     dst: int
-    key: object
+    key: bytes
     start_time: float
     ps_chain: PseudonymChain
     pd_chain: PseudonymChain
@@ -483,8 +483,7 @@ class Simulation:
             chosen.append((a, b))
             used.update((a, b))
         for fid, (src, dst) in enumerate(chosen):
-            key = derive_pairwise_key(
-                MasterKey.from_seed(cfg.rng_seed, dst), src)
+            key = derive_pairwise_key(master_key(cfg.rng_seed, dst), src)
             ps = PseudonymChain.start(key, src)
             pd = PseudonymChain.start(key, dst)
             dest = DestFlowState(TrapdoorIndex(pd, TRAPDOOR_WINDOW)

@@ -4,15 +4,17 @@ from the simulator's constants, not from a recorded output.
 A chain of k nodes lies on a line, 200 m apart, with a 250 m radio range,
 so each node hears only its neighbours and the one route is the chain
 itself.  The one flow runs between the two farthest nodes, the chain's
-ends, with no attacker and no movement.  Every expected number below is
-derived from the schedule constants and the frame format."""
+ends, with no movement: with no attacker, or with a passive dropper that
+drops every data packet at the first relay.  Every expected number below
+is derived from the schedule constants and the frame format."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
-from tap3sim.crypto import DIGEST_LEN, Pseudonym
+from tap3sim.crypto import DIGEST_LEN
 from tap3sim.metrics import report_from_result
 from tap3sim.routing import Packet, PacketKind, ProtocolKind, packet_size
 from tap3sim.sim import (
@@ -22,7 +24,11 @@ from tap3sim.sim import (
     DRAIN_WINDOW,
     LINK_RATE_BPS,
     ROUTE_REFRESH,
+    SEND_BUFFER_CAP,
     SPEED_OF_LIGHT,
+    TRAIN_FRACTION,
+    AttackerSpec,
+    AttackKind,
     ScenarioConfig,
     run_scenario,
 )
@@ -90,7 +96,7 @@ def hop_delay(cfg: ScenarioConfig) -> float:
     destination's alias under pseudonyms, its address otherwise."""
     pkt = Packet(PacketKind.DATA, 0, 1, payload_size=cfg.pkt_size)
     if cfg.protocol.uses_pseudonyms:
-        pkt.forward_alias = Pseudonym(bytes(DIGEST_LEN))
+        pkt.forward_alias = bytes(DIGEST_LEN)
     else:
         pkt.dst_addr = cfg.node_count - 1
     return packet_size(pkt) * 8.0 / LINK_RATE_BPS + SPACING / SPEED_OF_LIGHT
@@ -134,3 +140,61 @@ def test_static_chain_matches_closed_form(protocol, k):
     assert res.control_tx == control
     assert res.data_tx == sends * hops
     assert report_from_result(res).overhead == control / sends
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_static_chain_with_passive_dropper_matches_closed_form(protocol, k):
+    """Node 1, the first relay, drops every data packet once attacks turn
+    on at the end of the training epoch.  The flow still runs between the
+    chain's ends: the dropper is not eligible for a flow."""
+    cfg = replace(chain_config(protocol, k), attackers=[
+        AttackerSpec(1, AttackKind.PASSIVE_DROP, 1.0)])
+    positions = [(SPACING * i, 0.0) for i in range(k)]
+    res = run_scenario(cfg, positions=positions)
+    hops = k - 1
+
+    # a data hop takes under a millisecond and sends are 1 / pkt_rate
+    # apart, so a send before the epoch's end passes the dropper in time
+    train_end = TRAIN_FRACTION * DURATION
+    sends = send_times(cfg)
+    before = [s for s in sends if s < train_end]
+    assert res.sent == len(sends)
+    assert res.delivered == len(before)
+    expected_delay = hops * hop_delay(cfg)
+    assert all(d == pytest.approx(expected_delay, abs=1e-9)
+               for d in res.delays[1:])
+    assert (res.lost_link, res.in_flight_end) == (0, 0)
+
+    if protocol is not ProtocolKind.TAP3:
+        # no trust layer: every later send takes the one path and dies at
+        # the dropper, one data frame in; control traffic is unchanged
+        dropped = len(sends) - len(before)
+        assert res.dropped_attack == dropped
+        assert (res.dropped_noroute, res.buffered_end) == (0, 0)
+        assert res.data_tx == len(before) * hops + dropped
+        assert res.control_tx == 3 * len(round_starts(cfg)) * hops
+        assert not res.audit_passive and not res.audit_active
+        return
+
+    # The first audit tick reads the sends older than AUDIT_SETTLE.  Those
+    # from the epoch's end on reached node 1, which proves no Forwarded
+    # entry for them, so the audit accuses node 1, the only path's first
+    # relay.  A send at the tick's instant runs before the tick, so the
+    # sends from the epoch's end through the tick die at the dropper.
+    # From then on every path runs through the suspect: later sends wait
+    # in the send buffer, which keeps the last SEND_BUFFER_CAP of them and
+    # drops the older ones.  Control traffic is not checked: each reply
+    # the source accepts runs through the suspect and starts the next
+    # round at once (the rediscovery storm in ROADMAP.md).
+    first_tick = FLOW_START + AUDIT_PERIOD
+    assert train_end < first_tick - AUDIT_SETTLE
+    dropped = [s for s in sends if train_end <= s <= first_tick]
+    waiting = len(sends) - len(before) - len(dropped)
+    assert waiting > SEND_BUFFER_CAP
+    assert res.dropped_attack == len(dropped)
+    assert res.buffered_end == SEND_BUFFER_CAP
+    assert res.dropped_noroute == waiting - SEND_BUFFER_CAP
+    assert res.data_tx == len(before) * hops + len(dropped)
+    assert res.audit_passive == {1}
+    assert not res.audit_active

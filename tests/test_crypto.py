@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tap3sim.crypto import (
-    MasterKey,
-    PairwiseKey,
+    DIGEST_LEN,
     PseudonymChain,
-    Pseudonym,
     TrapdoorIndex,
     derive_pairwise_key,
     encode_node_id,
     hmac_tag,
+    master_key,
     prf,
     trapdoor_check,
     verify_hmac,
@@ -33,52 +32,75 @@ RFC4231 = [
 
 @pytest.mark.parametrize("key,msg,tag_hex", RFC4231)
 def test_prf_matches_rfc4231(key, msg, tag_hex):
-    assert prf(key, msg).digest.hex() == tag_hex
+    assert prf(key, msg).hex() == tag_hex
     assert hmac_tag(key, msg).hex() == tag_hex
 
 
 def test_derive_pairwise_key_deterministic_and_distinct():
-    k = MasterKey.from_seed(1, 0)
-    k2 = MasterKey.from_seed(2, 0)
+    k = master_key(1, 0)
+    k2 = master_key(2, 0)
     a = derive_pairwise_key(k, 7)
-    assert a.bytes == derive_pairwise_key(k, 7).bytes
-    assert len(a.bytes) == 32
-    assert a.bytes != derive_pairwise_key(k, 8).bytes
-    assert a.bytes != derive_pairwise_key(k2, 7).bytes
+    assert a == derive_pairwise_key(k, 7)
+    assert len(a) == 32
+    assert a != derive_pairwise_key(k, 8)
+    assert a != derive_pairwise_key(k2, 7)
+
+
+def test_keys_and_aliases_are_raw_digests():
+    """Every key and alias is `bytes` of length `DIGEST_LEN`: the length
+    check lives only where aliases come from outside (trace replay)."""
+    def raw_digest(value):
+        return type(value) is bytes and len(value) == DIGEST_LEN
+
+    master = master_key(6, 2)
+    key = derive_pairwise_key(master, 9)
+    assert raw_digest(master)
+    assert raw_digest(key)
+    assert raw_digest(prf(key, b"payload"))
+    chain = PseudonymChain.start(key, 2)
+    index = TrapdoorIndex(chain, window=16)
+    for _ in range(40):
+        assert raw_digest(chain.key)
+        assert raw_digest(chain.current)
+        # each match slides the window, so the index grows past the chain
+        assert trapdoor_check(index, chain.current) == chain.index
+        chain = chain.advanced()
+    assert len(index.entries) > 40
+    assert all(raw_digest(alias) for alias in index.entries)
 
 
 def test_prf_input_sensitivity():
-    key = derive_pairwise_key(MasterKey.from_seed(0, 0), 1)
+    key = derive_pairwise_key(master_key(0, 0), 1)
     x = b"payload"
     assert prf(key, x) == prf(key, x)
     assert prf(key, x) != prf(key, x + b"\x00")
 
 
 def test_chain_advance_matches_direct_prf():
-    key = derive_pairwise_key(MasterKey.from_seed(3, 9), 4)
+    key = derive_pairwise_key(master_key(3, 9), 4)
     chain = PseudonymChain.start(key, 9)
     assert chain.index == 1
     assert chain.current == prf(key, encode_node_id(9))
     c2 = chain.advanced()
     assert c2.index == 2
-    assert c2.current == prf(key, chain.current.digest)
+    assert c2.current == prf(key, chain.current)
     c3 = c2.advanced()
-    direct = prf(key, prf(key, chain.current.digest).digest)
+    direct = prf(key, prf(key, chain.current))
     assert c3.current == direct
 
 
 def test_chain_100_advances_distinct():
-    key = derive_pairwise_key(MasterKey.from_seed(5, 1), 2)
+    key = derive_pairwise_key(master_key(5, 1), 2)
     chain = PseudonymChain.start(key, 1)
     seen = set()
     for _ in range(100):
-        seen.add(chain.current.digest)
+        seen.add(chain.current)
         chain = chain.advanced()
     assert len(seen) == 100
 
 
 def test_trapdoor_completeness_over_window():
-    key = derive_pairwise_key(MasterKey.from_seed(8, 2), 6)
+    key = derive_pairwise_key(master_key(8, 2), 6)
     chain = PseudonymChain.start(key, 2)
     index = TrapdoorIndex(chain, window=16)
     c = chain
@@ -89,7 +111,7 @@ def test_trapdoor_completeness_over_window():
 
 
 def test_trapdoor_refill_extends_window():
-    key = derive_pairwise_key(MasterKey.from_seed(8, 3), 6)
+    key = derive_pairwise_key(master_key(8, 3), 6)
     chain = PseudonymChain.start(key, 3)
     index = TrapdoorIndex(chain, window=8)
     c = chain
@@ -100,17 +122,17 @@ def test_trapdoor_refill_extends_window():
 
 
 def test_trapdoor_soundness_random_candidates():
-    key = derive_pairwise_key(MasterKey.from_seed(8, 4), 6)
+    key = derive_pairwise_key(master_key(8, 4), 6)
     index = TrapdoorIndex(PseudonymChain.start(key, 4), window=16)
     rng = random.Random(42)
     for _ in range(10 ** 5):
-        candidate = Pseudonym(rng.getrandbits(256).to_bytes(32, "big"))
+        candidate = rng.getrandbits(256).to_bytes(32, "big")
         assert trapdoor_check(index, candidate) is None
 
 
 def test_trapdoor_wrong_key_no_match():
-    k1 = derive_pairwise_key(MasterKey.from_seed(1, 1), 5)
-    k2 = derive_pairwise_key(MasterKey.from_seed(1, 2), 5)
+    k1 = derive_pairwise_key(master_key(1, 1), 5)
+    k2 = derive_pairwise_key(master_key(1, 2), 5)
     index = TrapdoorIndex(PseudonymChain.start(k2, 5), window=8)
     chain = PseudonymChain.start(k1, 5)
     chain = chain.advanced().advanced()  # PD_3 under the other key
@@ -132,12 +154,12 @@ class _DirectionIndex:
         self._low[direction] = chain.index
         c = chain
         for _ in range(self.window):
-            self.entries[c.current.digest] = (direction, c.index)
+            self.entries[c.current] = (direction, c.index)
             c = c.advanced()
         self._chains[direction] = c
 
     def check(self, candidate):
-        match = self.entries.get(candidate.digest)
+        match = self.entries.get(candidate)
         if match is None:
             return None
         direction, index = match
@@ -145,15 +167,15 @@ class _DirectionIndex:
         if index - low >= self.window // 2:
             chain = self._chains[direction]
             for _ in range(index - low):
-                self.entries[chain.current.digest] = (direction, chain.index)
+                self.entries[chain.current] = (direction, chain.index)
                 chain = chain.advanced()
             self._chains[direction] = chain
             self._low[direction] = index
         return match
 
 
-_CHAIN_KEY = derive_pairwise_key(MasterKey.from_seed(12, 1), 7)
-_FOREIGN_KEY = derive_pairwise_key(MasterKey.from_seed(12, 2), 7)
+_CHAIN_KEY = derive_pairwise_key(master_key(12, 1), 7)
+_FOREIGN_KEY = derive_pairwise_key(master_key(12, 2), 7)
 
 
 def _aliases(key, seed_identity, n):
@@ -201,13 +223,13 @@ def test_one_chain_index_matches_per_direction_reference(window, start, ops):
 
 
 def test_unlinkability_bit_balance_and_prefixes():
-    key = derive_pairwise_key(MasterKey.from_seed(11, 0), 3)
+    key = derive_pairwise_key(master_key(11, 0), 3)
     chain = PseudonymChain.start(key, 0)
     n = 10 ** 4
     counts = [0] * 256
     prefixes = set()
     for _ in range(n):
-        d = chain.current.digest
+        d = chain.current
         prefixes.add(d[:8])
         v = int.from_bytes(d, "big")
         for bit in range(256):
@@ -219,7 +241,7 @@ def test_unlinkability_bit_balance_and_prefixes():
 
 
 def test_hmac_roundtrip_and_tamper():
-    key = derive_pairwise_key(MasterKey.from_seed(4, 4), 8)
+    key = derive_pairwise_key(master_key(4, 4), 8)
     msg = b"route reply header"
     tag = hmac_tag(key, msg)
     assert verify_hmac(key, msg, tag)

@@ -106,14 +106,14 @@ def test_tamper_trials_change_root():
                      dseq=rng.randrange(1000), ts=float(i))
                for i in range(1000)]
     root = build_root(entries)
+    leaves = [leaf_hash(e) for e in entries]
     for _ in range(1000):
         i = rng.randrange(len(entries))
         raw = bytearray(field_by_field_encoding(entries[i]))
         bit = rng.randrange(len(raw) * 8)
         raw[bit // 8] ^= 1 << (bit % 8)
         # a flipped serialization must hash to a different leaf, hence root
-        forged_leaves = [leaf_hash(e) for e in entries]
-        import hashlib
+        forged_leaves = list(leaves)
         forged_leaves[i] = hashlib.sha256(b"\x00" + bytes(raw)).digest()
         assert MerkleTree(forged_leaves).root != root
 

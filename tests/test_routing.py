@@ -2,7 +2,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from tap3sim.crypto import Pseudonym, encode_node_id
+from tap3sim.crypto import encode_node_id
 from tap3sim.routing import (
     Packet,
     PacketKind,
@@ -17,7 +17,7 @@ from tap3sim.routing import (
 
 
 def rand_alias(rng):
-    return Pseudonym(bytes(rng.getrandbits(8) for _ in range(32)))
+    return bytes(rng.getrandbits(8) for _ in range(32))
 
 
 def rand_packet(rng, pseudonymous=True):
@@ -76,9 +76,9 @@ def loop_header_bytes(pkt, include_tag=True):
     length of all of it."""
     parts = [bytes([0x80, list(PacketKind).index(pkt.kind) + 1])]
     if pkt.forward_alias is not None:
-        parts.append(bytes([0x81]) + pkt.forward_alias.digest)
+        parts.append(bytes([0x81]) + pkt.forward_alias)
     if pkt.reverse_alias is not None:
-        parts.append(bytes([0x82]) + pkt.reverse_alias.digest)
+        parts.append(bytes([0x82]) + pkt.reverse_alias)
     if pkt.src_addr is not None:
         parts.append(bytes([0x83]) + encode_node_id(pkt.src_addr))
     if pkt.dst_addr is not None:
@@ -99,7 +99,7 @@ def loop_header_bytes(pkt, include_tag=True):
 
 
 WIDE = st.integers(-2 ** 40, 2 ** 40)     # negative and over 32 bits
-ALIAS = st.none() | st.binary(min_size=32, max_size=32).map(Pseudonym)
+ALIAS = st.none() | st.binary(min_size=32, max_size=32)
 ADDRESS = st.none() | st.integers(0, 2 ** 64 - 1)
 # short records of any ids, or records longer than 255 entries whose ids
 # stride over 16 bits (drawn as start, stride, length: long lists are slow
@@ -118,10 +118,10 @@ ROUTE = (st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=6)
 @example(kind=PacketKind.RREQ, seqs=(-1, 2 ** 32, 2 ** 32 + 5, -2 ** 31,
                                      0, 7, 2 ** 40, -7),
          route=list(range(65530, 65530 + 257)),
-         fwd=Pseudonym(bytes(32)), rev=None, src=None, dst=2 ** 63,
+         fwd=bytes(32), rev=None, src=None, dst=2 ** 63,
          tag=b"t" * 32)
 @example(kind=PacketKind.RREP, seqs=(0,) * 8, route=[],
-         fwd=Pseudonym(bytes(32)), rev=Pseudonym(b"r" * 32), src=0,
+         fwd=bytes(32), rev=b"r" * 32, src=0,
          dst=2 ** 64 - 1, tag=b"t" * 32)
 @example(kind=PacketKind.DATA, seqs=(0,) * 8, route=[],
          fwd=None, rev=None, src=None, dst=None, tag=b"")
