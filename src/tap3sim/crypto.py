@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 NodeId = int
 
@@ -49,8 +48,7 @@ def verify_hmac(key: bytes, message: bytes, tag: bytes) -> bool:
     return hmac.compare_digest(hmac_tag(key, message), tag)
 
 
-@dataclass(frozen=True)
-class PseudonymChain:
+class PseudonymChain(NamedTuple):
     """Alias chain seeded from a real identity: element i+1 = PRF(key, element i)."""
 
     key: bytes

@@ -36,7 +36,6 @@ import hashlib
 import itertools
 import struct
 import sys
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
@@ -208,7 +207,6 @@ class Expected(NamedTuple):
     event: EventKind
 
 
-@dataclass(frozen=True)
 class PublishedLog:
     """What an audited node hands the auditor: its root over the first
     `size` entries of its log.  The auditor then asks for one record at a
@@ -224,11 +222,13 @@ class PublishedLog:
     entry is still re-hashed on every check, and a walk reads only the
     siblings below the first verified node.  The set lives as long as the
     snapshot."""
-    root: bytes
-    log: NodeLog
-    size: int
-    verified: set[bytes] = field(default_factory=set, compare=False,
-                                 repr=False)
+
+    def __init__(self, root: bytes, log: NodeLog, size: int,
+                 verified: Optional[set[bytes]] = None):
+        self.root = root
+        self.log = log
+        self.size = size
+        self.verified = set() if verified is None else verified
 
     def proves(self, packet_id: int, event: EventKind) -> bool:
         """True iff the snapshot holds a (packet_id, event) entry whose
@@ -392,12 +392,30 @@ def detect_passive_attackers(route_logs: Sequence[Optional[PublishedLog]],
     return fake
 
 
-@dataclass
 class AuditReport:
-    verdict: str
-    active_attacker: Optional[int] = None
-    target_lied: bool = False
-    passive_attackers: list[int] = field(default_factory=list)
+    def __init__(self, verdict: str, active_attacker: Optional[int] = None,
+                 target_lied: bool = False,
+                 passive_attackers: Optional[list[int]] = None):
+        self.verdict = verdict
+        self.active_attacker = active_attacker
+        self.target_lied = target_lied
+        self.passive_attackers = ([] if passive_attackers is None
+                                  else passive_attackers)
+
+    def _key(self) -> tuple:
+        return (self.verdict, self.active_attacker, self.target_lied,
+                self.passive_attackers)
+
+    def __eq__(self, other) -> bool:
+        """Equal to a report with the same fields, so a replayed audit can
+        be checked against the live one."""
+        if other.__class__ is not AuditReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("AuditReport(verdict=%r, active_attacker=%r, target_lied=%r, "
+                "passive_attackers=%r)" % self._key())
 
     def csv_row(self, flow_id) -> str:
         active = "" if self.active_attacker is None else str(self.active_attacker)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Optional, Sequence
 
 from .routing import ProtocolKind
 from .sim import ConfigError, RunResult, ScenarioConfig, run_scenario
@@ -64,8 +64,7 @@ def _fmt(value: Optional[float], places: int = 6) -> str:
     return f"{value:.{places}f}"
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     protocol: ProtocolKind
     pause_time: float
     seed: int
@@ -93,12 +92,14 @@ def report_from_result(result: RunResult) -> MetricsReport:
                          active, passive, fp)
 
 
-@dataclass
 class SweepSpec:
-    base: ScenarioConfig
-    pause_times: list[float]
-    protocols: list[ProtocolKind]
-    seeds: Sequence[int]      # a list, or a lazy `range` from `--seeds lo..hi`
+    def __init__(self, base: ScenarioConfig, pause_times: list[float],
+                 protocols: list[ProtocolKind], seeds: Sequence[int]):
+        self.base = base
+        self.pause_times = pause_times
+        self.protocols = protocols
+        # a list, or a lazy `range` from `--seeds lo..hi`
+        self.seeds = seeds
 
     def config(self, protocol: ProtocolKind, pause: float,
                seed: int) -> ScenarioConfig:
@@ -127,12 +128,14 @@ class SweepSpec:
                         f"seed={seed}): {p}" for p in exc.problems) from None
 
 
-@dataclass
 class SweepResult:
-    run_rows: list[str] = field(default_factory=list)
-    avg_rows: list[str] = field(default_factory=list)
-    privacy_checks: int = 0
-    privacy_violations: int = 0
+    def __init__(self, run_rows: Optional[list[str]] = None,
+                 avg_rows: Optional[list[str]] = None,
+                 privacy_checks: int = 0, privacy_violations: int = 0):
+        self.run_rows = [] if run_rows is None else run_rows
+        self.avg_rows = [] if avg_rows is None else avg_rows
+        self.privacy_checks = privacy_checks
+        self.privacy_violations = privacy_violations
 
     def csv_text(self) -> str:
         return "\n".join([CSV_COLUMNS] + self.run_rows + self.avg_rows) + "\n"

@@ -13,7 +13,6 @@ asks for.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -47,7 +46,6 @@ class PacketKind(Enum):
         self.text = text
 
 
-@dataclass
 class Packet:
     """One frame.  Once handed to `Simulation.transmit` a frame is
     read-only: every receiver of a broadcast gets the same object, and a
@@ -60,25 +58,37 @@ class Packet:
     node that already holds the request and is not the flow's destination
     would drop the copy unread, and it still holds the request when the
     copy would arrive, so leaving the copy out changes nothing."""
-    kind: PacketKind
-    flow_id: int
-    packet_id: int
-    round: int = 0
-    forward_alias: Optional[bytes] = None
-    reverse_alias: Optional[bytes] = None
-    src_addr: Optional[NodeId] = None
-    dst_addr: Optional[NodeId] = None
-    sseq: int = 0
-    oseq: int = 0
-    dseq: int = 0
-    req_oseq: int = 0
-    path_id: int = 0
-    payload_size: int = 0
-    origin_time: float = 0.0
-    route_record: list[NodeId] = field(default_factory=list)
-    # the endpoints' HMAC over `header_bytes`; it travels as the header's
-    # last field, which `header_size` counts and `header_bytes` leaves out
-    tag: bytes = b""
+
+    def __init__(self, kind: PacketKind, flow_id: int, packet_id: int,
+                 round: int = 0, forward_alias: Optional[bytes] = None,
+                 reverse_alias: Optional[bytes] = None,
+                 src_addr: Optional[NodeId] = None,
+                 dst_addr: Optional[NodeId] = None, sseq: int = 0,
+                 oseq: int = 0, dseq: int = 0, req_oseq: int = 0,
+                 path_id: int = 0, payload_size: int = 0,
+                 origin_time: float = 0.0,
+                 route_record: Optional[list[NodeId]] = None,
+                 tag: bytes = b""):
+        self.kind = kind
+        self.flow_id = flow_id
+        self.packet_id = packet_id
+        self.round = round
+        self.forward_alias = forward_alias
+        self.reverse_alias = reverse_alias
+        self.src_addr = src_addr
+        self.dst_addr = dst_addr
+        self.sseq = sseq
+        self.oseq = oseq
+        self.dseq = dseq
+        self.req_oseq = req_oseq
+        self.path_id = path_id
+        self.payload_size = payload_size
+        self.origin_time = origin_time
+        self.route_record = [] if route_record is None else route_record
+        # the endpoints' HMAC over `header_bytes`; it travels as the
+        # header's last field, which `header_size` counts and
+        # `header_bytes` leaves out
+        self.tag = tag
 
     def copy(self) -> "Packet":
         c = object.__new__(Packet)
@@ -163,16 +173,19 @@ def packet_size(pkt: Packet) -> int:
     return header_size(pkt) + pkt.payload_size
 
 
-@dataclass
 class PathInfo:
     """A discovered path as known to the source."""
-    path_id: int
-    round: int
-    relays: list[NodeId]
-    dseq: int
-    established_at: float
-    next_hop: Optional[NodeId] = None
-    broken: bool = False
+
+    def __init__(self, path_id: int, round: int, relays: list[NodeId],
+                 dseq: int, established_at: float,
+                 next_hop: Optional[NodeId] = None, broken: bool = False):
+        self.path_id = path_id
+        self.round = round
+        self.relays = relays
+        self.dseq = dseq
+        self.established_at = established_at
+        self.next_hop = next_hop
+        self.broken = broken
 
 
 def select_paths(paths: list[PathInfo], flagged: set[NodeId],

@@ -7,16 +7,15 @@ the window mean exceeds the trained maximum is judged malicious.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, Optional
 
 
 class WindowNotTrainedError(Exception):
     """Raised when classification is attempted before a window has samples."""
 
 
-@dataclass(frozen=True)
-class SeqVector:
+class SeqVector(NamedTuple):
     sseq: float
     oseq: float
     dseq_delta: float
@@ -27,8 +26,7 @@ class Label(Enum):
     MALICIOUS = "Malicious"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     label: Label
     distance: float
 
@@ -52,12 +50,14 @@ def distance(sample: SeqVector, mean: tuple[float, float, float]) -> float:
     return dx * dx + dy * dy + dz * dz
 
 
-@dataclass
 class TrainingWindow:
-    samples: list[SeqVector] = field(default_factory=list)
-    mean: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    threshold: float = 0.0
-    trained: bool = False
+    def __init__(self, samples: Optional[list[SeqVector]] = None,
+                 mean: tuple[float, float, float] = (0.0, 0.0, 0.0),
+                 threshold: float = 0.0, trained: bool = False):
+        self.samples = [] if samples is None else samples
+        self.mean = mean
+        self.threshold = threshold
+        self.trained = trained
 
     def train(self) -> float:
         """Recompute mean and threshold; returns the threshold."""

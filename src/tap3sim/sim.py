@@ -16,7 +16,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import logaudit, seqmon
 from .crypto import (
@@ -97,8 +97,7 @@ class AttackKind(Enum):
     LOG_FORGERY = "logforgery"
 
 
-@dataclass(frozen=True)
-class AttackerSpec:
+class AttackerSpec(NamedTuple):
     node_id: int
     kind: AttackKind
     param: float
@@ -260,31 +259,37 @@ class Mobility:
 # ---------------------------------------------------------------------------
 # per-node / per-flow state
 
-@dataclass
-class RevEntry:
+class RevEntry(NamedTuple):
     prev_hop: int
     rreq_dseq: int
 
 
-@dataclass
 class DestFlowState:
-    trapdoor: Optional[TrapdoorIndex]
-    dseq: int = 0
-    # round -> (the first copy of the round's route request, whose arrival
-    # schedules the round's reply; the candidate paths heard so far)
-    rounds: dict[int, tuple[Packet, list]] = field(default_factory=dict)
+    def __init__(self, trapdoor: Optional[TrapdoorIndex], dseq: int = 0,
+                 rounds: Optional[dict[int, tuple[Packet, list]]] = None):
+        self.trapdoor = trapdoor
+        self.dseq = dseq
+        # round -> (the first copy of the round's route request, whose
+        # arrival schedules the round's reply; the candidate paths heard
+        # so far)
+        self.rounds = {} if rounds is None else rounds
 
 
-@dataclass
 class Monitor:
     """A TAP3 node's sequence-monitor state (`Simulation.monitor_sample`)."""
-    window: seqmon.TrainingWindow = field(default_factory=seqmon.TrainingWindow)
-    batch: list[seqmon.SeqVector] = field(default_factory=list)
-    next_merge: float = math.inf
-    # flow id -> (sseq, oseq) of the last reply of the flow seen here
-    prev_counters: dict[int, tuple[int, int]] = field(default_factory=dict)
-    # flow id -> freshest dseq relayed here, the relay's reply baseline
-    freshest_dseq: dict[int, int] = field(default_factory=dict)
+
+    def __init__(self, window: Optional[seqmon.TrainingWindow] = None,
+                 batch: Optional[list[seqmon.SeqVector]] = None,
+                 next_merge: float = math.inf,
+                 prev_counters: Optional[dict[int, tuple[int, int]]] = None,
+                 freshest_dseq: Optional[dict[int, int]] = None):
+        self.window = seqmon.TrainingWindow() if window is None else window
+        self.batch = [] if batch is None else batch
+        self.next_merge = next_merge
+        # flow id -> (sseq, oseq) of the last reply of the flow seen here
+        self.prev_counters = {} if prev_counters is None else prev_counters
+        # flow id -> freshest dseq relayed here, the relay's reply baseline
+        self.freshest_dseq = {} if freshest_dseq is None else freshest_dseq
 
 
 class SimNode:
@@ -327,40 +332,50 @@ class SimNode:
         self.log.append(self.log_entry(real_pid, event, pkt, now, prev_alias))
 
 
-@dataclass
 class Flow:
-    flow_id: int
-    src: int
-    dst: int
-    key: bytes
-    start_time: float
-    ps_chain: PseudonymChain
-    pd_chain: PseudonymChain
-    dest: DestFlowState     # the destination's state for this flow
-    round: int = 0
-    last_known_dseq: int = 0
-    paths: list[PathInfo] = field(default_factory=list)
-    rr_index: int = 0
-    pending: deque = field(default_factory=deque)
-    backoff: float = BACKOFF_START
-    # round `round` is outstanding: none of its replies accepted yet
-    discovering: bool = False
-    suspects: set[int] = field(default_factory=set)
-    # `select_paths` over `paths` and `suspects`, or None once
-    # `update_routes` has dropped it (see `Simulation._usable_paths`)
-    usable: Optional[list[PathInfo]] = field(default=None, repr=False,
-                                             compare=False)
-    # round -> the source's Forwarded entry for its route request; filled
-    # under the trust layer only, for `Simulation.run_audits`
-    tau_c_control: dict[int, LogEntry] = field(default_factory=dict)
-    # (round, path id) -> (relays, a (packet id, send time) record of every
-    # data packet the source Forwarded on that path and has not audited
-    # yet, oldest first)
-    audit_queue: dict[tuple, tuple[list[int], list[tuple[int, float]]]] = \
-        field(default_factory=dict)
-    # the event number of the flow's last pushed CBR send; the next send
-    # takes the next one (see `Simulation.schedule_cbr`)
-    cbr_seq: int = 0
+    def __init__(self, flow_id: int, src: int, dst: int, key: bytes,
+                 start_time: float, ps_chain: PseudonymChain,
+                 pd_chain: PseudonymChain, dest: DestFlowState,
+                 round: int = 0, last_known_dseq: int = 0,
+                 paths: Optional[list[PathInfo]] = None, rr_index: int = 0,
+                 pending: Optional[deque] = None,
+                 backoff: float = BACKOFF_START, discovering: bool = False,
+                 suspects: Optional[set[int]] = None,
+                 usable: Optional[list[PathInfo]] = None,
+                 tau_c_control: Optional[dict[int, LogEntry]] = None,
+                 audit_queue: Optional[dict[tuple, tuple[
+                     list[int], list[tuple[int, float]]]]] = None,
+                 cbr_seq: int = 0):
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.key = key
+        self.start_time = start_time
+        self.ps_chain = ps_chain
+        self.pd_chain = pd_chain
+        self.dest = dest    # the destination's state for this flow
+        self.round = round
+        self.last_known_dseq = last_known_dseq
+        self.paths = [] if paths is None else paths
+        self.rr_index = rr_index
+        self.pending = deque() if pending is None else pending
+        self.backoff = backoff
+        # round `round` is outstanding: none of its replies accepted yet
+        self.discovering = discovering
+        self.suspects = set() if suspects is None else suspects
+        # `select_paths` over `paths` and `suspects`, or None once
+        # `update_routes` has dropped it (see `Simulation._usable_paths`)
+        self.usable = usable
+        # round -> the source's Forwarded entry for its route request;
+        # filled under the trust layer only, for `Simulation.run_audits`
+        self.tau_c_control = {} if tau_c_control is None else tau_c_control
+        # (round, path id) -> (relays, a (packet id, send time) record of
+        # every data packet the source Forwarded on that path and has not
+        # audited yet, oldest first)
+        self.audit_queue = {} if audit_queue is None else audit_queue
+        # the event number of the flow's last pushed CBR send; the next
+        # send takes the next one (see `Simulation.schedule_cbr`)
+        self.cbr_seq = cbr_seq
 
     def update_routes(self, paths: Optional[list[PathInfo]] = None,
                       broken: Sequence[PathInfo] = (),
@@ -377,7 +392,6 @@ class Flow:
         self.usable = None
 
 
-@dataclass
 class RunResult:
     """What one run reports.  Every sent data packet has exactly one of
     six fates: delivered, lost_link (a relay's next hop was out of range),
@@ -386,26 +400,42 @@ class RunResult:
     in_flight_end (still on its way).  The six counters are filled once,
     at the end of `Simulation.run`, from the packet ledger, so they always
     sum to `sent`."""
-    config: ScenarioConfig
-    sent: int = 0
-    delivered: int = 0
-    lost_link: int = 0
-    dropped_attack: int = 0
-    dropped_noroute: int = 0
-    buffered_end: int = 0
-    in_flight_end: int = 0
-    control_tx: int = 0
-    data_tx: int = 0
-    delays: list[float] = field(default_factory=list)
-    packet_rows: list[str] = field(default_factory=list)
-    verdict_rows: list[str] = field(default_factory=list)
-    audit_rows: list[str] = field(default_factory=list)
-    privacy_checks: int = 0
-    privacy_violations: int = 0
-    classifier_flags: set[tuple[int, int]] = field(default_factory=set)
-    audit_active: set[int] = field(default_factory=set)
-    audit_passive: set[int] = field(default_factory=set)
-    audit_export: Optional[dict] = None
+
+    def __init__(self, config: ScenarioConfig, sent: int = 0,
+                 delivered: int = 0, lost_link: int = 0,
+                 dropped_attack: int = 0, dropped_noroute: int = 0,
+                 buffered_end: int = 0, in_flight_end: int = 0,
+                 control_tx: int = 0, data_tx: int = 0,
+                 delays: Optional[list[float]] = None,
+                 packet_rows: Optional[list[str]] = None,
+                 verdict_rows: Optional[list[str]] = None,
+                 audit_rows: Optional[list[str]] = None,
+                 privacy_checks: int = 0, privacy_violations: int = 0,
+                 classifier_flags: Optional[set[tuple[int, int]]] = None,
+                 audit_active: Optional[set[int]] = None,
+                 audit_passive: Optional[set[int]] = None,
+                 audit_export: Optional[dict] = None):
+        self.config = config
+        self.sent = sent
+        self.delivered = delivered
+        self.lost_link = lost_link
+        self.dropped_attack = dropped_attack
+        self.dropped_noroute = dropped_noroute
+        self.buffered_end = buffered_end
+        self.in_flight_end = in_flight_end
+        self.control_tx = control_tx
+        self.data_tx = data_tx
+        self.delays = [] if delays is None else delays
+        self.packet_rows = [] if packet_rows is None else packet_rows
+        self.verdict_rows = [] if verdict_rows is None else verdict_rows
+        self.audit_rows = [] if audit_rows is None else audit_rows
+        self.privacy_checks = privacy_checks
+        self.privacy_violations = privacy_violations
+        self.classifier_flags = (set() if classifier_flags is None
+                                 else classifier_flags)
+        self.audit_active = set() if audit_active is None else audit_active
+        self.audit_passive = set() if audit_passive is None else audit_passive
+        self.audit_export = audit_export
 
 
 def _stream(seed: int, tag: str) -> random.Random:
