@@ -402,20 +402,12 @@ class AuditReport:
         self.passive_attackers = ([] if passive_attackers is None
                                   else passive_attackers)
 
-    def _key(self) -> tuple:
-        return (self.verdict, self.active_attacker, self.target_lied,
-                self.passive_attackers)
-
     def __eq__(self, other) -> bool:
         """Equal to a report with the same fields, so a replayed audit can
         be checked against the live one."""
         if other.__class__ is not AuditReport:
             return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return ("AuditReport(verdict=%r, active_attacker=%r, target_lied=%r, "
-                "passive_attackers=%r)" % self._key())
+        return vars(self) == vars(other)
 
     def csv_row(self, flow_id) -> str:
         active = "" if self.active_attacker is None else str(self.active_attacker)

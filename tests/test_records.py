@@ -78,6 +78,15 @@ def test_snapshots_hold_their_own_verified_sets():
     assert second.verified == set() and silent.verified == set()
 
 
+def test_audit_reports_compare_by_value():
+    report = AuditReport(logaudit.FELLOW, passive_attackers=[2, 4])
+    assert report == AuditReport(logaudit.FELLOW, None, False, [2, 4])
+    assert report != AuditReport(logaudit.FELLOW, passive_attackers=[2])
+    assert report != AuditReport(logaudit.NOT_FELLOW, passive_attackers=[2, 4])
+    assert AuditReport(logaudit.NOT_FELLOW, target_lied=True) != \
+        AuditReport(logaudit.NOT_FELLOW)
+
+
 def _containers(obj, seen=None) -> list:
     """Every list, set, dict and deque reachable through the plain
     records' attributes, records nested in a record included."""
