@@ -33,7 +33,13 @@ from .metrics import (
     sweep,
 )
 from .routing import ProtocolKind
-from .sim import ConfigError, RunResult, parse_config, run_scenario
+from .sim import (
+    ConfigError,
+    RunResult,
+    collector_paused,
+    parse_config,
+    run_scenario,
+)
 
 TRACE_HEADER = "# tap3sim trace v1"
 AUDIT_COLUMNS = "flow_id,verdict,active_pos,passive_positions"
@@ -245,22 +251,33 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     return reports
 
 
+def _load_and_replay(path: str, text: str
+                     ) -> tuple[dict, list[logaudit.AuditReport]]:
+    """The audit log recorded as `text` in the trace at `path`, and its
+    replayed reports.  Neither step makes a reference cycle, so
+    `_cmd_audit` runs both with the cycle collector paused."""
+    export = json.loads(text)
+    if export is None:
+        raise UsageError(f"{path} contains no recorded audit logs")
+    return export, replay_audits(export)
+
+
 def _cmd_audit(args) -> int:
     # read up to the line after the first `# audit-log` marker
-    export = None
+    text = None
     try:
         with open(args.trace) as trace:
             for line in trace:
                 if line.removesuffix("\n") == "# audit-log":
                     line = next(trace, None)
                     if line is not None:
-                        export = json.loads(line.removesuffix("\n"))
+                        text = line.removesuffix("\n")
                     break
     except OSError as exc:
         raise UsageError(f"cannot read trace {args.trace}: {exc}") from exc
-    if export is None:
+    if text is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
-    reports = replay_audits(export)
+    export, reports = collector_paused(_load_and_replay, args.trace, text)
     sys.stdout.write(AUDIT_COLUMNS + "\n")
     for record, report in zip(export.get("paths", []), reports):
         sys.stdout.write(report.csv_row(record["flow"]) + "\n")

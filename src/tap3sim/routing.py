@@ -89,11 +89,14 @@ class Packet:
         # header's last field, which `header_size` counts and
         # `header_bytes` leaves out
         self.tag = tag
+        # `packet_size`, set by the frame's first `Simulation.transmit`
+        self.size: Optional[int] = None
 
     def copy(self) -> "Packet":
         c = object.__new__(Packet)
         c.__dict__.update(self.__dict__)
         c.route_record = list(self.route_record)
+        c.size = None       # the copy may change, so it is sized afresh
         return c
 
 

@@ -9,6 +9,7 @@ single-threaded and fully determined by (config, seed).
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import heapq
 import math
@@ -438,6 +439,21 @@ class RunResult:
         self.audit_export = audit_export
 
 
+def collector_paused(fn: Callable, *args):
+    """`fn(*args)` with CPython's automatic cycle collection paused.  For
+    a phase that allocates many short-lived containers and makes no
+    reference cycles, whose collections would find nothing.  The pause is
+    process-wide while it lasts; the caller's `gc.isenabled()` is restored
+    however `fn` ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _stream(seed: int, tag: str) -> random.Random:
     digest = hashlib.sha256(seed.to_bytes(8, "big") + tag.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -490,6 +506,10 @@ class Simulation:
 
         self.flows: list[Flow] = []
         self._setup_flows(positions, set(attackers))
+        # flow id -> the encodings of its two endpoint ids, which the
+        # privacy scan looks for in every scanned header
+        self._endpoint_ids = [(encode_node_id(f.src), encode_node_id(f.dst))
+                              for f in self.flows]
         # data packet id -> IN_FLIGHT or its fate: the only record of them
         self.packet_state: dict[int, str] = {}
         self._audit_records: list[dict] = []
@@ -540,13 +560,12 @@ class Simulation:
     def _privacy_scan(self, pkt: Packet) -> None:
         if pkt.kind not in (RREQ, RREP, RREP_ACK):
             return
-        flow = self.flows[pkt.flow_id]
         self.result.privacy_checks += 1
         # `header_bytes` leaves out the tag, an opaque digest (a forged one
         # is all zero bytes); only the fields it encodes can carry an address
         fields = header_bytes(pkt)
-        for nid in (flow.src, flow.dst):
-            if encode_node_id(nid) in fields:
+        for encoded in self._endpoint_ids[pkt.flow_id]:
+            if encoded in fields:
                 self.result.privacy_violations += 1
 
     def _trace(self, t: float, pkt: Packet, frm: int, to: int,
@@ -565,14 +584,17 @@ class Simulation:
         the record would only drop the copy on arrival, so leaving it
         unscheduled changes no state, and every other event keeps its time
         and its order.  Every receiver gets `pkt` itself: frames are read-only
-        once transmitted (see `Packet`).  The frame is sized without
-        being encoded; only the privacy scan, which reads control frames
-        alone, encodes the header."""
+        once transmitted (see `Packet`), so a frame is sized at its first
+        send, without being encoded, and keeps that size on every later
+        hop; only the privacy scan, which reads control frames alone,
+        encodes the header."""
         if to is None and pkt.kind is not RREQ:
             raise ValueError(f"cannot broadcast a {pkt.kind.text} frame")
         node = self.nodes[sender]
         start = max(self.now, node.busy_until)
-        size = packet_size(pkt)
+        size = pkt.size
+        if size is None:
+            size = pkt.size = packet_size(pkt)
         ttx = size * 8.0 / LINK_RATE_BPS
         if to is not None:
             ok, dist = self.link(sender, to)
@@ -1144,6 +1166,13 @@ class Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run the event loop to the end and fill in the result.  A run
+        makes no reference cycles that outlive it, so the cycle collector
+        is paused for it (`collector_paused`): its collections would only
+        walk the run's many live containers and find nothing."""
+        return collector_paused(self._run)
+
+    def _run(self) -> RunResult:
         cfg = self.config
         for flow in self.flows:
             self.schedule(flow.start_time,
@@ -1158,8 +1187,8 @@ class Simulation:
             self.now = t
             fn()
         # Events past the end never run.  Their callbacks refer back to the
-        # simulation, so dropping them lets a finished run be freed at once
-        # instead of at the cycle collector's next full pass.
+        # simulation, so dropping them lets a finished run be freed at once:
+        # with them gone, the run leaves no cycle for the paused collector.
         self._events.clear()
         self.now = cfg.sim_duration
         for node in self.nodes:

@@ -1,0 +1,112 @@
+"""The cycle-collector pause.  `Simulation.run` and the replay of
+`tap3sim audit` run with CPython's automatic cycle collection paused,
+which is sound only while neither makes a reference cycle: these tests
+pin that invariant, and that the pause always hands the caller's
+collector state back."""
+
+import gc
+import json
+from dataclasses import replace
+
+import pytest
+
+from tap3sim.cli import main, replay_audits, write_trace_file
+from tap3sim.routing import ProtocolKind
+from tap3sim.sim import (
+    AttackerSpec,
+    AttackKind,
+    Mobility,
+    desk_profile,
+    run_scenario,
+)
+
+SHAPES = {
+    "desk": {"sim_duration": 60.0},
+    "sparse": {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
+               "sim_duration": 30.0},
+}
+
+
+@pytest.fixture
+def collector():
+    """Leave the collector as it was found, whatever a test does to it."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def scenario(protocol: ProtocolKind, shape: str):
+    cfg = replace(desk_profile(protocol, 0.0, 3), **SHAPES[shape])
+    if protocol is ProtocolKind.TAP3:
+        # a live log forger, so the evidence path's forged branch runs too
+        cfg.attackers.append(AttackerSpec(3, AttackKind.LOG_FORGERY, 1.0))
+    return cfg
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_runs_and_replays_leave_no_cycles(collector, protocol, shape):
+    """With collection paused throughout, every run, traced or not, and
+    the replay of every exported audit log leave nothing for a collection
+    to free once their results are dropped."""
+    cfg = scenario(protocol, shape)
+    gc.disable()
+    gc.collect()
+    for trace in (False, True):
+        result = run_scenario(cfg, trace=trace, check_privacy=True)
+        text = (None if result.audit_export is None
+                else json.dumps(result.audit_export))
+        assert result.sent > 0
+        del result
+        assert gc.collect() == 0, f"run, trace={trace}"
+        if text is not None:
+            reports = replay_audits(json.loads(text))
+            assert reports
+            del reports
+            assert gc.collect() == 0, "replay"
+        assert (text is not None) == (trace and protocol.trust_layer)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_state(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    run_scenario(replace(desk_profile(seed=2), sim_duration=20.0))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_failing_run_restores_the_callers_collector_state(
+        collector, monkeypatch, enabled):
+    monkeypatch.setattr(Mobility, "position", lambda self, t: (-1.0, 0.0))
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="left the area"):
+        run_scenario(replace(desk_profile(seed=2), sim_duration=20.0))
+    assert gc.isenabled() is enabled
+
+
+@pytest.fixture(scope="module")
+def desk_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("collector") / "desk.trace"
+    write_trace_file(str(path), run_scenario(
+        replace(desk_profile(seed=2), sim_duration=60.0), trace=True))
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_audit_restores_the_callers_collector_state(
+        collector, capsys, tmp_path, desk_trace, enabled):
+    """After a replay, and after one that fails on a malformed log."""
+    lines = desk_trace.read_text().splitlines()
+    bad = tmp_path / "bad.trace"
+    bad.write_text("\n".join(lines[:-1] + ['{"nodes": []}']) + "\n")
+    (gc.enable if enabled else gc.disable)()
+    assert main(["audit", "--trace", str(desk_trace)]) == 0
+    assert gc.isenabled() is enabled
+    assert main(["audit", "--trace", str(bad)]) == 1
+    assert gc.isenabled() is enabled
+    assert "'nodes' is not a JSON object" in capsys.readouterr().err

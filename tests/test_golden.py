@@ -1,7 +1,8 @@
 """Byte-identity gate: the metrics CSV row and the `--trace` file of a few
-desk runs are pinned by sha256.  A refactor or speed-up must leave them
-unchanged; a change that alters them on purpose updates the table and
-says why."""
+desk runs are pinned by sha256.  The CSV row of the same run untraced,
+the way the sweeps run, must hash to the same pinned value.  A refactor
+or speed-up must leave them unchanged; a change that alters them on
+purpose updates the table and says why."""
 
 import hashlib
 from dataclasses import replace
@@ -57,18 +58,27 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def csv_hash(result) -> str:
+    return sha((CSV_COLUMNS + "\n" + report_from_result(result).csv_row()
+                + "\n").encode())
+
+
 def output_hashes(tmp_path, cfg) -> tuple[str, str]:
     result = run_scenario(cfg, trace=True, check_privacy=True)
-    csv_text = CSV_COLUMNS + "\n" + report_from_result(result).csv_row() + "\n"
     trace = tmp_path / "run.trace"
     write_trace_file(str(trace), result)
-    return sha(csv_text.encode()), sha(trace.read_bytes())
+    return csv_hash(result), sha(trace.read_bytes())
+
+
+def untraced_csv_hash(cfg) -> str:
+    return csv_hash(run_scenario(cfg, check_privacy=True))
 
 
 @pytest.mark.parametrize("protocol,seed,pause", sorted(GOLDEN))
 def test_desk_outputs_byte_identical(tmp_path, protocol, seed, pause):
     cfg = desk_profile(ProtocolKind(protocol), pause, seed)
     assert output_hashes(tmp_path, cfg) == GOLDEN[(protocol, seed, pause)]
+    assert untraced_csv_hash(cfg) == GOLDEN[(protocol, seed, pause)][0]
 
 
 @pytest.mark.parametrize("protocol,seed,pause", sorted(SPARSE_GOLDEN))
@@ -76,6 +86,7 @@ def test_sparse_outputs_byte_identical(tmp_path, protocol, seed, pause):
     cfg = replace(desk_profile(ProtocolKind(protocol), pause, seed), **SPARSE)
     assert output_hashes(tmp_path, cfg) == \
         SPARSE_GOLDEN[(protocol, seed, pause)]
+    assert untraced_csv_hash(cfg) == SPARSE_GOLDEN[(protocol, seed, pause)][0]
 
 
 # The desk profile on 40 nodes over 1200 x 1200 m for 100 s.  In the tap3
@@ -109,3 +120,4 @@ def test_trapdoor_miss_outputs_byte_identical(tmp_path, monkeypatch,
         WIDE_GOLDEN[(protocol, seed, pause)]
     # the run still takes the branch it pins
     assert relayed_by_destination
+    assert untraced_csv_hash(cfg) == WIDE_GOLDEN[(protocol, seed, pause)][0]

@@ -1,5 +1,6 @@
 import collections
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from tap3sim.routing import (
     Packet,
     PacketKind,
     ProtocolKind,
+    packet_size,
     select_paths,
 )
 from tap3sim.sim import (
@@ -955,6 +957,59 @@ def test_received_frames_are_never_mutated(monkeypatch, protocol):
     monkeypatch.setattr(Simulation, "dispatch", checked_dispatch)
     run_scenario(desk_profile(protocol, seed=1))
     assert max(fanout.values()) > 1
+
+
+CHAIN = 5                   # nodes 200 m apart; the flow runs end to end
+CUT_AT = 40.0               # from then on the link 2 <-> 3 is out of range
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_every_hop_carries_its_frames_own_size(monkeypatch, protocol):
+    """A frame is sized at its first send and keeps that size.  On a
+    static chain whose middle link is cut during the run, every frame row
+    of the trace carries `packet_size` of a freshly built frame of the
+    same content: each route-request copy counts its own route record, and
+    each hop of a reply, ack, DATA frame or route error carries the size
+    its origin sent."""
+    fields = list(inspect.signature(Packet).parameters)
+    sent = []
+    transmit, link = Simulation.transmit, Simulation.link
+
+    def cut_link(self, a, b):
+        ok, dist = link(self, a, b)
+        return ok and not ({a, b} == {2, 3} and self.now >= CUT_AT), dist
+
+    def recording_transmit(self, sender, to, pkt, control):
+        fresh = Packet(**{f: getattr(pkt, f) for f in fields})
+        fresh.route_record = list(pkt.route_record)
+        size = packet_size(fresh)
+        ok = transmit(self, sender, to, pkt, control)
+        if ok:
+            sent.append((pkt.kind.text, pkt.packet_id, size))
+        return ok
+
+    monkeypatch.setattr(Simulation, "link", cut_link)
+    monkeypatch.setattr(Simulation, "transmit", recording_transmit)
+    cfg = ScenarioConfig(node_count=CHAIN, area_x=200.0 * (CHAIN - 1),
+                         area_y=1.0, max_speed=0.0, sim_duration=60.0,
+                         flows=1, protocol=protocol, rng_seed=3)
+    res = run_scenario(cfg, trace=True,
+                       positions=[(200.0 * i, 0.0) for i in range(CHAIN)])
+    kinds = {k.text for k in PacketKind}
+    rows = [(kind, int(pid), int(size)) for _, kind, _, _, pid, _, size
+            in (row.split(",") for row in res.packet_rows) if kind in kinds]
+    assert rows == sent
+    # every kind is there, and each crosses more than one hop
+    hops = collections.Counter((kind, pid) for kind, pid, _ in rows)
+    assert {kind for kind, _ in hops} == kinds
+    assert {kind for (kind, _), n in hops.items() if n > 1} == kinds
+    # a route request's relayed copies are longer than its first send
+    sizes = collections.defaultdict(set)
+    for kind, pid, size in rows:
+        sizes[kind, pid].add(size)
+    assert all(len(s) == 1 for (kind, _), s in sizes.items()
+               if kind != "RREQ")
+    assert any(len(s) > 1 for s in sizes.values())
 
 
 def test_event_in_the_past_is_an_error():
