@@ -980,9 +980,7 @@ def test_every_hop_carries_its_frames_own_size(monkeypatch, protocol):
         return ok and not ({a, b} == {2, 3} and self.now >= CUT_AT), dist
 
     def recording_transmit(self, sender, to, pkt, control):
-        fresh = Packet(**{f: getattr(pkt, f) for f in fields})
-        fresh.route_record = list(pkt.route_record)
-        size = packet_size(fresh)
+        size = packet_size(Packet(**{f: getattr(pkt, f) for f in fields}))
         ok = transmit(self, sender, to, pkt, control)
         if ok:
             sent.append((pkt.kind.text, pkt.packet_id, size))
