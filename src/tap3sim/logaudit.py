@@ -223,12 +223,11 @@ class PublishedLog:
     siblings below the first verified node.  The set lives as long as the
     snapshot."""
 
-    def __init__(self, root: bytes, log: NodeLog, size: int,
-                 verified: Optional[set[bytes]] = None):
+    def __init__(self, root: bytes, log: NodeLog, size: int):
         self.root = root
         self.log = log
         self.size = size
-        self.verified = set() if verified is None else verified
+        self.verified: set[bytes] = set()
 
     def proves(self, packet_id: int, event: EventKind) -> bool:
         """True iff the snapshot holds a (packet_id, event) entry whose

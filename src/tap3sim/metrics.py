@@ -129,13 +129,11 @@ class SweepSpec:
 
 
 class SweepResult:
-    def __init__(self, run_rows: Optional[list[str]] = None,
-                 avg_rows: Optional[list[str]] = None,
-                 privacy_checks: int = 0, privacy_violations: int = 0):
-        self.run_rows = [] if run_rows is None else run_rows
-        self.avg_rows = [] if avg_rows is None else avg_rows
-        self.privacy_checks = privacy_checks
-        self.privacy_violations = privacy_violations
+    def __init__(self):
+        self.run_rows: list[str] = []
+        self.avg_rows: list[str] = []
+        self.privacy_checks = 0
+        self.privacy_violations = 0
 
     def csv_text(self) -> str:
         return "\n".join([CSV_COLUMNS] + self.run_rows + self.avg_rows) + "\n"

@@ -51,13 +51,11 @@ def distance(sample: SeqVector, mean: tuple[float, float, float]) -> float:
 
 
 class TrainingWindow:
-    def __init__(self, samples: Optional[list[SeqVector]] = None,
-                 mean: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                 threshold: float = 0.0, trained: bool = False):
+    def __init__(self, samples: Optional[list[SeqVector]] = None):
         self.samples = [] if samples is None else samples
-        self.mean = mean
-        self.threshold = threshold
-        self.trained = trained
+        self.mean = (0.0, 0.0, 0.0)
+        self.threshold = 0.0
+        self.trained = False
 
     def train(self) -> float:
         """Recompute mean and threshold; returns the threshold."""
@@ -68,7 +66,7 @@ class TrainingWindow:
 
 
 def classify(sample: SeqVector, window: TrainingWindow) -> Verdict:
-    if not window.trained or not window.samples:
+    if not window.trained:
         raise WindowNotTrainedError("window not trained")
     d = distance(sample, window.mean)
     label = Label.MALICIOUS if d > window.threshold else Label.NORMAL

@@ -265,32 +265,17 @@ class RevEntry(NamedTuple):
     rreq_dseq: int
 
 
-class DestFlowState:
-    def __init__(self, trapdoor: Optional[TrapdoorIndex], dseq: int = 0,
-                 rounds: Optional[dict[int, tuple[Packet, list]]] = None):
-        self.trapdoor = trapdoor
-        self.dseq = dseq
-        # round -> (the first copy of the round's route request, whose
-        # arrival schedules the round's reply; the candidate paths heard
-        # so far)
-        self.rounds = {} if rounds is None else rounds
-
-
 class Monitor:
     """A TAP3 node's sequence-monitor state (`Simulation.monitor_sample`)."""
 
-    def __init__(self, window: Optional[seqmon.TrainingWindow] = None,
-                 batch: Optional[list[seqmon.SeqVector]] = None,
-                 next_merge: float = math.inf,
-                 prev_counters: Optional[dict[int, tuple[int, int]]] = None,
-                 freshest_dseq: Optional[dict[int, int]] = None):
-        self.window = seqmon.TrainingWindow() if window is None else window
-        self.batch = [] if batch is None else batch
-        self.next_merge = next_merge
+    def __init__(self):
+        self.window = seqmon.TrainingWindow()
+        self.batch: list[seqmon.SeqVector] = []
+        self.next_merge = math.inf
         # flow id -> (sseq, oseq) of the last reply of the flow seen here
-        self.prev_counters = {} if prev_counters is None else prev_counters
+        self.prev_counters: dict[int, tuple[int, int]] = {}
         # flow id -> freshest dseq relayed here, the relay's reply baseline
-        self.freshest_dseq = {} if freshest_dseq is None else freshest_dseq
+        self.freshest_dseq: dict[int, int] = {}
 
 
 class SimNode:
@@ -336,17 +321,8 @@ class SimNode:
 class Flow:
     def __init__(self, flow_id: int, src: int, dst: int, key: bytes,
                  start_time: float, ps_chain: PseudonymChain,
-                 pd_chain: PseudonymChain, dest: DestFlowState,
-                 round: int = 0, last_known_dseq: int = 0,
-                 paths: Optional[list[PathInfo]] = None, rr_index: int = 0,
-                 pending: Optional[deque] = None,
-                 backoff: float = BACKOFF_START, discovering: bool = False,
-                 suspects: Optional[set[int]] = None,
-                 usable: Optional[list[PathInfo]] = None,
-                 tau_c_control: Optional[dict[int, LogEntry]] = None,
-                 audit_queue: Optional[dict[tuple, tuple[
-                     list[int], list[tuple[int, float]]]]] = None,
-                 cbr_seq: int = 0):
+                 pd_chain: PseudonymChain,
+                 trapdoor: Optional[TrapdoorIndex]):
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -354,29 +330,36 @@ class Flow:
         self.start_time = start_time
         self.ps_chain = ps_chain
         self.pd_chain = pd_chain
-        self.dest = dest    # the destination's state for this flow
-        self.round = round
-        self.last_known_dseq = last_known_dseq
-        self.paths = [] if paths is None else paths
-        self.rr_index = rr_index
-        self.pending = deque() if pending is None else pending
-        self.backoff = backoff
+        self.round = 0
+        self.last_known_dseq = 0
+        self.paths: list[PathInfo] = []
+        self.rr_index = 0
+        self.pending: deque = deque()
+        self.backoff = BACKOFF_START
         # round `round` is outstanding: none of its replies accepted yet
-        self.discovering = discovering
-        self.suspects = set() if suspects is None else suspects
+        self.discovering = False
+        self.suspects: set[int] = set()
         # `select_paths` over `paths` and `suspects`, or None once
         # `update_routes` has dropped it (see `Simulation._usable_paths`)
-        self.usable = usable
+        self.usable: Optional[list[PathInfo]] = None
         # round -> the source's Forwarded entry for its route request;
         # filled under the trust layer only, for `Simulation.run_audits`
-        self.tau_c_control = {} if tau_c_control is None else tau_c_control
+        self.tau_c_control: dict[int, LogEntry] = {}
         # (round, path id) -> (relays, a (packet id, send time) record of
         # every data packet the source Forwarded on that path and has not
         # audited yet, oldest first)
-        self.audit_queue = {} if audit_queue is None else audit_queue
+        self.audit_queue: dict[tuple, tuple[
+            list[int], list[tuple[int, float]]]] = {}
         # the event number of the flow's last pushed CBR send; the next
         # send takes the next one (see `Simulation.schedule_cbr`)
-        self.cbr_seq = cbr_seq
+        self.cbr_seq = 0
+        # the destination's state for this flow: its trapdoor index (TAP3
+        # only), its reply counter, and round -> (the first copy of the
+        # round's route request, whose arrival schedules the round's
+        # reply; the candidate paths heard so far)
+        self.trapdoor = trapdoor
+        self.dest_dseq = 0
+        self.rounds: dict[int, tuple[Packet, list]] = {}
 
     def update_routes(self, paths: Optional[list[PathInfo]] = None,
                       broken: Sequence[PathInfo] = (),
@@ -402,41 +385,27 @@ class RunResult:
     at the end of `Simulation.run`, from the packet ledger, so they always
     sum to `sent`."""
 
-    def __init__(self, config: ScenarioConfig, sent: int = 0,
-                 delivered: int = 0, lost_link: int = 0,
-                 dropped_attack: int = 0, dropped_noroute: int = 0,
-                 buffered_end: int = 0, in_flight_end: int = 0,
-                 control_tx: int = 0, data_tx: int = 0,
-                 delays: Optional[list[float]] = None,
-                 packet_rows: Optional[list[str]] = None,
-                 verdict_rows: Optional[list[str]] = None,
-                 audit_rows: Optional[list[str]] = None,
-                 privacy_checks: int = 0, privacy_violations: int = 0,
-                 classifier_flags: Optional[set[tuple[int, int]]] = None,
-                 audit_active: Optional[set[int]] = None,
-                 audit_passive: Optional[set[int]] = None,
-                 audit_export: Optional[dict] = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.sent = sent
-        self.delivered = delivered
-        self.lost_link = lost_link
-        self.dropped_attack = dropped_attack
-        self.dropped_noroute = dropped_noroute
-        self.buffered_end = buffered_end
-        self.in_flight_end = in_flight_end
-        self.control_tx = control_tx
-        self.data_tx = data_tx
-        self.delays = [] if delays is None else delays
-        self.packet_rows = [] if packet_rows is None else packet_rows
-        self.verdict_rows = [] if verdict_rows is None else verdict_rows
-        self.audit_rows = [] if audit_rows is None else audit_rows
-        self.privacy_checks = privacy_checks
-        self.privacy_violations = privacy_violations
-        self.classifier_flags = (set() if classifier_flags is None
-                                 else classifier_flags)
-        self.audit_active = set() if audit_active is None else audit_active
-        self.audit_passive = set() if audit_passive is None else audit_passive
-        self.audit_export = audit_export
+        self.sent = 0
+        self.delivered = 0
+        self.lost_link = 0
+        self.dropped_attack = 0
+        self.dropped_noroute = 0
+        self.buffered_end = 0
+        self.in_flight_end = 0
+        self.control_tx = 0
+        self.data_tx = 0
+        self.delays: list[float] = []
+        self.packet_rows: list[str] = []
+        self.verdict_rows: list[str] = []
+        self.audit_rows: list[str] = []
+        self.privacy_checks = 0
+        self.privacy_violations = 0
+        self.classifier_flags: set[tuple[int, int]] = set()
+        self.audit_active: set[int] = set()
+        self.audit_passive: set[int] = set()
+        self.audit_export: Optional[dict] = None
 
 
 def collector_paused(fn: Callable, *args):
@@ -536,10 +505,10 @@ class Simulation:
             key = derive_pairwise_key(master_key(cfg.rng_seed, dst), src)
             ps = PseudonymChain.start(key, src)
             pd = PseudonymChain.start(key, dst)
-            dest = DestFlowState(TrapdoorIndex(pd, TRAPDOOR_WINDOW)
-                                 if self.trust_layer else None)
+            trapdoor = (TrapdoorIndex(pd, TRAPDOOR_WINDOW)
+                        if self.trust_layer else None)
             self.flows.append(Flow(fid, src, dst, key, 1.0 + 0.25 * fid,
-                                   ps, pd, dest))
+                                   ps, pd, trapdoor))
 
     # -- event machinery ----------------------------------------------------
 
@@ -764,8 +733,8 @@ class Simulation:
             return False
         if pkt.dst_addr is not None:
             return True
-        if flow.dest.trapdoor is not None:
-            return trapdoor_check(flow.dest.trapdoor,
+        if flow.trapdoor is not None:
+            return trapdoor_check(flow.trapdoor,
                                   pkt.forward_alias) is not None
         # without the trust layer the chain never advances
         return flow.pd_chain.current == pkt.forward_alias
@@ -787,7 +756,7 @@ class Simulation:
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
         flow = self.flows[pkt.flow_id]
         if self._is_destination(node, flow, pkt):
-            rounds = flow.dest.rounds
+            rounds = flow.rounds
             if pkt.round not in rounds:
                 rounds[pkt.round] = (pkt, [])
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
@@ -840,15 +809,14 @@ class Simulation:
         """Answer round `rnd` at the flow's destination.  `on_rreq`
         schedules it on the round's first candidate path; the round's record
         stays, so no later copy schedules it again."""
-        ds = flow.dest
-        rreq, cands = ds.rounds[rnd]
+        rreq, cands = flow.rounds[rnd]
         chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
         node.log_event(replied_pid, RECEIVED, rreq, self.now)
         node.log_event(replied_pid, REPLIED, rreq, self.now)
         for idx, relays in enumerate(chosen):
-            ds.dseq += 1
-            rrep = self._reply(node, rreq, ds.dseq, idx, relays)
+            flow.dest_dseq += 1
+            rrep = self._reply(node, rreq, flow.dest_dseq, idx, relays)
             if self.uses_pseudonyms:
                 rrep.tag = hmac_tag(flow.key, header_bytes(rrep))
             nxt = relays[-1] if relays else flow.src
@@ -1177,19 +1145,22 @@ class Simulation:
         for flow in self.flows:
             self.schedule(flow.start_time,
                           functools.partial(self.start_flow, flow))
-        while self._events:
-            t, _, fn = heapq.heappop(self._events)
-            if t > cfg.sim_duration:
-                break
-            if t < self.now:
-                raise RuntimeError(
-                    f"event scheduled at {t!r} precedes the clock {self.now!r}")
-            self.now = t
-            fn()
-        # Events past the end never run.  Their callbacks refer back to the
-        # simulation, so dropping them lets a finished run be freed at once:
-        # with them gone, the run leaves no cycle for the paused collector.
-        self._events.clear()
+        try:
+            while self._events:
+                t, _, fn = heapq.heappop(self._events)
+                if t > cfg.sim_duration:
+                    break
+                if t < self.now:
+                    raise RuntimeError(f"event scheduled at {t!r} precedes "
+                                       f"the clock {self.now!r}")
+                self.now = t
+                fn()
+        finally:
+            # Events past the end, or after a failure, never run.  Their
+            # callbacks refer back to the simulation, so dropping them lets
+            # a finished or failed run be freed at once: with them gone,
+            # the run leaves no cycle for the paused collector.
+            self._events.clear()
         self.now = cfg.sim_duration
         for node in self.nodes:
             x, y = node.mobility.position(cfg.sim_duration)

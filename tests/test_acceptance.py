@@ -18,7 +18,7 @@ from tap3sim.crypto import hmac_tag
 from tap3sim.logaudit import FELLOW, LogEntry, MerkleTree, NodeLog, leaf_hash
 from tap3sim.metrics import SweepSpec, sweep
 from tap3sim.routing import ProtocolKind
-from tap3sim.sim import desk_profile, run_scenario
+from tap3sim.sim import desk_profile
 from tap3sim.cli import main as cli_main
 
 from test_crypto import RFC4231

@@ -4,9 +4,10 @@ from the simulator's constants, not from a recorded output.
 A chain of k nodes lies on a line, 200 m apart, with a 250 m radio range,
 so each node hears only its neighbours and the one route is the chain
 itself.  The one flow runs between the two farthest nodes, the chain's
-ends, with no movement: with no attacker, or with a passive dropper that
-drops every data packet at the first relay.  Every expected number below
-is derived from the schedule constants and the frame format."""
+ends, with no movement: with no attacker, with a passive dropper that
+drops every data packet at the first relay, or with a log forger there.
+Every expected number below is derived from the schedule constants and
+the frame format."""
 
 import itertools
 import math
@@ -196,5 +197,48 @@ def test_static_chain_with_passive_dropper_matches_closed_form(protocol, k):
     assert res.buffered_end == SEND_BUFFER_CAP
     assert res.dropped_noroute == waiting - SEND_BUFFER_CAP
     assert res.data_tx == len(before) * hops + len(dropped)
+    assert res.audit_passive == {1}
+    assert not res.audit_active
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_static_chain_with_log_forger_matches_closed_form(protocol, k):
+    """Node 1, the first relay, forwards every data packet but, once
+    attacks turn on, logs each under a forged packet id.  Without the
+    trust layer nothing reads the log, so the chain behaves as with no
+    attacker."""
+    cfg = replace(chain_config(protocol, k), attackers=[
+        AttackerSpec(1, AttackKind.LOG_FORGERY, 1.0)])
+    positions = [(SPACING * i, 0.0) for i in range(k)]
+    res = run_scenario(cfg, positions=positions)
+    hops = k - 1
+    sends = send_times(cfg)
+    assert res.sent == len(sends)
+    assert (res.lost_link, res.dropped_attack, res.in_flight_end) == (0, 0, 0)
+
+    if protocol is not ProtocolKind.TAP3:
+        assert res.delivered == len(sends)
+        assert res.data_tx == len(sends) * hops
+        assert res.control_tx == 3 * len(round_starts(cfg)) * hops
+        assert not res.audit_passive and not res.audit_active
+        return
+
+    # The first audit tick asks node 1 to prove its Forwarded entries for
+    # the sends older than AUDIT_SETTLE.  Those from the epoch's end on
+    # are logged under forged ids, so the audit accuses node 1.  Every
+    # send through the tick's instant was delivered; from then on every
+    # path runs through the suspect and later sends wait in the send
+    # buffer, which keeps the last SEND_BUFFER_CAP of them.  Control
+    # traffic is not checked, as with the dropper.
+    first_tick = FLOW_START + AUDIT_PERIOD
+    assert TRAIN_FRACTION * DURATION < first_tick - AUDIT_SETTLE
+    delivered = [s for s in sends if s <= first_tick]
+    waiting = len(sends) - len(delivered)
+    assert len(delivered) == 101 and waiting > SEND_BUFFER_CAP
+    assert res.delivered == len(delivered)
+    assert res.data_tx == len(delivered) * hops
+    assert res.buffered_end == SEND_BUFFER_CAP
+    assert res.dropped_noroute == waiting - SEND_BUFFER_CAP == 317
     assert res.audit_passive == {1}
     assert not res.audit_active

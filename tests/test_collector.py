@@ -16,6 +16,7 @@ from tap3sim.sim import (
     AttackerSpec,
     AttackKind,
     Mobility,
+    Simulation,
     desk_profile,
     run_scenario,
 )
@@ -70,6 +71,23 @@ def test_runs_and_replays_leave_no_cycles(collector, protocol, shape):
             del reports
             assert gc.collect() == 0, "replay"
         assert (text is not None) == (trace and protocol.trust_layer)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_failed_run_leaves_no_cycles(collector, protocol):
+    """A run that raises inside the event loop drops its pending events,
+    whose callbacks refer back to the simulation, so it is freed at once
+    too."""
+    gc.disable()
+    gc.collect()
+    sim = Simulation(replace(desk_profile(protocol, seed=1),
+                             sim_duration=10.0))
+    sim.schedule(5.0, lambda: sim.schedule(4.0, lambda: None))
+    with pytest.raises(RuntimeError, match="precedes the clock"):
+        sim.run()
+    assert sim.result.control_tx > 0
+    del sim
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,23 +1,25 @@
 """The record types: `ScenarioConfig` is the one dataclass, immutable
 records are NamedTuples, and every other record is a plain class whose
-mutable fields are fresh per instance."""
+`__init__` takes only the fields its callers pass and whose mutable
+fields are fresh per instance."""
 
 import dataclasses
 import importlib
+import inspect
 from collections import deque
 
 import pytest
 
 from tap3sim import logaudit
 from tap3sim.crypto import PseudonymChain, master_key
-from tap3sim.logaudit import AuditReport, EventKind, LogEntry, NodeLog
+from tap3sim.logaudit import (AuditReport, EventKind, LogEntry, NodeLog,
+                               PublishedLog)
 from tap3sim.metrics import MetricsReport, SweepResult
 from tap3sim.routing import Packet, PacketKind, ProtocolKind
 from tap3sim.seqmon import Label, SeqVector, TrainingWindow, Verdict
 from tap3sim.sim import (
     AttackerSpec,
     AttackKind,
-    DestFlowState,
     Flow,
     Monitor,
     RevEntry,
@@ -94,14 +96,14 @@ def _containers(obj, seen=None) -> list:
     for value in vars(obj).values():
         if isinstance(value, (list, set, dict, deque)):
             seen.append(value)
-        elif isinstance(value, (TrainingWindow, DestFlowState)):
+        elif isinstance(value, TrainingWindow):
             _containers(value, seen)
     return seen
 
 
 def _flow() -> Flow:
     chain = PseudonymChain.start(master_key(1, 0), 0)
-    return Flow(0, 0, 1, b"k" * 32, 1.0, chain, chain, DestFlowState(None))
+    return Flow(0, 0, 1, b"k" * 32, 1.0, chain, chain, None)
 
 
 DEFAULT_BUILT = {
@@ -110,7 +112,6 @@ DEFAULT_BUILT = {
     "RunResult": lambda: RunResult(desk_profile()),
     "AuditReport": lambda: AuditReport(logaudit.FELLOW),
     "SweepResult": SweepResult,
-    "DestFlowState": lambda: DestFlowState(None),
     "TrainingWindow": TrainingWindow,
     "Packet": lambda: Packet(PacketKind.DATA, 0, 1),
 }
@@ -122,3 +123,20 @@ def test_default_built_records_share_no_container(name):
     mine, theirs = _containers(a), _containers(b)
     assert mine, f"{name} has no container field"
     assert not {id(c) for c in mine} & {id(c) for c in theirs}
+
+
+# Every other field starts at one value, set in the body.
+PARAMETERS = {
+    Flow: "flow_id src dst key start_time ps_chain pd_chain trapdoor",
+    Monitor: "",
+    RunResult: "config",
+    SweepResult: "",
+    TrainingWindow: "samples",
+    PublishedLog: "root log size",
+}
+
+
+@pytest.mark.parametrize("cls", list(PARAMETERS),
+                         ids=[c.__name__ for c in PARAMETERS])
+def test_plain_records_take_only_what_callers_pass(cls):
+    assert list(inspect.signature(cls).parameters) == PARAMETERS[cls].split()

@@ -815,7 +815,7 @@ def test_late_request_copy_is_not_answered_again(protocol):
     sim.run()
     flow = sim.flows[0]
     dst = sim.nodes[flow.dst]
-    rreq, cands = flow.dest.rounds[1]
+    rreq, cands = flow.rounds[1]
     heard, oseq = len(cands), dst.oseq
     assert flow.paths and oseq > 0      # the round was answered
     sim.dispatch(dst.id, rreq, flow.src)
