@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
-import heapq
 import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import logaudit, seqmon
@@ -513,8 +513,12 @@ class Simulation:
     # -- event machinery ----------------------------------------------------
 
     def schedule(self, t: float, fn: Callable[[], None]) -> None:
+        """Push a timer.  Every heap entry is `(time, number, fn, args)`
+        and runs as `fn(*args)`; every push, here or in `transmit`,
+        `on_rreq` and `_push_send`, takes the next event number, so the
+        entries pop in time order and, at equal times, in push order."""
         self._event_seq += 1
-        heapq.heappush(self._events, (t, self._event_seq, fn))
+        heappush(self._events, (t, self._event_seq, fn, ()))
 
     def new_pid(self) -> int:
         self._next_pid += 1
@@ -578,6 +582,7 @@ class Simulation:
             self._privacy_scan(pkt)
         if self.trace:
             self._trace(start, pkt, sender, -1 if to is None else to, size)
+        events, dispatch = self._events, self.dispatch
         if to is None:
             nodes, now = self.nodes, self.now
             here = node.mobility.position(now)
@@ -587,26 +592,29 @@ class Simulation:
                     continue
                 dist = math.dist(here, nodes[other].mobility.position(now))
                 if dist <= radio_range:
-                    arrival = start + ttx + dist / SPEED_OF_LIGHT
-                    self.schedule(arrival, functools.partial(
-                        self.dispatch, other, pkt, sender))
+                    self._event_seq += 1
+                    heappush(events, (start + ttx + dist / SPEED_OF_LIGHT,
+                                      self._event_seq, dispatch,
+                                      (other, pkt, sender)))
         else:
-            arrival = start + ttx + dist / SPEED_OF_LIGHT
-            self.schedule(arrival, functools.partial(self.dispatch, to, pkt,
-                                                     sender))
+            self._event_seq += 1
+            heappush(events, (start + ttx + dist / SPEED_OF_LIGHT,
+                              self._event_seq, dispatch, (to, pkt, sender)))
         return True
 
     def dispatch(self, nid: int, pkt: Packet, frm: int) -> None:
         node = self.nodes[nid]
-        if pkt.kind is RREQ:
-            self.on_rreq(node, pkt, frm)
-        elif pkt.kind is RREP:
-            self.on_rrep(node, pkt, frm)
-        elif pkt.kind is RREP_ACK:
-            self.on_rrep_ack(node, pkt, frm)
-        elif pkt.kind is DATA:
+        kind = pkt.kind
+        # the most frequent kind first
+        if kind is DATA:
             self.on_data(node, pkt, frm)
-        elif pkt.kind is RERR:
+        elif kind is RREQ:
+            self.on_rreq(node, pkt, frm)
+        elif kind is RREP:
+            self.on_rrep(node, pkt, frm)
+        elif kind is RREP_ACK:
+            self.on_rrep_ack(node, pkt, frm)
+        elif kind is RERR:
             self.on_rerr(node, pkt, frm)
 
     # -- sequence monitor ---------------------------------------------------
@@ -781,8 +789,9 @@ class Simulation:
         fwd = pkt.copy()
         fwd.route_record.append(node.id)
         jitter = self.rng_jitter.uniform(0.0, REBROADCAST_JITTER)
-        self.schedule(self.now + jitter,
-                      lambda: self.transmit(node.id, None, fwd, control=True))
+        self._event_seq += 1
+        heappush(self._events, (self.now + jitter, self._event_seq,
+                                self.transmit, (node.id, None, fwd, True)))
 
     def _attack(self, node: SimNode) -> Optional[AttackerSpec]:
         """The node's attack once attacks are on, else None."""
@@ -929,9 +938,7 @@ class Simulation:
         unless `t` is past its last send."""
         if t < self.config.sim_duration - DRAIN_WINDOW:
             flow.cbr_seq += 1
-            heapq.heappush(self._events, (t, flow.cbr_seq,
-                                          functools.partial(self.app_send,
-                                                            flow)))
+            heappush(self._events, (t, flow.cbr_seq, self.app_send, (flow,)))
 
     def app_send(self, flow: Flow) -> None:
         # the next send first: the same sum as `schedule_cbr`'s loop
@@ -1145,22 +1152,24 @@ class Simulation:
         for flow in self.flows:
             self.schedule(flow.start_time,
                           functools.partial(self.start_flow, flow))
+        events, pop, end = self._events, heappop, cfg.sim_duration
         try:
-            while self._events:
-                t, _, fn = heapq.heappop(self._events)
-                if t > cfg.sim_duration:
+            while events:
+                t, _, fn, args = pop(events)
+                if t > end:
                     break
                 if t < self.now:
                     raise RuntimeError(f"event scheduled at {t!r} precedes "
                                        f"the clock {self.now!r}")
                 self.now = t
-                fn()
+                fn(*args)
         finally:
             # Events past the end, or after a failure, never run.  Their
-            # callbacks refer back to the simulation, so dropping them lets
-            # a finished or failed run be freed at once: with them gone,
-            # the run leaves no cycle for the paused collector.
-            self._events.clear()
+            # functions and arguments refer back to the simulation, so
+            # dropping them lets a finished or failed run be freed at once:
+            # with them gone, the run leaves no cycle for the paused
+            # collector.
+            events.clear()
         self.now = cfg.sim_duration
         for node in self.nodes:
             x, y = node.mobility.position(cfg.sim_duration)

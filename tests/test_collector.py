@@ -90,6 +90,39 @@ def test_failed_run_leaves_no_cycles(collector, protocol):
     assert gc.collect() == 0
 
 
+class DataFault(Exception):
+    pass
+
+
+class FailingReception(Simulation):
+    """Fails on its 50th DATA reception, inside a handler that the event
+    loop called with the receptions still queued behind it."""
+
+    received = 0
+
+    def on_data(self, node, pkt, frm):
+        self.received += 1
+        if self.received == 50:
+            raise DataFault(f"reception at {self.now!r}")
+        super().on_data(node, pkt, frm)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_run_failing_in_a_reception_leaves_no_cycles(collector, protocol):
+    """The queued receptions hold the frame, the receiver and the
+    simulation's dispatch; the failed run drops them all, so neither the
+    simulation nor the exception's traceback, which reaches into the
+    run's frames, leaves a cycle."""
+    gc.disable()
+    gc.collect()
+    sim = FailingReception(desk_profile(protocol, seed=1))
+    with pytest.raises(DataFault) as failure:
+        sim.run()
+    assert sim.received == 50 and not sim._events
+    del sim, failure
+    assert gc.collect() == 0
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_the_callers_collector_state(collector, enabled):
     (gc.enable if enabled else gc.disable)()

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import inspect
 import itertools
 import math
@@ -852,8 +853,8 @@ class EagerCbrSimulation(Simulation):
 def timed(sim_class):
     """`sim_class` recording each CBR send, route refresh and audit tick
     as `(time, event, flow id)`, and the most sends of one flow that the
-    heap holds after a send, counting the `app_send` partials.  The class
-    keeps its last instance as `last`."""
+    heap holds after a send, counting the `(time, number, app_send,
+    (flow,))` entries.  The class keeps its last instance as `last`."""
 
     class Timed(sim_class):
         def __init__(self, *args, **kwargs):
@@ -866,9 +867,8 @@ def timed(sim_class):
             self.timeline.append((self.now, "send", flow.flow_id))
             super().app_send(flow)
             pending = collections.Counter(
-                fn.args[0].flow_id for _, _, fn in self._events
-                if isinstance(fn, functools.partial)
-                and fn.func == self.app_send)
+                args[0].flow_id for _, _, fn, args in self._events
+                if fn == self.app_send)
             self.most_pending_sends = max(self.most_pending_sends,
                                           *pending.values(), 0)
 
@@ -926,6 +926,106 @@ def test_one_pending_send_per_flow_changes_no_output(tmp_path, protocol,
         sends = [t for t, event, fid in timeline
                  if event == "send" and fid == 0]
         assert any(t != 1.0 + k / 3.0 for k, t in enumerate(sends))
+
+
+# ---------------------------------------------------------------------------
+# event order: every handler the loop runs, at its time, in its order
+
+class Timeline(Simulation):
+    """Records each reception, CBR send, route refresh, audit tick,
+    discovery check and destination reply as `(repr(now), name, ids)`:
+    a reception's ids are its frame kind, receiver, sender and packet id,
+    every other event's its flow id.  Only handlers are overridden, so
+    the record follows whatever the event machinery pushes and pops."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timeline = []
+
+    def _record(self, name, ids):
+        self.timeline.append((repr(self.now), name, ids))
+
+    def dispatch(self, nid, pkt, frm):
+        self._record("recv", (pkt.kind.text, nid, frm, pkt.packet_id))
+        super().dispatch(nid, pkt, frm)
+
+    def app_send(self, flow):
+        self._record("send", flow.flow_id)
+        super().app_send(flow)
+
+    def refresh_route(self, flow):
+        self._record("refresh", flow.flow_id)
+        super().refresh_route(flow)
+
+    def audit_tick(self, flow):
+        self._record("audit", flow.flow_id)
+        super().audit_tick(flow)
+
+    def discovery_check(self, flow, rnd):
+        self._record("check", flow.flow_id)
+        super().discovery_check(flow, rnd)
+
+    def dest_reply(self, node, flow, rnd):
+        self._record("reply", flow.flow_id)
+        super().dest_reply(node, flow, rnd)
+
+
+# sha256 of the repr of each run's timeline, and its final event number
+EVENT_ORDER = {
+    ("desk", ProtocolKind.TAP3): (
+        "25c4dc4497996ef2d5ff666bcfd5d54c7c42b9e92a1696bc129059f024d4df3a",
+        2666),
+    ("desk", ProtocolKind.S_MPRF): (
+        "c7e9a048df8a6210919acf6e13e636ba229cd4873a2aa7dff40b169a44f86345",
+        3521),
+    ("desk", ProtocolKind.MPRF): (
+        "1cb4bec265e56ede5f24ca2209b84f225e8229a1ad02fb750814faff3f35d5e7",
+        3393),
+    ("sparse", ProtocolKind.TAP3): (
+        "4613f8f7332b40ae66f8ccaf6cc6dee3832e093b5123d8b3212dc6e6260db3e3",
+        5956),
+}
+
+
+@pytest.mark.parametrize("shape, protocol", sorted(
+    EVENT_ORDER, key=lambda k: (k[0], k[1].name)))
+def test_event_order_golden(shape, protocol):
+    """Every handler runs at the same time, in the same order, with the
+    same arguments, and the run pushes the same number of events.  The
+    pins do not depend on how an entry holds its call, only on the
+    order in which the `(time, number)` keys pop."""
+    sim = Timeline(replace(desk_profile(protocol, seed=1), **SHAPES[shape]))
+    sim.run()
+    digest = hashlib.sha256(repr(sim.timeline).encode()).hexdigest()
+    assert (digest, sim._event_seq) == EVENT_ORDER[shape, protocol]
+
+
+CALLS = {("dispatch", 3), ("transmit", 4), ("app_send", 1)}
+
+
+def test_receptions_sends_and_rebroadcasts_are_pushed_as_calls():
+    """Receptions, route-request rebroadcasts and CBR sends go on the heap
+    as the simulation's own bound methods with their arguments; every
+    other entry is a timer, with no arguments, whose callable neither is
+    nor calls one of those three."""
+    seen = collections.Counter()
+
+    class Scanned(Simulation):
+        def on_rreq(self, node, pkt, frm):
+            super().on_rreq(node, pkt, frm)
+            for _, _, fn, args in self._events:
+                if args:
+                    assert fn.__self__ is self
+                    seen[fn.__name__, len(args)] += 1
+                    continue
+                if isinstance(fn, functools.partial):
+                    fn = fn.func
+                names = {fn.__name__, *fn.__code__.co_names}
+                assert not names & {name for name, _ in CALLS}
+                seen["timer"] += 1
+
+    Scanned(replace(desk_profile(seed=1), sim_duration=20.0)).run()
+    assert set(seen) == CALLS | {"timer"}
 
 
 # ---------------------------------------------------------------------------
