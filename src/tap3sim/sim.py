@@ -604,17 +604,15 @@ class Simulation:
 
     def dispatch(self, nid: int, pkt: Packet, frm: int) -> None:
         node = self.nodes[nid]
-        kind = pkt.kind
-        # the most frequent kind first
-        if kind is DATA:
-            self.on_data(node, pkt, frm)
-        elif kind is RREQ:
+        if pkt.kind is RREQ:
             self.on_rreq(node, pkt, frm)
-        elif kind is RREP:
+        elif pkt.kind is RREP:
             self.on_rrep(node, pkt, frm)
-        elif kind is RREP_ACK:
+        elif pkt.kind is RREP_ACK:
             self.on_rrep_ack(node, pkt, frm)
-        elif kind is RERR:
+        elif pkt.kind is DATA:
+            self.on_data(node, pkt, frm)
+        elif pkt.kind is RERR:
             self.on_rerr(node, pkt, frm)
 
     # -- sequence monitor ---------------------------------------------------

@@ -73,27 +73,6 @@ def test_runs_and_replays_leave_no_cycles(collector, protocol, shape):
         assert (text is not None) == (trace and protocol.trust_layer)
 
 
-@pytest.mark.parametrize("protocol", list(ProtocolKind))
-def test_failed_run_leaves_no_cycles(collector, protocol):
-    """A run that raises inside the event loop drops its pending events,
-    whose callbacks refer back to the simulation, so it is freed at once
-    too."""
-    gc.disable()
-    gc.collect()
-    sim = Simulation(replace(desk_profile(protocol, seed=1),
-                             sim_duration=10.0))
-    sim.schedule(5.0, lambda: sim.schedule(4.0, lambda: None))
-    with pytest.raises(RuntimeError, match="precedes the clock"):
-        sim.run()
-    assert sim.result.control_tx > 0
-    del sim
-    assert gc.collect() == 0
-
-
-class DataFault(Exception):
-    pass
-
-
 class FailingReception(Simulation):
     """Fails on its 50th DATA reception, inside a handler that the event
     loop called with the receptions still queued behind it."""
@@ -103,23 +82,32 @@ class FailingReception(Simulation):
     def on_data(self, node, pkt, frm):
         self.received += 1
         if self.received == 50:
-            raise DataFault(f"reception at {self.now!r}")
+            raise RuntimeError(f"reception at {self.now!r}")
         super().on_data(node, pkt, frm)
 
 
+@pytest.mark.parametrize("failure", ["clock", "reception"])
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
-def test_run_failing_in_a_reception_leaves_no_cycles(collector, protocol):
-    """The queued receptions hold the frame, the receiver and the
-    simulation's dispatch; the failed run drops them all, so neither the
-    simulation nor the exception's traceback, which reaches into the
-    run's frames, leaves a cycle."""
+def test_failed_run_leaves_no_cycles(collector, protocol, failure):
+    """A run that raises inside the event loop, at its clock check or
+    inside a reception handler, drops its pending events, whose functions
+    and arguments refer back to the simulation, so it is freed at once
+    too, and so is the exception, whose traceback reaches into the run's
+    frames."""
     gc.disable()
     gc.collect()
-    sim = FailingReception(desk_profile(protocol, seed=1))
-    with pytest.raises(DataFault) as failure:
+    cfg = replace(desk_profile(protocol, seed=1), sim_duration=10.0)
+    if failure == "clock":
+        sim = Simulation(cfg)
+        sim.schedule(5.0, lambda: sim.schedule(4.0, lambda: None))
+        match = "precedes the clock"
+    else:
+        sim = FailingReception(cfg)
+        match = "reception at"
+    with pytest.raises(RuntimeError, match=match) as failed:
         sim.run()
-    assert sim.received == 50 and not sim._events
-    del sim, failure
+    assert sim.result.control_tx > 0 and not sim._events
+    del sim, failed
     assert gc.collect() == 0
 
 
