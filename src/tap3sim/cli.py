@@ -57,10 +57,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _path(text: str) -> str:
-    """The type of every file and directory argument: an empty path names
-    nothing, so it is a usage error rather than a skipped output."""
+    """The type of every path read, and the first check of every path
+    written: an empty path names nothing, so it is a usage error rather
+    than a skipped output."""
     if not text:
         raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
+def _out_file(text: str) -> str:
+    """The type of a file to write.  A path that cannot be written is a
+    usage error before any run, not a run failure after it."""
+    path = Path(_path(text))
+    if path.is_dir() or not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text}: not a file in an existing directory")
+    return text
+
+
+def _out_dir(text: str) -> str:
+    """The type of a directory to write, made with its missing parents:
+    the nearest path on the way that exists must be a directory."""
+    path = Path(_path(text))
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text}: {found} is not a directory")
     return text
 
 
@@ -251,17 +273,6 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     return reports
 
 
-def _load_and_replay(path: str, text: str
-                     ) -> tuple[dict, list[logaudit.AuditReport]]:
-    """The audit log recorded as `text` in the trace at `path`, and its
-    replayed reports.  Neither step makes a reference cycle, so
-    `_cmd_audit` runs both with the cycle collector paused."""
-    export = json.loads(text)
-    if export is None:
-        raise UsageError(f"{path} contains no recorded audit logs")
-    return export, replay_audits(export)
-
-
 def _cmd_audit(args) -> int:
     # read up to the line after the first `# audit-log` marker
     text = None
@@ -277,7 +288,12 @@ def _cmd_audit(args) -> int:
         raise UsageError(f"cannot read trace {args.trace}: {exc}") from exc
     if text is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
-    export, reports = collector_paused(_load_and_replay, args.trace, text)
+    # neither the load nor the replay makes a reference cycle
+    with collector_paused():
+        export = json.loads(text)
+        if export is None:
+            raise UsageError(f"{args.trace} contains no recorded audit logs")
+        reports = replay_audits(export)
     sys.stdout.write(AUDIT_COLUMNS + "\n")
     for record, report in zip(export.get("paths", []), reports):
         sys.stdout.write(report.csv_row(record["flow"]) + "\n")
@@ -293,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("--config", required=True, type=_path)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out", type=_path)
-    p_run.add_argument("--trace", type=_path)
+    p_run.add_argument("--out", type=_out_file)
+    p_run.add_argument("--trace", type=_out_file)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a pause-time sweep")
@@ -304,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--protocols", default="tap3,smprf,mprf")
     p_sweep.add_argument("--seeds", default="1..5",
                          help="lo..hi or comma list")
-    p_sweep.add_argument("--out", required=True, type=_path)
-    p_sweep.add_argument("--plots", type=_path)
+    p_sweep.add_argument("--out", required=True, type=_out_file)
+    p_sweep.add_argument("--plots", type=_out_dir)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="replay recorded audit logs")

@@ -350,8 +350,8 @@ class Flow:
         # audited yet, oldest first)
         self.audit_queue: dict[tuple, tuple[
             list[int], list[tuple[int, float]]]] = {}
-        # the event number of the flow's last pushed CBR send; the next
-        # send takes the next one (see `Simulation.schedule_cbr`)
+        # the event number of the flow's first CBR send, which keys
+        # every send of the flow (see `Simulation.schedule_cbr`)
         self.cbr_seq = 0
         # the destination's state for this flow: its trapdoor index (TAP3
         # only), its reply counter, and round -> (the first copy of the
@@ -408,18 +408,22 @@ class RunResult:
         self.audit_export: Optional[dict] = None
 
 
-def collector_paused(fn: Callable, *args):
-    """`fn(*args)` with CPython's automatic cycle collection paused.  For
-    a phase that allocates many short-lived containers and makes no
-    reference cycles, whose collections would find nothing.  The pause is
-    process-wide while it lasts; the caller's `gc.isenabled()` is restored
-    however `fn` ends."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(*args)
-    finally:
-        if enabled:
+class collector_paused:
+    """`with collector_paused():` runs its body with CPython's automatic
+    cycle collection paused.  For a phase that allocates many short-lived
+    containers and makes no reference cycles, whose collections would
+    find nothing.  The pause is process-wide while it lasts; the caller's
+    `gc.isenabled()` is restored however the body ends.  Not a generator:
+    its exit would raise a StopIteration just after collection resumes,
+    and that allocation would start a collection over everything the
+    body left alive."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
             gc.enable()
 
 
@@ -516,7 +520,8 @@ class Simulation:
         """Push a timer.  Every heap entry is `(time, number, fn, args)`
         and runs as `fn(*args)`; every push, here or in `transmit`,
         `on_rreq` and `_push_send`, takes the next event number, so the
-        entries pop in time order and, at equal times, in push order."""
+        entries pop in time order and, at equal times, in push order (a
+        CBR send counts as pushed with its flow's first send)."""
         self._event_seq += 1
         heappush(self._events, (t, self._event_seq, fn, ()))
 
@@ -733,17 +738,12 @@ class Simulation:
             self.start_discovery(flow)
 
     def _is_destination(self, node: SimNode, flow: Flow, pkt: Packet) -> bool:
-        """The node id is tested first: a trapdoor match slides the
-        window, so only the flow's destination may run the check."""
-        if node.id != flow.dst:
-            return False
-        if pkt.dst_addr is not None:
-            return True
-        if flow.trapdoor is not None:
-            return trapdoor_check(flow.trapdoor,
-                                  pkt.forward_alias) is not None
-        # without the trust layer the chain never advances
-        return flow.pd_chain.current == pkt.forward_alias
+        """The node id, and under the trust layer the trapdoor.  The id is
+        tested first: a trapdoor match slides the window, so only the
+        flow's destination may run the check."""
+        return node.id == flow.dst and (
+            flow.trapdoor is None
+            or trapdoor_check(flow.trapdoor, pkt.forward_alias) is not None)
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
         """A copy's (flow, round) names its request in both the listener
@@ -754,7 +754,9 @@ class Simulation:
         `max_dseq_seen` to its `dseq`, which is sound because every copy of
         one request carries the same `dseq` and a node raised the field to
         it when it took the request.  A destination that took the request
-        as a relay stays in the record; its reverse route marks it taken."""
+        as a relay stays in the record, since a late copy of an older round
+        can slide its trapdoor window over this round's alias; its reverse
+        route marks it taken."""
         key = (pkt.flow_id, pkt.round)
         listeners = self.rreq_listeners[key]
         if node.id not in listeners:
@@ -906,40 +908,23 @@ class Simulation:
     # -- data plane ---------------------------------------------------------
 
     def schedule_cbr(self, flow: Flow, t: float) -> None:
-        """Start the flow's CBR sends: one at `t`, then one every
-        1 / pkt_rate s, accumulated by `t += period`, while
-        `t < sim_duration - DRAIN_WINDOW`.
-
-        Only the first send goes on the heap.  Each send's event number is
-        reserved here, as if every send were scheduled now, and each
-        `app_send` pushes the next send, at the next accumulated time,
-        under the next reserved number.  The pop order is the one of
-        pushing every send now: each send keeps the (time, number) key it
-        would have had, keys are distinct, and a send's key exceeds its
-        predecessor's, so it cannot be the heap's minimum before its
-        predecessor pops, and from then on it is in the heap.  So ties
-        break as before (a send still runs before a route refresh or an
-        audit tick scheduled after flow start for the same instant),
-        `_event_seq` ends where it would, and the heap holds at most one
-        send per flow instead of all of them."""
-        period = 1.0 / self.config.pkt_rate
-        count, u = 0, t
-        while u < self.config.sim_duration - DRAIN_WINDOW:
-            count += 1
-            u += period
-        flow.cbr_seq = self._event_seq
-        self._event_seq += count
+        """Start the flow's CBR sends: one at `t`, then one 1 / pkt_rate
+        s after each send, while `t < sim_duration - DRAIN_WINDOW`.  Each
+        `app_send` pushes the next send, so the heap holds at most one
+        send per flow.  Every send is keyed by the event number its
+        flow's first send took: it pops after every event pushed before
+        the flow started and before every event pushed after, as if
+        every send were pushed now."""
+        flow.cbr_seq = self._event_seq + 1
         self._push_send(flow, t)
 
     def _push_send(self, flow: Flow, t: float) -> None:
-        """Push the flow's send at `t`, under its next reserved number,
-        unless `t` is past its last send."""
+        """Push the flow's send at `t` unless `t` is past its last send."""
         if t < self.config.sim_duration - DRAIN_WINDOW:
-            flow.cbr_seq += 1
+            self._event_seq += 1
             heappush(self._events, (t, flow.cbr_seq, self.app_send, (flow,)))
 
     def app_send(self, flow: Flow) -> None:
-        # the next send first: the same sum as `schedule_cbr`'s loop
         self._push_send(flow, self.now + 1.0 / self.config.pkt_rate)
         pid = self.new_pid()
         self.packet_state[pid] = IN_FLIGHT
@@ -1143,54 +1128,52 @@ class Simulation:
         makes no reference cycles that outlive it, so the cycle collector
         is paused for it (`collector_paused`): its collections would only
         walk the run's many live containers and find nothing."""
-        return collector_paused(self._run)
-
-    def _run(self) -> RunResult:
-        cfg = self.config
-        for flow in self.flows:
-            self.schedule(flow.start_time,
-                          functools.partial(self.start_flow, flow))
-        events, pop, end = self._events, heappop, cfg.sim_duration
-        try:
-            while events:
-                t, _, fn, args = pop(events)
-                if t > end:
-                    break
-                if t < self.now:
-                    raise RuntimeError(f"event scheduled at {t!r} precedes "
-                                       f"the clock {self.now!r}")
-                self.now = t
-                fn(*args)
-        finally:
-            # Events past the end, or after a failure, never run.  Their
-            # functions and arguments refer back to the simulation, so
-            # dropping them lets a finished or failed run be freed at once:
-            # with them gone, the run leaves no cycle for the paused
-            # collector.
-            events.clear()
-        self.now = cfg.sim_duration
-        for node in self.nodes:
-            x, y = node.mobility.position(cfg.sim_duration)
-            if not (-1e-9 <= x <= cfg.area_x + 1e-9
-                    and -1e-9 <= y <= cfg.area_y + 1e-9):
-                raise RuntimeError(f"node {node.id} left the area: it is "
-                                   f"at ({x!r}, {y!r})")
-        for flow in self.flows:
-            for pid, _ in flow.pending:
-                self._settle(pid, "buffered_end")
-        fates = Counter(self.packet_state.values())
-        self.result.sent = len(self.packet_state)
-        for fate in FATES:
-            setattr(self.result, fate, fates[fate])
-        self.result.in_flight_end = fates[IN_FLIGHT]
-        if self.trace and self.trust_layer:
-            self.result.audit_export = {
-                "nodes": {str(n.id): [logaudit.entry_to_list(e)
-                                      for e in n.log.entries]
-                          for n in self.nodes if n.log.entries},
-                "paths": self._audit_records,
-            }
-        return self.result
+        with collector_paused():
+            cfg = self.config
+            for flow in self.flows:
+                self.schedule(flow.start_time,
+                              functools.partial(self.start_flow, flow))
+            events, pop, end = self._events, heappop, cfg.sim_duration
+            try:
+                while events:
+                    t, _, fn, args = pop(events)
+                    if t > end:
+                        break
+                    if t < self.now:
+                        raise RuntimeError(f"event scheduled at {t!r} "
+                                           f"precedes the clock {self.now!r}")
+                    self.now = t
+                    fn(*args)
+            finally:
+                # Events past the end, or after a failure, never run.
+                # Their functions and arguments refer back to the
+                # simulation, so dropping them lets a finished or failed
+                # run be freed at once: with them gone, the run leaves no
+                # cycle for the paused collector.
+                events.clear()
+            self.now = cfg.sim_duration
+            for node in self.nodes:
+                x, y = node.mobility.position(cfg.sim_duration)
+                if not (-1e-9 <= x <= cfg.area_x + 1e-9
+                        and -1e-9 <= y <= cfg.area_y + 1e-9):
+                    raise RuntimeError(f"node {node.id} left the area: "
+                                       f"it is at ({x!r}, {y!r})")
+            for flow in self.flows:
+                for pid, _ in flow.pending:
+                    self._settle(pid, "buffered_end")
+            fates = Counter(self.packet_state.values())
+            self.result.sent = len(self.packet_state)
+            for fate in FATES:
+                setattr(self.result, fate, fates[fate])
+            self.result.in_flight_end = fates[IN_FLIGHT]
+            if self.trace and self.trust_layer:
+                self.result.audit_export = {
+                    "nodes": {str(n.id): [logaudit.entry_to_list(e)
+                                          for e in n.log.entries]
+                              for n in self.nodes if n.log.entries},
+                    "paths": self._audit_records,
+                }
+            return self.result
 
 
 def desk_profile(protocol: ProtocolKind = ProtocolKind.TAP3,

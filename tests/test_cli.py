@@ -481,6 +481,37 @@ def test_empty_output_path_exits_one(tmp_path, capsys, monkeypatch, flag):
     assert f"argument {flag}: empty path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, path", [
+    ("run", "--out", "missing/x.csv"),
+    ("run", "--trace", "missing/x.trace"),
+    ("sweep", "--out", "missing/s.csv"),
+    ("sweep", "--plots", "scenario.conf"),
+], ids=["run-out", "run-trace", "sweep-out", "sweep-plots"])
+def test_unwritable_output_path_exits_one(tmp_path, capsys, monkeypatch,
+                                          command, flag, path):
+    """An output file in a directory that does not exist, or a plot
+    directory that is a file, is a usage error before any run, not a run
+    failure after it."""
+    runs = []
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+
+    monkeypatch.setattr("tap3sim.cli.run_scenario", counted_run)
+    monkeypatch.setattr(metrics, "run_scenario", counted_run)
+    cfg = write_config(tmp_path, small_config_text())
+    target = str(tmp_path / path)
+    args = [command, "--config", cfg, flag, target]
+    if command == "sweep":
+        args += SWEEP_ARGS
+        if flag != "--out":
+            args += ["--out", str(tmp_path / "s.csv")]
+    assert main(args) == 1
+    assert runs == []
+    assert f"argument {flag}: cannot write {target}" \
+        in capsys.readouterr().err
+
+
 def test_sweep_cli_end_to_end(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config_text())
     out = tmp_path / "sweep.csv"

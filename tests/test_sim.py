@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import hashlib
 import inspect
 import itertools
@@ -34,6 +35,7 @@ from tap3sim.sim import (
     Mobility,
     ScenarioConfig,
     Simulation,
+    collector_paused,
     desk_profile,
     parse_config,
     run_scenario,
@@ -807,6 +809,30 @@ def test_destination_that_relays_its_request_still_hears_it(monkeypatch):
     assert relayed and heard_after
 
 
+def test_late_copy_of_an_older_round_makes_a_missed_round_match():
+    """A destination stays in a request's listener record after its
+    trapdoor misses the request: a late copy of an older round can slide
+    the window over the missed round's alias, and the next copy of the
+    missed round then matches."""
+    sim = Simulation(two_node_config(ProtocolKind.TAP3), positions=TWO_NODES)
+    flow = sim.flows[0]
+    requests = {}
+    sim.transmit = lambda sender, to, pkt, control: requests.setdefault(
+        pkt.round, pkt)
+    for _ in range(17):
+        sim.start_discovery(flow)
+    assert sorted(requests) == list(range(1, 18))
+    # round 17's alias lies past the window [1, 17): taken as a relay
+    sim.dispatch(flow.dst, requests[17].copy(), flow.src)
+    assert 17 not in flow.rounds
+    assert (flow.flow_id, 17) in sim.nodes[flow.dst].rev_routes
+    # round 16 matches and slides the window to [16, 32)
+    sim.dispatch(flow.dst, requests[16].copy(), flow.src)
+    assert 16 in flow.rounds
+    sim.dispatch(flow.dst, requests[17].copy(), flow.src)
+    assert 17 in flow.rounds
+
+
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 def test_late_request_copy_is_not_answered_again(protocol):
     """A copy of a request that reaches its destination after the round's
@@ -829,6 +855,30 @@ def test_broadcast_of_a_reply_is_an_error():
     with pytest.raises(ValueError, match="broadcast"):
         sim.transmit(3, None, Packet(PacketKind.RREP, 0, 1), control=True)
     assert sim.result.control_tx == 0 and not sim._events
+
+
+def test_leaving_the_collector_pause_starts_no_collection():
+    """Leaving the pause allocates nothing, so the collection that the
+    body's allocations are owed starts at the caller's next allocation,
+    after a run has been dropped, not while all of it is still alive."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        with collector_paused():
+            alive = [[] for _ in range(10_000)]
+        started = len(starts)
+    finally:
+        gc.callbacks.remove(record)
+        if not enabled:
+            gc.disable()
+    assert started == 0 and len(alive) == 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +940,12 @@ CBR_SHAPES = {
     "desk": {},
     # a period of 1/3 s: the accumulated send times drift from 1.0 + k/3
     "rate3": {"pkt_rate": 3.0, "sim_duration": 30.0},
+    # the last send time is 1.5 s: flows 0 and 1 send, flows 2 and 3
+    # start at 1.5 and 1.75 s and push no send
+    "late": {"sim_duration": 3.5},
+    # a period of 0.1 s: flow 0's accumulated send times reach
+    # 17.99999999999999, within float error of the last send time 18 s
+    "rate10": {"pkt_rate": 10.0, "sim_duration": 20.0},
 }
 
 
@@ -899,7 +955,7 @@ CBR_SHAPES = {
 def test_one_pending_send_per_flow_changes_no_output(tmp_path, protocol,
                                                      shape):
     """Pushing each flow's next CBR send only when its last one runs,
-    under the event number reserved for it at flow start, gives the CSV
+    under the event number that the flow's first send took, gives the CSV
     row, the trace bytes, the event order and the event count of pushing
     every send at flow start, and keeps one send per flow in the heap."""
     cfg = replace(desk_profile(protocol), **CBR_SHAPES[shape])
@@ -922,10 +978,17 @@ def test_one_pending_send_per_flow_changes_no_output(tmp_path, protocol,
         assert tied
         assert all(first[(t, True, fid)] < first[(t, False, fid)]
                    for t, fid in tied)
-    else:
+    elif shape == "rate3":
         sends = [t for t, event, fid in timeline
                  if event == "send" and fid == 0]
         assert any(t != 1.0 + k / 3.0 for k, t in enumerate(sends))
+    elif shape == "late":
+        assert {fid for _, event, fid in timeline if event == "send"} \
+            == {0, 1}
+    else:
+        last = cfg.sim_duration - DRAIN_WINDOW
+        assert any(0 < last - t < 1e-9 for t, event, _ in timeline
+                   if event == "send")
 
 
 # ---------------------------------------------------------------------------
