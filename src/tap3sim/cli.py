@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 from . import logaudit
 from .metrics import (
     CSV_COLUMNS,
+    PLOT_FILES,
     SweepSpec,
     render_plots,
     report_from_result,
@@ -176,6 +177,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.rng_seed = args.seed
     cfg.validate()
+    if args.out and args.trace and (Path(args.out).resolve()
+                                    == Path(args.trace).resolve()):
+        raise UsageError(f"--out and --trace name one file: {args.out}")
     # a fault inside a valid run is a run failure, as under `sweep`, even
     # when it is a ValueError
     try:
@@ -201,6 +205,9 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(base, _parse_pauses(args.pause, base.sim_duration),
                      _parse_protocols(args.protocols),
                      _parse_seeds(args.seeds))
+    if args.plots and Path(args.out).resolve() in {
+            Path(args.plots, name).resolve() for name in PLOT_FILES}:
+        raise UsageError(f"--out and --plots name one file: {args.out}")
     result = sweep(spec)
     Path(args.out).write_text(result.csv_text())
     if args.plots is not None:

@@ -391,22 +391,13 @@ def detect_passive_attackers(route_logs: Sequence[Optional[PublishedLog]],
     return fake
 
 
-class AuditReport:
-    def __init__(self, verdict: str, active_attacker: Optional[int] = None,
-                 target_lied: bool = False,
-                 passive_attackers: Optional[list[int]] = None):
-        self.verdict = verdict
-        self.active_attacker = active_attacker
-        self.target_lied = target_lied
-        self.passive_attackers = ([] if passive_attackers is None
-                                  else passive_attackers)
-
-    def __eq__(self, other) -> bool:
-        """Equal to a report with the same fields, so a replayed audit can
-        be checked against the live one."""
-        if other.__class__ is not AuditReport:
-            return NotImplemented
-        return vars(self) == vars(other)
+class AuditReport(NamedTuple):
+    """One audit's outcome; equal to a report with the same fields, so a
+    replayed audit can be checked against the live one."""
+    verdict: str
+    active_attacker: Optional[int] = None
+    target_lied: bool = False
+    passive_attackers: Sequence[int] = ()
 
     def csv_row(self, flow_id) -> str:
         active = "" if self.active_attacker is None else str(self.active_attacker)

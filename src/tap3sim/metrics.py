@@ -182,6 +182,8 @@ _SERIES_COLORS = {"tap3": "#1a6faf", "smprf": "#c27a1a", "mprf": "#a32525"}
 _METRICS = (("pdr_percent", 3, "PDR (%)"),
             ("avg_delay_s", 4, "Average delay (s)"),
             ("overhead_ratio", 5, "Overhead (ctrl tx / delivered)"))
+# the files `render_plots` names, one per metric
+PLOT_FILES = tuple(f"{name}.svg" for name, _, _ in _METRICS)
 
 
 def render_plots(result: SweepResult) -> dict[str, str]:
@@ -193,12 +195,12 @@ def render_plots(result: SweepResult) -> dict[str, str]:
         series.setdefault(parts[0], []).append(
             (float(parts[1]), [float(v) for v in parts[3:6]]))
     charts = {}
-    for name, col, label in _METRICS:
+    for name, (_, col, label) in zip(PLOT_FILES, _METRICS):
         idx = col - 3
         points = {proto: [(x, vals[idx]) for x, vals in sorted(vs)
                           if math.isfinite(vals[idx])]
                   for proto, vs in series.items()}
-        charts[f"{name}.svg"] = _polyline_chart(points, label)
+        charts[name] = _polyline_chart(points, label)
     return charts
 
 

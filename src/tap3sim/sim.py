@@ -868,9 +868,9 @@ class Simulation:
             if not verify_hmac(flow.key, header_bytes(pkt), pkt.tag):
                 self.flag(flow.src, frm)
                 return
-            # the tag proves the value came from the true destination, so it
-            # refreshes the baseline even if the classifier rejects the path
-            flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
+        # a tagged value comes from the true destination, so it refreshes
+        # the baseline before the classifier, which only TAP3 nodes run
+        flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
         verdict = self.monitor_sample(node, pkt.flow_id, pkt.sseq, pkt.oseq,
                                       delta)
         if verdict is not None and verdict.label is seqmon.Label.MALICIOUS:
@@ -886,7 +886,6 @@ class Simulation:
         path = PathInfo(pkt.path_id, pkt.round, list(pkt.route_record),
                         pkt.dseq, self.now, next_hop=frm)
         flow.update_routes(paths=paths + [path])
-        flow.last_known_dseq = max(flow.last_known_dseq, pkt.dseq)
         ack = Packet(RREP_ACK, flow.flow_id, self.new_pid(),
                      round=pkt.round, path_id=pkt.path_id)
         if self.uses_pseudonyms:

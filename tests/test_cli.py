@@ -468,13 +468,20 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 1
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The runs that a command starts, recorded instead of run."""
+    started = []
+    for owner in ("tap3sim.cli", "tap3sim.metrics"):
+        monkeypatch.setattr(f"{owner}.run_scenario",
+                            lambda *args, **kwargs: started.append(args))
+    return started
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--out"])
-def test_empty_output_path_exits_one(tmp_path, capsys, monkeypatch, flag):
+def test_empty_output_path_exits_one(tmp_path, capsys, runs, flag):
     """An empty path names no file: a usage error before any run, not a
     run whose output is silently skipped."""
-    runs = []
-    monkeypatch.setattr("tap3sim.cli.run_scenario",
-                        lambda *args, **kwargs: runs.append(args))
     cfg = write_config(tmp_path, small_config_text())
     assert main(["run", "--config", cfg, flag, ""]) == 1
     assert runs == []
@@ -487,18 +494,11 @@ def test_empty_output_path_exits_one(tmp_path, capsys, monkeypatch, flag):
     ("sweep", "--out", "missing/s.csv"),
     ("sweep", "--plots", "scenario.conf"),
 ], ids=["run-out", "run-trace", "sweep-out", "sweep-plots"])
-def test_unwritable_output_path_exits_one(tmp_path, capsys, monkeypatch,
+def test_unwritable_output_path_exits_one(tmp_path, capsys, runs,
                                           command, flag, path):
     """An output file in a directory that does not exist, or a plot
     directory that is a file, is a usage error before any run, not a run
     failure after it."""
-    runs = []
-
-    def counted_run(*args, **kwargs):
-        runs.append(args)
-
-    monkeypatch.setattr("tap3sim.cli.run_scenario", counted_run)
-    monkeypatch.setattr(metrics, "run_scenario", counted_run)
     cfg = write_config(tmp_path, small_config_text())
     target = str(tmp_path / path)
     args = [command, "--config", cfg, flag, target]
@@ -510,6 +510,25 @@ def test_unwritable_output_path_exits_one(tmp_path, capsys, monkeypatch,
     assert runs == []
     assert f"argument {flag}: cannot write {target}" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out, flag, other", [
+    ("run", "same.out", "--trace", "same.out"),
+    ("run", "same.out", "--trace", "sub/../same.out"),
+    ("sweep", "pdr_percent.svg", "--plots", "."),
+], ids=["run", "run-resolved", "sweep"])
+def test_two_outputs_in_one_file_exit_one(tmp_path, capsys, runs,
+                                          command, out, flag, other):
+    """Two outputs that resolve to one file are a usage error before any
+    run, since the later write would overwrite the earlier one."""
+    cfg = write_config(tmp_path, small_config_text())
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    args = [command, "--config", cfg, "--out", str(tmp_path / out),
+            flag, str(tmp_path / other)]
+    assert main(args + (SWEEP_ARGS if command == "sweep" else [])) == 1
+    assert runs == [] and sorted(tmp_path.rglob("*")) == before
+    assert f"--out and {flag} name one file" in capsys.readouterr().err
 
 
 def test_sweep_cli_end_to_end(tmp_path, capsys):

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import math
 import random
-import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +32,13 @@ from tap3sim.logaudit import (
     leaf_hash,
 )
 
+from oracles import (
+    NaiveSnapshot,
+    field_by_field_encoding,
+    interior_nodes,
+    reference_tree,
+)
+
 
 def alias(n: int) -> bytes:
     return bytes([n % 256]) * 32
@@ -56,20 +62,6 @@ def test_empty_root_defined():
 def test_single_leaf_root():
     e = entry()
     assert build_root([e]) == leaf_hash(e)
-
-
-def field_by_field_encoding(e):
-    """The entry encoding `leaf_hash` packs, one pack per field, joined."""
-    return b"".join((
-        e.node_alias,
-        e.packet_id.to_bytes(8, "big"),
-        bytes([e.event.value]),
-        struct.pack(">q", e.sseq),
-        struct.pack(">q", e.oseq),
-        struct.pack(">q", e.dseq),
-        e.prev_hop_alias,
-        struct.pack(">d", e.timestamp),
-    ))
 
 
 SIGNED_64 = st.integers(-2 ** 63, 2 ** 63 - 1)
@@ -116,29 +108,6 @@ def test_tamper_trials_change_root():
         forged_leaves = list(leaves)
         forged_leaves[i] = hashlib.sha256(b"\x00" + bytes(raw)).digest()
         assert MerkleTree(forged_leaves).root != root
-
-
-def reference_tree(leaves):
-    """From-scratch level-by-level construction: hash neighbour pairs and
-    promote an odd last node unhashed.  Returns the root and every proof."""
-    levels = [list(leaves)]
-    while len(levels[-1]) > 1:
-        level = levels[-1]
-        nxt = [hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
-               for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        levels.append(nxt)
-    root = levels[-1][0] if leaves else EMPTY_ROOT
-    proofs = []
-    for index in range(len(leaves)):
-        proof, i = [], index
-        for level in levels[:-1]:
-            if i ^ 1 < len(level):
-                proof.append((level[i ^ 1], i ^ 1 < i))
-            i //= 2
-        proofs.append(proof)
-    return root, proofs
 
 
 # 0, 1, the powers of two up to 64 and their neighbours
@@ -352,18 +321,6 @@ def test_hash_verify_malformed_proof_is_failure():
         assert pub.verified == verified
 
 
-def interior_nodes(leaves):
-    """Every hashed node of the tree over `leaves`; promoted nodes are
-    copied up unhashed and are not counted again."""
-    level, nodes = list(leaves), set()
-    while len(level) > 1:
-        nxt = [hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
-               for i in range(0, len(level) - 1, 2)]
-        nodes.update(nxt)
-        level = nxt + level[len(nxt) * 2:]
-    return nodes
-
-
 @settings(max_examples=80, deadline=None)
 @given(claims=st.lists(st.tuples(st.integers(0, 11),
                                  st.sampled_from(list(EventKind))),
@@ -393,11 +350,8 @@ def test_memoized_proves_matches_plain_verify(claims, sizes, ops):
                               else forged)
             continue
         pub = published[a % len(published)]
-        index = log.claim_index(pid, event, pub.size)
-        expected = index is not None and MerkleTree.verify(
-            pub.root, leaf_hash(log.entries[index]),
-            log.tree.proof(index, pub.size))
-        assert pub.proves(pid, event) == expected
+        assert pub.proves(pid, event) \
+            == NaiveSnapshot(log, pub.size).proves(pid, event)
         # only nodes of the committed tree are ever known, never a leaf
         assert pub.verified <= interior_nodes(leaves[:pub.size])
 
@@ -617,7 +571,7 @@ def test_audit_route_active_forger():
     report = run_audit(5, active=2)
     assert report.verdict == NOT_FELLOW
     assert report.active_attacker == 2
-    assert report.passive_attackers == []
+    assert report.passive_attackers == ()
 
 
 def test_audit_route_passive_dropper():

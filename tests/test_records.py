@@ -49,6 +49,7 @@ IMMUTABLE = [
     Verdict(Label.NORMAL, 0.5),
     RevEntry(4, 7),
     MetricsReport(ProtocolKind.TAP3, 0.0, 1, 0.9, 0.01, 2.0, 1, 0, 0),
+    AuditReport(logaudit.FELLOW, 2, False, [3]),
 ]
 
 
@@ -110,7 +111,6 @@ DEFAULT_BUILT = {
     "Flow": _flow,
     "Monitor": Monitor,
     "RunResult": lambda: RunResult(desk_profile()),
-    "AuditReport": lambda: AuditReport(logaudit.FELLOW),
     "SweepResult": SweepResult,
     "TrainingWindow": TrainingWindow,
     "Packet": lambda: Packet(PacketKind.DATA, 0, 1),

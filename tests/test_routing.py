@@ -15,6 +15,8 @@ from tap3sim.routing import (
     select_paths,
 )
 
+from oracles import loop_header_bytes
+
 
 def rand_alias(rng):
     return bytes(rng.getrandbits(8) for _ in range(32))
@@ -67,35 +69,6 @@ def test_header_changes_with_sequence_fields():
     bumped = pkt.copy()
     bumped.dseq += 1
     assert header_bytes(bumped) != base
-
-
-def loop_header_bytes(pkt, include_tag=True):
-    """Reference: the header as sent written out field by field, one byte
-    string per field, with the masks spelled out, the tag field last.
-    `header_bytes` is this without the tag field; `header_size` is the
-    length of all of it."""
-    parts = [bytes([0x80, list(PacketKind).index(pkt.kind) + 1])]
-    if pkt.forward_alias is not None:
-        parts.append(bytes([0x81]) + pkt.forward_alias)
-    if pkt.reverse_alias is not None:
-        parts.append(bytes([0x82]) + pkt.reverse_alias)
-    if pkt.src_addr is not None:
-        parts.append(bytes([0x83]) + encode_node_id(pkt.src_addr))
-    if pkt.dst_addr is not None:
-        parts.append(bytes([0x84]) + encode_node_id(pkt.dst_addr))
-    seqs = b""
-    for v in (pkt.sseq, pkt.oseq, pkt.dseq, pkt.req_oseq, pkt.packet_id,
-              pkt.flow_id, pkt.round, pkt.path_id):
-        seqs += bytes([0x85]) + (v & 0xFFFFFFFF).to_bytes(4, "big")
-    parts.append(seqs)
-    parts.append(bytes([0x86, 0]))
-    route = bytes([0x87, len(pkt.route_record) & 0xFF])
-    for nid in pkt.route_record:
-        route += bytes([0x87]) + (nid & 0xFFFF).to_bytes(2, "big")
-    parts.append(route)
-    if include_tag and pkt.tag:
-        parts.append(bytes([0x88]) + pkt.tag)
-    return b"".join(parts)
 
 
 WIDE = st.integers(-2 ** 40, 2 ** 40)     # negative and over 32 bits

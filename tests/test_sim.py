@@ -6,12 +6,12 @@ import inspect
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tap3sim.cli import replay_audits, write_trace_file
+from tap3sim.cli import replay_audits
 from tap3sim.crypto import encode_node_id
 from tap3sim.logaudit import DuplicateEntryError, EventKind
 from tap3sim.metrics import report_from_result
@@ -20,7 +20,6 @@ from tap3sim.routing import (
     PacketKind,
     ProtocolKind,
     packet_size,
-    select_paths,
 )
 from tap3sim.sim import (
     DESK_CONFIG_TEXT,
@@ -40,7 +39,7 @@ from tap3sim.sim import (
     parse_config,
     run_scenario,
 )
-from test_routing import loop_header_bytes
+from oracles import NaiveSimulation, ReferenceMobility, loop_header_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -301,69 +300,6 @@ def test_mean_speed_decays_from_max_speed_over_two():
         assert m0 - m1 > 4 * math.hypot(se0, se1)
 
 
-class ReferenceMobility:
-    """The walker as it was kept before `Mobility` held one leg: an
-    immutable state per leg, replaced by `random_waypoint_step`, and a
-    separate first-leg draw.  Kept here to pin bit-equal positions."""
-
-    @dataclass
-    class State:
-        position: tuple[float, float]
-        waypoint: tuple[float, float]
-        speed: float
-        leg_start: float
-        pause_until: float
-        area: tuple[float, float]
-        max_speed: float
-        pause_time: float
-
-    @staticmethod
-    def random_waypoint_step(state, now, rng):
-        wx = rng.uniform(0.0, state.area[0])
-        wy = rng.uniform(0.0, state.area[1])
-        speed = state.max_speed * (1.0 - rng.random())
-        return replace(state, position=state.waypoint, waypoint=(wx, wy),
-                       speed=speed, leg_start=now, pause_until=now)
-
-    def __init__(self, rng, start, area, max_speed, pause_time):
-        self.rng = rng
-        self.static = max_speed <= 0.0
-        wx = rng.uniform(0.0, area[0])
-        wy = rng.uniform(0.0, area[1])
-        speed = max_speed * (1.0 - rng.random()) if not self.static else 0.0
-        self.state = self.State(start, (wx, wy), speed, 0.0, 0.0,
-                                area, max_speed, pause_time)
-        self._begin_leg()
-
-    def _begin_leg(self):
-        s = self.state
-        d = math.dist(s.position, s.waypoint)
-        self._length = max(d, 1e-12)
-        self._arrive = (math.inf if s.speed <= 0.0
-                        else s.leg_start + d / s.speed)
-        self._leave = self._arrive + s.pause_time
-        self._dx = s.waypoint[0] - s.position[0]
-        self._dy = s.waypoint[1] - s.position[1]
-
-    def position(self, t):
-        if self.static:
-            return self.state.position
-        while True:
-            s = self.state
-            if t < self._arrive:
-                frac = (t - s.leg_start) * s.speed / self._length
-                if frac < 0.0:
-                    frac = 0.0
-                elif frac > 1.0:
-                    frac = 1.0
-                x, y = s.position
-                return (x + frac * self._dx, y + frac * self._dy)
-            if t <= self._leave:
-                return s.waypoint
-            self.state = self.random_waypoint_step(s, self._leave, self.rng)
-            self._begin_leg()
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        area=st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0)),
@@ -537,10 +473,7 @@ class DiscoveryCheckedSimulation(Simulation):
     that no two kept paths share a (round, path id), which `_source_accept`
     does not test.  Each time a data packet is sent or buffered, checks
     that no packet waits behind a round that timed out with no retry
-    scheduled, unless that retry would have fallen after the run's end.
-    Also checks, at every read of a flow's usable paths and after every
-    audit, which can change the suspects, that a kept memo holds the very
-    paths, in the same order, that `select_paths` gives afresh."""
+    scheduled, unless that retry would have fallen after the run's end."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -571,20 +504,43 @@ class DiscoveryCheckedSimulation(Simulation):
         kept = [(p.round, p.path_id) for p in flow.paths]
         assert len(set(kept)) == len(kept)
 
-    def _usable_paths(self, flow):
-        usable = super()._usable_paths(flow)
-        self._check_memo(flow)
-        return usable
 
-    def run_audits(self, flow):
-        super().run_audits(flow)
-        self._check_memo(flow)
+CBR_SHAPES = {
+    # flow 0 sends every 0.25 s from 1.0 s, so on its route refreshes
+    # (11.0 s baselines, 31.0 s tap3) and audit ticks (26.0 s)
+    "desk": {},
+    # a period of 1/3 s: the accumulated send times drift from 1.0 + k/3
+    "rate3": {"pkt_rate": 3.0, "sim_duration": 30.0},
+    # the last send time is 1.5 s: flows 0 and 1 send, flows 2 and 3
+    # start at 1.5 and 1.75 s and push no send
+    "late": {"sim_duration": 3.5},
+    # a period of 0.1 s: flow 0's accumulated send times reach
+    # 17.99999999999999, within float error of the last send time 18 s
+    "rate10": {"pkt_rate": 10.0, "sim_duration": 20.0},
+}
+SHAPES = {
+    **CBR_SHAPES,
+    "desk": {"sim_duration": 40.0},
+    "sparse": {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
+               "sim_duration": 40.0},
+    # at tap3 seed 15 a destination misses its trapdoor, takes the request
+    # key as a relay and still hears the later copies (see test_golden)
+    "wide": {"node_count": 40, "area_x": 1200.0, "area_y": 1200.0,
+             "sim_duration": 100.0},
+}
 
-    def _check_memo(self, flow):
-        if flow.usable is not None:
-            fresh = select_paths(flow.paths, flow.suspects,
-                                 self.config.protocol)
-            assert list(map(id, flow.usable)) == list(map(id, fresh))
+
+def shaped(protocol, seed, shape):
+    return replace(desk_profile(protocol, seed=seed), **SHAPES[shape])
+
+
+def observed(sim, res):
+    """Every output of a traced, privacy-checked run."""
+    return (report_from_result(res).csv_row(), res.packet_rows,
+            res.verdict_rows, res.audit_rows, res.audit_export,
+            sim.packet_state, res.classifier_flags, res.audit_active,
+            res.audit_passive, res.privacy_checks, res.privacy_violations,
+            res.delays)
 
 
 @settings(max_examples=70, deadline=None, derandomize=True)
@@ -597,17 +553,20 @@ class DiscoveryCheckedSimulation(Simulation):
         AttackerSpec(19, AttackKind.SEQ_INFLATION, 1000),
         AttackerSpec(10, AttackKind.SEQ_INFLATION, 1),
         AttackerSpec(14, AttackKind.PASSIVE_DROP, 0.129)]))
+# the desk flood reaches many nodes that already hold the request
+@example(cfg=shaped(ProtocolKind.TAP3, 1, "desk"))
+@example(cfg=shaped(ProtocolKind.S_MPRF, 1, "desk"))
+@example(cfg=shaped(ProtocolKind.TAP3, 15, "wide"))
+@example(cfg=shaped(ProtocolKind.TAP3, 1, "rate3"))
+@example(cfg=shaped(ProtocolKind.S_MPRF, 1, "late"))
+@example(cfg=shaped(ProtocolKind.MPRF, 1, "rate10"))
 def test_random_small_scenarios_keep_run_invariants(cfg):
-    """Whole-run invariants away from the desk and sparse shapes: every
-    sent data packet has exactly one fate, nodes stay in the area,
-    pseudonymous headers name no endpoint, exactly `flows` flows run,
-    the trace's audit logs replay to the live verdicts, a flow's memoized
-    usable paths stay equal to a fresh `select_paths`, and a second run
-    gives the same rows.  A discovery round still outstanding when it
-    times out has no path, and no packet waits behind it unless its retry
-    is scheduled or would fall after the end; no two kept paths share a
-    (round, path id); and only the trust layer advances the alias
-    chains, so a baseline's destination keeps its first alias."""
+    """Whole-run invariants: every sent data packet has exactly one fate,
+    nodes stay in the area, pseudonymous headers name no endpoint, exactly
+    `flows` flows run, the trace's audit logs replay to the live verdicts,
+    and only the trust layer advances the alias chains.  The checks of
+    `DiscoveryCheckedSimulation` hold throughout.  And the differential
+    check: `NaiveSimulation`, every speed-up off, gives every output."""
     sim = DiscoveryCheckedSimulation(cfg, trace=True, check_privacy=True)
     res = sim.run()
     if not cfg.protocol.trust_layer:
@@ -627,11 +586,8 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
         assert [report.csv_row(record["flow"]) for record, report
                 in zip(paths, replay_audits(res.audit_export))] \
             == res.audit_rows
-    again = run_scenario(cfg, trace=True, check_privacy=True)
-    assert (again.packet_rows, again.verdict_rows, again.audit_rows,
-            again.audit_export) == (res.packet_rows, res.verdict_rows,
-                                    res.audit_rows, res.audit_export)
-    assert report_from_result(again) == report_from_result(res)
+    twin = NaiveSimulation(cfg, trace=True, check_privacy=True)
+    assert observed(twin, twin.run()) == observed(sim, res)
 
 
 def test_timed_out_round_does_not_hold_back_rediscovery():
@@ -699,93 +655,6 @@ def test_desk_scenario_detects_all_attacker_kinds():
     assert {0, 1, 2} <= accused
 
 
-# ---------------------------------------------------------------------------
-# broadcast elision: skipping inert route-request copies changes nothing
-
-class FullFloodSimulation(Simulation):
-    """Reference radio: a broadcast schedules a reception at every node in
-    range, including those that already hold the request and will drop
-    it on arrival, and every frame is sized by encoding its header as
-    sent, tag field included (`loop_header_bytes`)."""
-
-    def transmit(self, sender, to, pkt, control):
-        if to is not None:
-            return super().transmit(sender, to, pkt, control)
-        node = self.nodes[sender]
-        start = max(self.now, node.busy_until)
-        size = len(loop_header_bytes(pkt)) + pkt.payload_size
-        ttx = size * 8.0 / LINK_RATE_BPS
-        node.busy_until = start + ttx
-        if control:
-            self.result.control_tx += 1
-        else:
-            self.result.data_tx += 1
-        if self.check_privacy:
-            self._privacy_scan(pkt)
-        self._trace(start, pkt, sender, -1, size)
-        here = node.mobility.position(self.now)
-        for other in range(len(self.nodes)):
-            if other == sender:
-                continue
-            dist = math.dist(here,
-                             self.nodes[other].mobility.position(self.now))
-            if dist <= self.config.radio_range:
-                arrival = start + ttx + dist / SPEED_OF_LIGHT
-                self.schedule(arrival, functools.partial(
-                    self.dispatch, other, pkt, sender))
-        return True
-
-
-def observed(sim_class, cfg, trace_path):
-    sim = sim_class(cfg, trace=True, check_privacy=True)
-    res = sim.run()
-    write_trace_file(str(trace_path), res)
-    return sim._event_seq, {
-        "csv": report_from_result(res).csv_row(),
-        "trace": trace_path.read_bytes(),
-        "ledger": sim.packet_state,
-        "flags": res.classifier_flags,
-        "audits": res.audit_rows,
-    }
-
-
-SHAPES = {
-    "desk": {"sim_duration": 40.0},
-    "sparse": {"node_count": 60, "area_x": 600.0, "area_y": 600.0,
-               "sim_duration": 40.0},
-    # at tap3 seed 15 a destination misses its trapdoor, takes the request
-    # key as a relay and still hears the later copies (see test_golden)
-    "wide": {"node_count": 40, "area_x": 1200.0, "area_y": 1200.0,
-             "sim_duration": 100.0},
-}
-
-
-@settings(max_examples=6, deadline=None)
-@given(protocol=st.sampled_from([ProtocolKind.TAP3, ProtocolKind.S_MPRF,
-                                 ProtocolKind.MPRF]),
-       seed=st.integers(0, 2 ** 32 - 1),
-       pause=st.sampled_from([0.0, 10.0, 40.0]),
-       shape=st.sampled_from(sorted(SHAPES)))
-@example(protocol=ProtocolKind.TAP3, seed=1, pause=0.0, shape="desk")
-@example(protocol=ProtocolKind.S_MPRF, seed=1, pause=0.0, shape="desk")
-@example(protocol=ProtocolKind.TAP3, seed=15, pause=0.0, shape="wide")
-def test_skipping_inert_receptions_changes_no_output(
-        tmp_path_factory, protocol, seed, pause, shape):
-    """The radio leaves out only receptions that `on_rreq` would drop
-    untouched: the CSV row, the trace bytes, the fate of every packet, the
-    classifier flags and the audit rows equal those of a radio that
-    delivers every copy."""
-    cfg = replace(desk_profile(protocol, pause, seed), **SHAPES[shape])
-    tmp = tmp_path_factory.mktemp("elision")
-    full_events, full = observed(FullFloodSimulation, cfg, tmp / "full")
-    events, got = observed(Simulation, cfg, tmp / "elided")
-    assert got == full
-    assert events <= full_events
-    if seed == 1 and shape == "desk":
-        # the desk flood reaches many nodes that already hold the request
-        assert events < full_events
-
-
 def test_destination_that_relays_its_request_still_hears_it(monkeypatch):
     """A destination whose trapdoor misses the first copy of a request
     takes the key as a relay, but stays in the key's listener record, so
@@ -805,7 +674,7 @@ def test_destination_that_relays_its_request_still_hears_it(monkeypatch):
 
     monkeypatch.setattr(Simulation, "transmit", recording_transmit)
     monkeypatch.setattr(Simulation, "dispatch", recording_dispatch)
-    run_scenario(replace(desk_profile(seed=22), **SHAPES["wide"]))
+    run_scenario(shaped(ProtocolKind.TAP3, 22, "wide"))
     assert relayed and heard_after
 
 
@@ -882,116 +751,6 @@ def test_leaving_the_collector_pause_starts_no_collection():
 
 
 # ---------------------------------------------------------------------------
-# CBR sends scheduled one at a time keep the order of scheduling them all
-
-class EagerCbrSimulation(Simulation):
-    """The earlier CBR scheduling: every send of a flow is pushed at flow
-    start, each under the next event number."""
-
-    def schedule_cbr(self, flow, t):
-        period = 1.0 / self.config.pkt_rate
-        while t < self.config.sim_duration - DRAIN_WINDOW:
-            self.schedule(t, lambda f=flow: self.app_send(f))
-            t += period
-
-    def app_send(self, flow):
-        pid = self.new_pid()
-        self.packet_state[pid] = IN_FLIGHT
-        self._send_or_buffer(flow, pid, self.now)
-
-
-def timed(sim_class):
-    """`sim_class` recording each CBR send, route refresh and audit tick
-    as `(time, event, flow id)`, and the most sends of one flow that the
-    heap holds after a send, counting the `(time, number, app_send,
-    (flow,))` entries.  The class keeps its last instance as `last`."""
-
-    class Timed(sim_class):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.timeline = []
-            self.most_pending_sends = 0
-            Timed.last = self
-
-        def app_send(self, flow):
-            self.timeline.append((self.now, "send", flow.flow_id))
-            super().app_send(flow)
-            pending = collections.Counter(
-                args[0].flow_id for _, _, fn, args in self._events
-                if fn == self.app_send)
-            self.most_pending_sends = max(self.most_pending_sends,
-                                          *pending.values(), 0)
-
-        def refresh_route(self, flow):
-            self.timeline.append((self.now, "refresh", flow.flow_id))
-            super().refresh_route(flow)
-
-        def audit_tick(self, flow):
-            self.timeline.append((self.now, "audit", flow.flow_id))
-            super().audit_tick(flow)
-
-    return Timed
-
-
-CBR_SHAPES = {
-    # flow 0 starts at 1.0 s and sends every 0.25 s, so its sends fall on
-    # its route refreshes (11.0 s baselines, 31.0 s tap3) and audit ticks
-    # (26.0 s)
-    "desk": {},
-    # a period of 1/3 s: the accumulated send times drift from 1.0 + k/3
-    "rate3": {"pkt_rate": 3.0, "sim_duration": 30.0},
-    # the last send time is 1.5 s: flows 0 and 1 send, flows 2 and 3
-    # start at 1.5 and 1.75 s and push no send
-    "late": {"sim_duration": 3.5},
-    # a period of 0.1 s: flow 0's accumulated send times reach
-    # 17.99999999999999, within float error of the last send time 18 s
-    "rate10": {"pkt_rate": 10.0, "sim_duration": 20.0},
-}
-
-
-@pytest.mark.parametrize("shape", sorted(CBR_SHAPES))
-@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.S_MPRF,
-                                      ProtocolKind.MPRF])
-def test_one_pending_send_per_flow_changes_no_output(tmp_path, protocol,
-                                                     shape):
-    """Pushing each flow's next CBR send only when its last one runs,
-    under the event number that the flow's first send took, gives the CSV
-    row, the trace bytes, the event order and the event count of pushing
-    every send at flow start, and keeps one send per flow in the heap."""
-    cfg = replace(desk_profile(protocol), **CBR_SHAPES[shape])
-    eager_cls, lazy_cls = timed(EagerCbrSimulation), timed(Simulation)
-    eager_events, eager = observed(eager_cls, cfg, tmp_path / "eager")
-    lazy_events, lazy = observed(lazy_cls, cfg, tmp_path / "lazy")
-    assert lazy == eager
-    assert lazy_events == eager_events
-    timeline = lazy_cls.last.timeline
-    assert timeline == eager_cls.last.timeline
-    assert lazy_cls.last.most_pending_sends == 1
-    if shape == "desk":
-        # a flow's send and its refresh or audit tick at one instant: the
-        # send, numbered at flow start, runs first
-        first = {}
-        for i, (t, event, fid) in enumerate(timeline):
-            first.setdefault((t, event == "send", fid), i)
-        tied = [(t, fid) for t, is_send, fid in first
-                if not is_send and (t, True, fid) in first]
-        assert tied
-        assert all(first[(t, True, fid)] < first[(t, False, fid)]
-                   for t, fid in tied)
-    elif shape == "rate3":
-        sends = [t for t, event, fid in timeline
-                 if event == "send" and fid == 0]
-        assert any(t != 1.0 + k / 3.0 for k, t in enumerate(sends))
-    elif shape == "late":
-        assert {fid for _, event, fid in timeline if event == "send"} \
-            == {0, 1}
-    else:
-        last = cfg.sim_duration - DRAIN_WINDOW
-        assert any(0 < last - t < 1e-9 for t, event, _ in timeline
-                   if event == "send")
-
-
-# ---------------------------------------------------------------------------
 # event order: every handler the loop runs, at its time, in its order
 
 class Timeline(Simulation):
@@ -999,11 +758,14 @@ class Timeline(Simulation):
     discovery check and destination reply as `(repr(now), name, ids)`:
     a reception's ids are its frame kind, receiver, sender and packet id,
     every other event's its flow id.  Only handlers are overridden, so
-    the record follows whatever the event machinery pushes and pops."""
+    the record follows whatever the event machinery pushes and pops.
+    Also keeps the most sends of one flow that the heap holds after a
+    send, counting the `(time, number, app_send, (flow,))` entries."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.timeline = []
+        self.most_pending_sends = 0
 
     def _record(self, name, ids):
         self.timeline.append((repr(self.now), name, ids))
@@ -1015,6 +777,11 @@ class Timeline(Simulation):
     def app_send(self, flow):
         self._record("send", flow.flow_id)
         super().app_send(flow)
+        pending = collections.Counter(
+            args[0].flow_id for _, _, fn, args in self._events
+            if fn == self.app_send)
+        self.most_pending_sends = max(self.most_pending_sends,
+                                      *pending.values(), 0)
 
     def refresh_route(self, flow):
         self._record("refresh", flow.flow_id)
@@ -1047,6 +814,15 @@ EVENT_ORDER = {
     ("sparse", ProtocolKind.TAP3): (
         "4613f8f7332b40ae66f8ccaf6cc6dee3832e093b5123d8b3212dc6e6260db3e3",
         5956),
+    ("rate3", ProtocolKind.TAP3): (
+        "6ed20395c7deb142f66824c48a4d1d92c046faecc467907c76534087aec37c53",
+        1483),
+    ("late", ProtocolKind.TAP3): (
+        "ce37cecc976b3f6e9fe9a8fa6655c15affb4294dbc678cada74802b0bd31e758",
+        426),
+    ("rate10", ProtocolKind.TAP3): (
+        "32539d74389e51f75d782df3e8d51367bf74107c5e8db6603a8af1152a0628ed",
+        2520),
 }
 
 
@@ -1057,10 +833,48 @@ def test_event_order_golden(shape, protocol):
     same arguments, and the run pushes the same number of events.  The
     pins do not depend on how an entry holds its call, only on the
     order in which the `(time, number)` keys pop."""
-    sim = Timeline(replace(desk_profile(protocol, seed=1), **SHAPES[shape]))
+    sim = Timeline(shaped(protocol, 1, shape))
     sim.run()
     digest = hashlib.sha256(repr(sim.timeline).encode()).hexdigest()
     assert (digest, sim._event_seq) == EVENT_ORDER[shape, protocol]
+
+
+@pytest.mark.parametrize("shape", sorted(CBR_SHAPES))
+@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.S_MPRF,
+                                      ProtocolKind.MPRF])
+def test_one_pending_send_per_flow(protocol, shape):
+    """Each flow's next CBR send is pushed only when its last one runs,
+    so the heap holds one send per flow, under the event number that the
+    flow's first send took: a send runs before a refresh or audit tick of
+    its flow at the same instant."""
+    cfg = replace(desk_profile(protocol), **CBR_SHAPES[shape])
+    sim = Timeline(cfg)
+    sim.run()
+    assert sim.most_pending_sends == 1
+    timeline = [(float(t), event, fid) for t, event, fid in sim.timeline
+                if event in ("send", "refresh", "audit")]
+    if shape == "desk":
+        # a flow's send and its refresh or audit tick at one instant: the
+        # send, numbered at flow start, runs first
+        first = {}
+        for i, (t, event, fid) in enumerate(timeline):
+            first.setdefault((t, event == "send", fid), i)
+        tied = [(t, fid) for t, is_send, fid in first
+                if not is_send and (t, True, fid) in first]
+        assert tied
+        assert all(first[(t, True, fid)] < first[(t, False, fid)]
+                   for t, fid in tied)
+    elif shape == "rate3":
+        sends = [t for t, event, fid in timeline
+                 if event == "send" and fid == 0]
+        assert any(t != 1.0 + k / 3.0 for k, t in enumerate(sends))
+    elif shape == "late":
+        assert {fid for _, event, fid in timeline if event == "send"} \
+            == {0, 1}
+    else:
+        last = cfg.sim_duration - DRAIN_WINDOW
+        assert any(0 < last - t < 1e-9 for t, event, _ in timeline
+                   if event == "send")
 
 
 CALLS = {("dispatch", 3), ("transmit", 4), ("app_send", 1)}
