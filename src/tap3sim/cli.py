@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 usage/configuration error, 2 run failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -44,8 +43,24 @@ from .sim import (
 
 TRACE_HEADER = "# tap3sim trace v1"
 AUDIT_COLUMNS = "flow_id,verdict,active_pos,passive_positions"
-# the audit log's encoding: sorted keys, no spaces
-_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+# An exported log entry (`logaudit.entry_to_list`) and a path record as
+# `json.dumps(x, sort_keys=True, separators=(",", ":"))` writes them: the
+# aliases are hex, `%d` and `%r` give `int.__repr__` and `float.__repr__`,
+# and every timestamp is finite.  `tests/test_cli.py` pins the equality.
+_ENTRY = '["%s",%d,%d,%d,%d,%d,"%s",%r]'
+_PATH = '{"control":[%s],"data":[%s],"dst":%d,"flow":%d,"relays":[%s]}'
+
+
+def _entries_text(entries: list) -> str:
+    """The exported entries' JSON, without the enclosing brackets."""
+    return ",".join(map(_ENTRY.__mod__, map(tuple, entries)))
+
+
+def _path_text(record: dict) -> str:
+    """One path record's JSON, its keys in sorted order."""
+    return _PATH % (_entries_text(record["control"]),
+                    _entries_text(record["data"]), record["dst"],
+                    record["flow"], ",".join(map(str, record["relays"])))
 
 
 class UsageError(Exception):
@@ -148,7 +163,8 @@ def write_trace_file(path: str, result: RunResult) -> None:
     """Write the trace a line at a time.  Its last line is the audit log,
     `json.dumps(result.audit_export, sort_keys=True, separators=(",", ":"))`
     of the export `Simulation.run` builds, written one node's log and one
-    path record at a time, so the whole trace is never held in memory."""
+    path record at a time through the `_ENTRY` and `_PATH` templates, so
+    the whole trace is never held in memory."""
     with open(path, "w") as out:
         out.writelines(f"{line}\n" for line in itertools.chain(
             [TRACE_HEADER, "# packets",
@@ -164,12 +180,28 @@ def write_trace_file(path: str, result: RunResult) -> None:
             nodes = export["nodes"]
             out.write('# audit-log\n{"nodes":{')
             out.writelines(
-                f"{',' if i else ''}{_dumps(nid)}:{_dumps(nodes[nid])}"
+                f'{"," if i else ""}"{nid}":[{_entries_text(nodes[nid])}]'
                 for i, nid in enumerate(sorted(nodes)))
             out.write('},"paths":[')
-            out.writelines(f"{',' if i else ''}{_dumps(record)}"
+            out.writelines(f"{',' if i else ''}{_path_text(record)}"
                            for i, record in enumerate(export["paths"]))
             out.write("]}\n")
+
+
+def _check_distinct(config: str,
+                    outputs: Iterable[tuple[str, str | None]]) -> None:
+    """Each `(flag, path)` output that is given (not None) must resolve
+    to a file of its own, and none to the `--config` file: a later write
+    would overwrite the earlier one, and an output over the config would
+    replace the scenario with the output."""
+    seen = {Path(config).resolve(): "--config"}
+    for flag, path in outputs:
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in seen:
+            raise UsageError(f"{seen[key]} and {flag} name one file: {path}")
+        seen[key] = flag
 
 
 def _cmd_run(args) -> int:
@@ -177,9 +209,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.rng_seed = args.seed
     cfg.validate()
-    if args.out and args.trace and (Path(args.out).resolve()
-                                    == Path(args.trace).resolve()):
-        raise UsageError(f"--out and --trace name one file: {args.out}")
+    _check_distinct(args.config, [("--out", args.out),
+                                  ("--trace", args.trace)])
     # a fault inside a valid run is a run failure, as under `sweep`, even
     # when it is a ValueError
     try:
@@ -205,9 +236,9 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(base, _parse_pauses(args.pause, base.sim_duration),
                      _parse_protocols(args.protocols),
                      _parse_seeds(args.seeds))
-    if args.plots and Path(args.out).resolve() in {
-            Path(args.plots, name).resolve() for name in PLOT_FILES}:
-        raise UsageError(f"--out and --plots name one file: {args.out}")
+    _check_distinct(args.config, [("--out", args.out)] + [
+        ("--plots", str(Path(args.plots, name)))
+        for name in PLOT_FILES if args.plots is not None])
     result = sweep(spec)
     Path(args.out).write_text(result.csv_text())
     if args.plots is not None:
@@ -295,12 +326,10 @@ def _cmd_audit(args) -> int:
         raise UsageError(f"cannot read trace {args.trace}: {exc}") from exc
     if text is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
-    # neither the load nor the replay makes a reference cycle
-    with collector_paused():
-        export = json.loads(text)
-        if export is None:
-            raise UsageError(f"{args.trace} contains no recorded audit logs")
-        reports = replay_audits(export)
+    export = json.loads(text)
+    if export is None:
+        raise UsageError(f"{args.trace} contains no recorded audit logs")
+    reports = replay_audits(export)
     sys.stdout.write(AUDIT_COLUMNS + "\n")
     for record, report in zip(export.get("paths", []), reports):
         sys.stdout.write(report.csv_row(record["flow"]) + "\n")
@@ -338,16 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (UsageError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # run failure
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 2
+    """Run one command with the cycle collector paused throughout
+    (`collector_paused`): a run, its report and trace, a sweep and an
+    audit's load and replay make no reference cycles, and by the time
+    the pause ends the command's result has been dropped, so no
+    collection walks it."""
+    with collector_paused():
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (UsageError, ConfigError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # run failure
+            print(f"run failed: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -464,7 +464,8 @@ def entry_from_list(data: Sequence, aliases: dict[str, bytes]) -> LogEntry:
     event = _EVENT_BY_CODE.get(code)
     if event is None:
         raise ValueError(f"event code {code} is not one of 1-4")
-    return LogEntry(aliases.get(node_hex) or _new_alias(aliases, node_hex),
-                    pid, event, sseq, oseq, dseq,
-                    aliases.get(prev_hex) or _new_alias(aliases, prev_hex),
-                    float(ts))
+    # the C call that the generated `LogEntry.__new__` wraps
+    return tuple.__new__(LogEntry, (
+        aliases.get(node_hex) or _new_alias(aliases, node_hex),
+        pid, event, sseq, oseq, dseq,
+        aliases.get(prev_hex) or _new_alias(aliases, prev_hex), float(ts)))

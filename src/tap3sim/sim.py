@@ -78,6 +78,8 @@ DATA = PacketKind.DATA
 RERR = PacketKind.RERR
 # `tuple.__new__` read once, as above: it builds a `LogEntry` in C
 _tuple_new = tuple.__new__
+# the event code that a traced audit's data records carry
+_FORWARDED_CODE = int(FORWARDED)
 
 # a data packet's ledger state until `Simulation._settle` gives it a fate
 IN_FLIGHT = "in_flight"
@@ -1093,15 +1095,15 @@ class Simulation:
             self._charge_audit_traffic(flow, relays)
             control = flow.tau_c_control[key[0]]
             if self.trace:
-                # a DATA frame carries zero counters, and the source is
-                # its own previous hop
-                alias = self.nodes[flow.src].log_alias
+                # the `entry_to_list` form of the source's Forwarded entry
+                # for each record: a DATA frame carries zero counters, and
+                # the source is its own previous hop
+                alias = self.nodes[flow.src].log_alias.hex()
                 self._audit_records.append({
                     "flow": flow.flow_id, "dst": flow.dst, "relays": relays,
                     "control": [logaudit.entry_to_list(control)],
-                    "data": [logaudit.entry_to_list(LogEntry(
-                        alias, pid, FORWARDED, 0, 0, 0, alias, t))
-                        for pid, t in tau_data]})
+                    "data": [[alias, pid, _FORWARDED_CODE, 0, 0, 0, alias, t]
+                             for pid, t in tau_data]})
             report = logaudit.audit_route(
                 [published(r) for r in relays], published(flow.dst),
                 [control.packet_id], sorted(pid for pid, _ in tau_data))
@@ -1166,10 +1168,16 @@ class Simulation:
                 setattr(self.result, fate, fates[fate])
             self.result.in_flight_end = fates[IN_FLIGHT]
             if self.trace and self.trust_layer:
+                # each entry's `entry_to_list` form, with every alias's
+                # hex computed once per run
+                hexes = {n.log_alias: n.log_alias.hex() for n in self.nodes}
                 self.result.audit_export = {
-                    "nodes": {str(n.id): [logaudit.entry_to_list(e)
-                                          for e in n.log.entries]
-                              for n in self.nodes if n.log.entries},
+                    "nodes": {str(n.id): [
+                        [hexes[alias], pid, int(event), sseq, oseq, dseq,
+                         hexes[prev], t]
+                        for alias, pid, event, sseq, oseq, dseq, prev, t
+                        in n.log.entries]
+                        for n in self.nodes if n.log.entries},
                     "paths": self._audit_records,
                 }
             return self.result

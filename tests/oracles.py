@@ -17,6 +17,7 @@ from tap3sim.sim import (
     IN_FLIGHT,
     LINK_RATE_BPS,
     SPEED_OF_LIGHT,
+    Mobility,
     Simulation,
     _stream,
 )
@@ -161,6 +162,53 @@ class ReferenceMobility:
                 return s.waypoint
             self.state = self.random_waypoint_step(s, self._leave, self.rng)
             self._begin_leg()
+
+
+def leg_position(m: Mobility, t: float) -> tuple[float, float]:
+    """Reference: position at `t` on the current leg of `m`, recomputed
+    from scratch."""
+    length = math.dist(m.origin, m.waypoint)
+    if t >= m.leg_start + length / m.speed:
+        return m.waypoint
+    frac = (t - m.leg_start) * m.speed / max(length, 1e-12)
+    frac = min(max(frac, 0.0), 1.0)
+    return (m.origin[0] + frac * (m.waypoint[0] - m.origin[0]),
+            m.origin[1] + frac * (m.waypoint[1] - m.origin[1]))
+
+
+class _DirectionIndex:
+    """The per-direction trapdoor index this package used to have, kept as
+    the reference for the one-chain `TrapdoorIndex`: state keyed by a
+    direction label, matches reported as (direction, chain index)."""
+
+    def __init__(self, window):
+        self.window = window
+        self.entries = {}
+        self._chains = {}
+        self._low = {}
+
+    def track(self, chain, direction):
+        self._low[direction] = chain.index
+        c = chain
+        for _ in range(self.window):
+            self.entries[c.current] = (direction, c.index)
+            c = c.advanced()
+        self._chains[direction] = c
+
+    def check(self, candidate):
+        match = self.entries.get(candidate)
+        if match is None:
+            return None
+        direction, index = match
+        low = self._low.get(direction, 1)
+        if index - low >= self.window // 2:
+            chain = self._chains[direction]
+            for _ in range(index - low):
+                self.entries[chain.current] = (direction, chain.index)
+                chain = chain.advanced()
+            self._chains[direction] = chain
+            self._low[direction] = index
+        return match
 
 
 class NaiveSnapshot:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -8,14 +9,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tap3sim
 from tap3sim import metrics, sim
 from tap3sim.cli import (
     AUDIT_COLUMNS,
     TRACE_HEADER,
+    _entries_text,
     _parse_pauses,
     _parse_seeds,
+    _path_text,
     forwarded_pids,
     main,
     replay_audits,
@@ -531,6 +535,22 @@ def test_two_outputs_in_one_file_exit_one(tmp_path, capsys, runs,
     assert f"--out and {flag} name one file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--out"), ("run", "--trace"), ("sweep", "--out")])
+def test_output_over_the_config_exits_one(tmp_path, capsys, runs,
+                                          command, flag):
+    """An output that resolves to the `--config` file is a usage error
+    before any run: the write would replace the scenario with the
+    output, and the next run would fail to parse it."""
+    cfg = write_config(tmp_path, small_config_text())
+    (tmp_path / "sub").mkdir()
+    args = [command, "--config", cfg, flag,
+            str(tmp_path / "sub" / ".." / "scenario.conf")]
+    assert main(args + (SWEEP_ARGS if command == "sweep" else [])) == 1
+    assert runs == [] and Path(cfg).read_text() == small_config_text()
+    assert f"--config and {flag} name one file" in capsys.readouterr().err
+
+
 def test_sweep_cli_end_to_end(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config_text())
     out = tmp_path / "sweep.csv"
@@ -726,6 +746,36 @@ def test_streamed_trace_equals_one_string_trace(tmp_path, traced_result,
     trace = tmp_path / "run.trace"
     write_trace_file(str(trace), result)
     assert trace.read_bytes() == one_string_trace(result).encode()
+
+
+# what the writer's templates take: an exported entry's aliases are the
+# hex of 32 bytes and its timestamp finite; ids, counters and times range
+# past anything a run records
+_HEX = st.binary(min_size=32, max_size=32).map(bytes.hex)
+_IDS = st.integers(0, 2**64 - 1)
+_ENTRIES = st.tuples(
+    _HEX, _IDS, st.sampled_from(EventKind), st.integers(-2**80, 2**80),
+    st.integers(-2**80, 2**80), st.integers(-2**80, 2**80), _HEX,
+    st.floats(allow_nan=False, allow_infinity=False)).map(list)
+_PATHS = st.fixed_dictionaries({
+    "flow": _IDS, "dst": _IDS, "relays": st.lists(_IDS, max_size=4),
+    "control": st.lists(_ENTRIES, min_size=1, max_size=2),
+    "data": st.lists(_ENTRIES, max_size=3)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_ENTRIES, max_size=3), record=_PATHS)
+@example(entries=[], record={"flow": 0, "dst": 2**64 - 1, "relays": [],
+                             "control": [[("ab" * 32), 1, EventKind.RECEIVED,
+                                          -1, 2**80, 0, "cd" * 32, -0.0]],
+                             "data": []})
+def test_trace_templates_write_what_the_json_encoder_writes(entries, record):
+    """The writer's entry and path-record text is the audit log's
+    encoding, `json.dumps(x, sort_keys=True, separators=(",", ":"))`."""
+    encode = functools.partial(json.dumps, sort_keys=True,
+                               separators=(",", ":"))
+    assert f"[{_entries_text(entries)}]" == encode(entries)
+    assert _path_text(record) == encode(record)
 
 
 def transient_peak(write, path, result) -> int:

@@ -1,8 +1,8 @@
-"""The cycle-collector pause.  `Simulation.run` and the replay of
-`tap3sim audit` run with CPython's automatic cycle collection paused,
-which is sound only while neither makes a reference cycle: these tests
-pin that invariant, and that the pause always hands the caller's
-collector state back."""
+"""The cycle-collector pause.  `Simulation.run` and every command of
+`cli.main` run with CPython's automatic cycle collection paused, which
+is sound only while a run, its report and trace and a replay make no
+reference cycle: these tests pin that invariant, and that the pause
+always hands the caller's collector state back."""
 
 import gc
 import json
@@ -10,9 +10,11 @@ from dataclasses import replace
 
 import pytest
 
-from tap3sim.cli import main, replay_audits, write_trace_file
+from tap3sim.cli import build_parser, main, replay_audits, write_trace_file
+from tap3sim.metrics import report_from_result
 from tap3sim.routing import ProtocolKind
 from tap3sim.sim import (
+    DESK_CONFIG_TEXT,
     AttackerSpec,
     AttackKind,
     Mobility,
@@ -51,26 +53,31 @@ def scenario(protocol: ProtocolKind, shape: str):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
-def test_runs_and_replays_leave_no_cycles(collector, protocol, shape):
-    """With collection paused throughout, every run, traced or not, and
-    the replay of every exported audit log leave nothing for a collection
-    to free once their results are dropped."""
+def test_runs_and_replays_leave_no_cycles(collector, tmp_path, protocol,
+                                         shape):
+    """With collection paused throughout, every run, traced or not, with
+    its report and trace file, and the replay of every written audit log
+    leave nothing for a collection to free once their results are
+    dropped."""
     cfg = scenario(protocol, shape)
+    path = tmp_path / "run.trace"
     gc.disable()
     gc.collect()
     for trace in (False, True):
         result = run_scenario(cfg, trace=trace, check_privacy=True)
-        text = (None if result.audit_export is None
-                else json.dumps(result.audit_export))
+        report_from_result(result)
+        write_trace_file(str(path), result)
+        exported = result.audit_export is not None
         assert result.sent > 0
         del result
         assert gc.collect() == 0, f"run, trace={trace}"
-        if text is not None:
-            reports = replay_audits(json.loads(text))
+        if exported:
+            reports = replay_audits(json.loads(
+                path.read_text().splitlines()[-1]))
             assert reports
             del reports
             assert gc.collect() == 0, "replay"
-        assert (text is not None) == (trace and protocol.trust_layer)
+        assert exported == (trace and protocol.trust_layer)
 
 
 class FailingReception(Simulation):
@@ -149,3 +156,79 @@ def test_audit_restores_the_callers_collector_state(
     assert main(["audit", "--trace", str(bad)]) == 1
     assert gc.isenabled() is enabled
     assert "'nodes' is not a JSON object" in capsys.readouterr().err
+
+
+@pytest.fixture
+def desk_config(tmp_path):
+    path = tmp_path / "desk.conf"
+    path.write_text(DESK_CONFIG_TEXT.replace("sim_duration = 200",
+                                             "sim_duration = 60"))
+    return str(path)
+
+
+def test_cli_round_trip_starts_no_collection(collector, capsys, tmp_path,
+                                             desk_config):
+    """`tap3sim run --trace` and `tap3sim audit` each run paused from end
+    to end, so no collection starts inside either call, however much they
+    allocate."""
+    trace = str(tmp_path / "desk.trace")
+    calls = {"run": ["run", "--config", desk_config, "--out",
+                     str(tmp_path / "desk.csv"), "--trace", trace],
+             "audit": ["audit", "--trace", trace]}
+    inside = [None]
+    started = []
+
+    def record(phase, info):
+        if phase == "start" and inside[0] is not None:
+            started.append((inside[0], info["generation"]))
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        for name, argv in calls.items():
+            # from an empty young generation, so that a collection owed
+            # to the allocations before the call cannot start inside it
+            gc.collect()
+            inside[0] = name
+            rc = main(argv)
+            inside[0] = None
+            assert rc == 0, name
+    finally:
+        gc.callbacks.remove(record)
+    assert started == []
+    assert "flow_id,verdict" in capsys.readouterr().out
+
+
+def test_a_paused_sweep_leaves_only_the_parsers_cycles(collector, tmp_path,
+                                                       desk_config):
+    """A sweep runs under `cli.main`'s pause from its first run to its
+    last, so its runs must leave nothing for a collection but the cycles
+    of the argparse parser that each call builds."""
+    gc.disable()
+    gc.collect()
+    build_parser()
+    parser_cycles = gc.collect()
+    assert main(["sweep", "--config", desk_config, "--pause", "0,30",
+                 "--protocols", "tap3,smprf", "--seeds", "1,2", "--out",
+                 str(tmp_path / "s.csv"), "--plots",
+                 str(tmp_path / "plots")]) == 0
+    assert gc.collect() == parser_cycles
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "failing run"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector_state(
+        collector, monkeypatch, capsys, tmp_path, desk_config, command,
+        enabled):
+    """After a run, a sweep, and a run that fails inside (exit 2)."""
+    if command == "failing run":
+        monkeypatch.setattr(Mobility, "position", lambda self, t: (-1.0, 0.0))
+    argv = (["sweep", "--config", desk_config, "--pause", "0",
+             "--protocols", "smprf", "--seeds", "1", "--out",
+             str(tmp_path / "s.csv")] if command == "sweep"
+            else ["run", "--config", desk_config])
+    (gc.enable if enabled else gc.disable)()
+    assert main(argv) == (2 if command == "failing run" else 0)
+    assert gc.isenabled() is enabled
+    if command == "failing run":
+        assert "left the area" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from tap3sim.crypto import (
     trapdoor_check,
     verify_hmac,
 )
+from oracles import _DirectionIndex
 
 # RFC 4231 HMAC-SHA-256 test vectors (cases 1-4).
 RFC4231 = [
@@ -137,41 +138,6 @@ def test_trapdoor_wrong_key_no_match():
     chain = PseudonymChain.start(k1, 5)
     chain = chain.advanced().advanced()  # PD_3 under the other key
     assert trapdoor_check(index, chain.current) is None
-
-
-class _DirectionIndex:
-    """The per-direction trapdoor index this package used to have, kept as
-    the reference for the one-chain `TrapdoorIndex`: state keyed by a
-    direction label, matches reported as (direction, chain index)."""
-
-    def __init__(self, window):
-        self.window = window
-        self.entries = {}
-        self._chains = {}
-        self._low = {}
-
-    def track(self, chain, direction):
-        self._low[direction] = chain.index
-        c = chain
-        for _ in range(self.window):
-            self.entries[c.current] = (direction, c.index)
-            c = c.advanced()
-        self._chains[direction] = c
-
-    def check(self, candidate):
-        match = self.entries.get(candidate)
-        if match is None:
-            return None
-        direction, index = match
-        low = self._low.get(direction, 1)
-        if index - low >= self.window // 2:
-            chain = self._chains[direction]
-            for _ in range(index - low):
-                self.entries[chain.current] = (direction, chain.index)
-                chain = chain.advanced()
-            self._chains[direction] = chain
-            self._low[direction] = index
-        return match
 
 
 _CHAIN_KEY = derive_pairwise_key(master_key(12, 1), 7)

@@ -39,7 +39,12 @@ from tap3sim.sim import (
     parse_config,
     run_scenario,
 )
-from oracles import NaiveSimulation, ReferenceMobility, loop_header_bytes
+from oracles import (
+    NaiveSimulation,
+    ReferenceMobility,
+    leg_position,
+    loop_header_bytes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +178,6 @@ def test_mobility_is_independent_of_query_pattern(seed, pause, steps, keep):
         assert sparse.position(times[i]) == at_dense[i]
     for x, y in at_dense:
         assert 0.0 <= x <= 300.0 and 0.0 <= y <= 300.0
-
-
-def leg_position(m: Mobility, t: float) -> tuple[float, float]:
-    """Reference: position at `t` on the current leg of `m`, recomputed
-    from scratch."""
-    length = math.dist(m.origin, m.waypoint)
-    if t >= m.leg_start + length / m.speed:
-        return m.waypoint
-    frac = (t - m.leg_start) * m.speed / max(length, 1e-12)
-    frac = min(max(frac, 0.0), 1.0)
-    return (m.origin[0] + frac * (m.waypoint[0] - m.origin[0]),
-            m.origin[1] + frac * (m.waypoint[1] - m.origin[1]))
 
 
 def test_waypoint_step_draws_valid_leg():
