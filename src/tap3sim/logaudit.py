@@ -17,17 +17,29 @@ active-attacker location, and forward-scan passive-dropper listing.  The
 simulator's live audits and the replay of a trace both run `audit_route`.
 
 An audit asks one snapshot for many records, and their proofs share the
-upper part of the tree.  Each snapshot therefore keeps the interior nodes
-it has already verified against its root, and a later proof walk stops at
-the first of them, reading no sibling above it.  This is sound because
-leaf and interior hashes carry distinct domain tags, so a leaf can never
-stand in for an interior node; because the leaf is re-hashed from the
-entry on every check, so an entry edited after publication still fails;
-and because nodes are added only from a walk that reached the root, so
-only nodes of the committed tree are ever known.  Under SHA-256 collision
-resistance a computed node equal to a known one has the same subtree below
-it, so for the siblings `proves` reads from the committed tree a walk that
-stops there gives the verdict a full walk to the root gives.
+upper part of the tree.  Each snapshot therefore keeps the committed nodes
+that its successful walks read (RFC 9162 section 2.1.3: a proof need only
+reach a node the verifier already trusts): the interior nodes a walk
+computed or read as siblings, in a set, and its level-0 sibling by leaf
+index.  A later walk stops at the first known interior node, reading no
+sibling above it, and a claim at a known leaf's index is one leaf hash
+and one compare.  Under SHA-256 collision resistance this is sound:
+
+- Leaf and interior hashes carry distinct domain tags, so a leaf never
+  stands in for an interior node.  The set holds interior nodes only: a
+  right-edge sibling, which may be a promoted leaf, is not kept.
+- Nodes are kept only from a walk that reached the root or a known node.
+  A computed node equal to a committed one has that node's committed
+  subtree below it, so the entry hashed is committed, each sibling read
+  is the committed node at its place in that subtree, and only committed
+  nodes are ever known.
+- The entry is re-hashed from the log on every check, so an entry edited
+  after publication fails, and it must carry the claim's packet id and
+  event.  A claim names one committed entry, at the index the log's
+  claim index holds, so the walk's places are the committed ones and a
+  leaf is kept at its own index.  Without that check, a log that copies
+  another committed entry and its sibling over the claimed index proves
+  the claim from the copied pair's known parent.
 """
 
 from __future__ import annotations
@@ -216,33 +228,42 @@ class PublishedLog:
     log's tree, and the proofs come from that tree, so an entry edited
     since then fails.
 
-    `verified` holds the interior nodes that earlier checks of this
-    snapshot walked up to its root, so a later walk stops where it meets
-    one of them (see the module docstring for why that is sound).  The
-    entry is still re-hashed on every check, and a walk reads only the
-    siblings below the first verified node.  The set lives as long as the
-    snapshot."""
+    Every check that succeeds keeps the committed nodes its walk read (see
+    the module docstring for why that is sound): `verified` holds interior
+    nodes, where a later walk stops, and `leaves` maps a leaf index to the
+    committed leaf there.  Both live as long as the snapshot."""
 
     def __init__(self, root: bytes, log: NodeLog, size: int):
         self.root = root
         self.log = log
         self.size = size
         self.verified: set[bytes] = set()
+        self.leaves: dict[int, bytes] = {}
 
     def proves(self, packet_id: int, event: EventKind) -> bool:
         """True iff the snapshot holds a (packet_id, event) entry whose
-        inclusion proof verifies against the published root.  The walk is
+        inclusion proof verifies against the published root.  The entry
+        shown must carry the claim's packet id and event.  The walk is
         `MerkleTree.proof` and `MerkleTree.verify` fused: each sibling is
         read where `proof` reads it, and the walk stops at the first node
         in `verified`, or at the root.  A malformed sibling is False."""
         log, n = self.log, self.size
-        index = log.claim_index(packet_id, event, n)
-        if index is None:
+        index = log._claims.get((packet_id, event))
+        if index is None or index >= n:
             return False
+        entry = log.entries[index]
+        # the claim binds the entry: a verified node or a known leaf says
+        # that the hashed entry is committed, not that it is this claim's
+        if entry[1] != packet_id or entry[2] != event:
+            return False
+        node = leaf_hash(entry)
+        known = self.leaves.get(index)
+        if known is not None:
+            return node == known
         sha256 = hashlib.sha256
         tree = log._tree        # publishing hashed the snapshot's entries
         blocks, verified = tree.blocks, self.verified
-        node = leaf_hash(log.entries[index])
+        first = None            # the level-0 sibling, kept on success
         path = []
         try:
             for k in range((n - 1).bit_length()):
@@ -250,7 +271,13 @@ class PublishedLog:
                 sib = at ^ 1
                 if (sib + 1) << k <= n:
                     sibling = blocks[k][sib]
+                    if k:
+                        path.append(sibling)
+                    else:
+                        first = sibling
                 elif sib << k < n:
+                    # a right-edge node, which may be a promoted leaf: it
+                    # is hashed but not kept
                     sibling = tree._edges(n)[k]
                 else:           # the last node of its level, promoted
                     continue
@@ -265,6 +292,8 @@ class PublishedLog:
         except (TypeError, ValueError):
             return False
         verified.update(path)
+        if first is not None:
+            self.leaves[index ^ 1] = first
         return True
 
 

@@ -52,12 +52,16 @@ class Packet:
     relay forwards a received DATA, RREP, RREP_ACK or RERR frame as it is.
     Only two handlers change a field of a received frame, each on its own
     `copy()`: a route-request relay appends itself to `route_record`, and
-    a sequence-inflating attacker raises a reply's `dseq`.  A broadcast
-    (always a route request) is delivered only to the nodes in the
-    listener record of its (flow, round) (`Simulation.rreq_listeners`): a
-    node that already holds the request and is not the flow's destination
-    would drop the copy unread, and it still holds the request when the
-    copy would arrive, so leaving the copy out changes nothing."""
+    a sequence-inflating attacker raises a reply's `dseq`.  A
+    pseudonymous control frame carries its `header_bytes` in `header`,
+    set at its first tag or its first send, so no hop encodes it again;
+    a route-request relay's copy derives its own from its parent's
+    (`relayed_header`).  A broadcast (always a route request) is
+    delivered only to the nodes in the listener record of its (flow,
+    round) (`Simulation.rreq_listeners`): a node that already holds the
+    request and is not the flow's destination would drop the copy
+    unread, and it still holds the request when the copy would arrive,
+    so leaving the copy out changes nothing."""
 
     def __init__(self, kind: PacketKind, flow_id: int, packet_id: int,
                  round: int = 0, forward_alias: Optional[bytes] = None,
@@ -91,12 +95,17 @@ class Packet:
         self.tag = tag
         # `packet_size`, set by the frame's first `Simulation.transmit`
         self.size: Optional[int] = None
+        # `header_bytes`, set by the endpoint that tags the frame or by its
+        # first `Simulation.transmit`; only pseudonymous RREQ, RREP and
+        # RREP_ACK frames carry it
+        self.header: Optional[bytes] = None
 
     def copy(self) -> "Packet":
         c = object.__new__(Packet)
         c.__dict__.update(self.__dict__)
         c.route_record = list(self.route_record)
-        c.size = None       # the copy may change, so it is sized afresh
+        # the copy may change, so it is sized and encoded afresh
+        c.size = c.header = None
         return c
 
 
@@ -151,6 +160,18 @@ def header_bytes(pkt: Packet) -> bytes:
         entry = _ROUTE_ENTRY.pack
         parts.extend([entry(_T_ROUTE, nid & 0xFFFF) for nid in route])
     return b"".join(parts)
+
+
+def relayed_header(header: bytes, route: list[NodeId]) -> bytes:
+    """`header_bytes` of a route request whose route record is `route`,
+    built from `header`, the encoding of the request it copies, whose
+    route record is `route` without its last entry.  The route record is
+    the encoding's tail, so the copy rewrites the length byte before it
+    and appends one entry."""
+    n = len(route)
+    at = len(header) - _ROUTE_ENTRY.size * (n - 1) - 1
+    return b"".join((header[:at], bytes((n & 0xFF,)), header[at + 1:],
+                     _ROUTE_ENTRY.pack(_T_ROUTE, route[-1] & 0xFFFF)))
 
 
 def header_size(pkt: Packet) -> int:

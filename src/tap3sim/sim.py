@@ -47,6 +47,7 @@ from .routing import (
     header_bytes,
     packet_size,
     pick_disjoint_paths,
+    relayed_header,
     select_paths,
 )
 
@@ -538,12 +539,14 @@ class Simulation:
         return d <= self.config.radio_range, d
 
     def _privacy_scan(self, pkt: Packet) -> None:
-        if pkt.kind not in (RREQ, RREP, RREP_ACK):
+        # the frame's `header_bytes`, set at its first send; a route error,
+        # which carries no alias, has none
+        fields = pkt.header
+        if fields is None:
             return
         self.result.privacy_checks += 1
         # `header_bytes` leaves out the tag, an opaque digest (a forged one
         # is all zero bytes); only the fields it encodes can carry an address
-        fields = header_bytes(pkt)
         for encoded in self._endpoint_ids[pkt.flow_id]:
             if encoded in fields:
                 self.result.privacy_violations += 1
@@ -566,8 +569,9 @@ class Simulation:
         and its order.  Every receiver gets `pkt` itself: frames are read-only
         once transmitted (see `Packet`), so a frame is sized at its first
         send, without being encoded, and keeps that size on every later
-        hop; only the privacy scan, which reads control frames alone,
-        encodes the header."""
+        hop.  A pseudonymous RREQ, RREP or RREP_ACK frame that no endpoint
+        tagged and no relay derived is encoded there too, once: the
+        privacy scan and the source's tag check read `Packet.header`."""
         if to is None and pkt.kind is not RREQ:
             raise ValueError(f"cannot broadcast a {pkt.kind.text} frame")
         node = self.nodes[sender]
@@ -575,6 +579,9 @@ class Simulation:
         size = pkt.size
         if size is None:
             size = pkt.size = packet_size(pkt)
+            if (control and self.uses_pseudonyms and pkt.header is None
+                    and pkt.kind is not RERR):
+                pkt.header = header_bytes(pkt)
         ttx = size * 8.0 / LINK_RATE_BPS
         if to is not None:
             ok, dist = self.link(sender, to)
@@ -790,6 +797,8 @@ class Simulation:
             self.transmit(node.id, frm, forged, control=True)
         fwd = pkt.copy()
         fwd.route_record.append(node.id)
+        if pkt.header is not None:
+            fwd.header = relayed_header(pkt.header, fwd.route_record)
         jitter = self.rng_jitter.uniform(0.0, REBROADCAST_JITTER)
         self._event_seq += 1
         heappush(self._events, (self.now + jitter, self._event_seq,
@@ -829,7 +838,8 @@ class Simulation:
             flow.dest_dseq += 1
             rrep = self._reply(node, rreq, flow.dest_dseq, idx, relays)
             if self.uses_pseudonyms:
-                rrep.tag = hmac_tag(flow.key, header_bytes(rrep))
+                rrep.header = header_bytes(rrep)
+                rrep.tag = hmac_tag(flow.key, rrep.header)
             nxt = relays[-1] if relays else flow.src
             self.transmit(node.id, nxt, rrep, control=True)
 
@@ -867,7 +877,7 @@ class Simulation:
             return
         delta = pkt.dseq - flow.last_known_dseq
         if self.uses_pseudonyms:
-            if not verify_hmac(flow.key, header_bytes(pkt), pkt.tag):
+            if not verify_hmac(flow.key, pkt.header, pkt.tag):
                 self.flag(flow.src, frm)
                 return
         # a tagged value comes from the true destination, so it refreshes
@@ -892,7 +902,8 @@ class Simulation:
                      round=pkt.round, path_id=pkt.path_id)
         if self.uses_pseudonyms:
             ack.forward_alias = pkt.reverse_alias
-            ack.tag = hmac_tag(flow.key, header_bytes(ack))
+            ack.header = header_bytes(ack)
+            ack.tag = hmac_tag(flow.key, ack.header)
         else:
             ack.dst_addr = flow.dst
         self.transmit(flow.src, frm, ack, control=True)

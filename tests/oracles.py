@@ -233,9 +233,12 @@ class NaiveLog(NodeLog):
 class NaiveSimulation(Simulation):
     """`Simulation` with every speed-up off: every node in range gets every
     route-request copy; every frame is sized from its encoded header at
-    every hop; receptions and CBR sends go through `schedule`, all of a
-    flow's sends at its start; usable paths are selected afresh; nodes walk
-    `ReferenceMobility`; and the evidence logs publish `NaiveSnapshot`s."""
+    every hop, and a pseudonymous control frame's `Packet.header`, which
+    the privacy scan and the source's tag check read, is encoded afresh
+    at every hop, never derived from a parent's; receptions and CBR sends
+    go through `schedule`, all of a flow's sends at its start; usable
+    paths are selected afresh; nodes walk `ReferenceMobility`; and the
+    evidence logs publish `NaiveSnapshot`s."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -264,6 +267,9 @@ class NaiveSimulation(Simulation):
             self.result.control_tx += 1
         else:
             self.result.data_tx += 1
+        if (control and self.uses_pseudonyms
+                and pkt.kind is not PacketKind.RERR):
+            pkt.header = loop_header_bytes(pkt, include_tag=False)
         if control and self.check_privacy:
             self._privacy_scan(pkt)
         if self.trace:

@@ -326,34 +326,104 @@ def test_hash_verify_malformed_proof_is_failure():
                                  st.sampled_from(list(EventKind))),
                        min_size=1, max_size=40),
        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
-       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6),
-                              st.integers(0, 11),
+       ops=st.lists(st.tuples(st.sampled_from(("query", "entry", "block")),
+                              st.integers(0, 10 ** 6),
+                              st.integers(0, 10 ** 6), st.integers(0, 11),
                               st.sampled_from(list(EventKind))),
-                    max_size=60))
+                    min_size=8, max_size=60))
+# claim 0 shown with committed entry 4 and, as its sibling, leaf 5: the
+# walk meets the parent of leaves 4 and 5 that proving claim 4 made known
+@example(claims=[(pid, EventKind.RECEIVED) for pid in range(8)], sizes=[8],
+         ops=[("query", 0, 0, 4, EventKind.RECEIVED),
+              ("entry", 0, 8, 0, EventKind.RECEIVED),
+              ("block", 1, 5, 0, EventKind.RECEIVED),
+              ("query", 0, 0, 0, EventKind.RECEIVED)])
+# claim 1 shown with an edited entry after proving claim 0 made leaf 1
+# known: the known leaf must still be compared with the entry's hash
+@example(claims=[(pid, EventKind.RECEIVED) for pid in range(4)], sizes=[4],
+         ops=[("query", 0, 0, 0, EventKind.RECEIVED),
+              ("entry", 1, 1, 0, EventKind.RECEIVED),
+              ("query", 0, 0, 1, EventKind.RECEIVED)])
 def test_memoized_proves_matches_plain_verify(claims, sizes, ops):
-    # each op either queries a snapshot or toggles one entry between the
-    # committed value and an in-place forgery
+    # each op queries a snapshot, toggles one entry between its committed
+    # value and an in-place forgery, or toggles one tree block, a leaf or
+    # an interior node, between its committed value and the value of
+    # another committed node: an adversarial prover serving committed
+    # hashes at the wrong places
     log = NodeLog()
     for i, (pid, event) in enumerate(claims):
         with contextlib.suppress(DuplicateEntryError):
             log.append(entry(node=i % 3, pid=pid, event=event, ts=float(i)))
     committed = list(log.entries)
     leaves = [leaf_hash(e) for e in committed]
+    tree = log.tree
+    honest = MerkleTree(leaves)
+    places = [(k, j) for k, level in enumerate(honest.blocks)
+              for j in range(len(level))]
     published = [PublishedLog(log.tree.root_at(n), log, n)
                  for n in sorted({size % (len(committed) + 1)
                                    for size in sizes})]
-    for tamper, a, pid, event in ops:
-        if tamper:
+    for op, a, b, pid, event in ops:
+        if op == "entry":
+            # the forgery is an edited entry or another committed one
             i = a % len(committed)
-            forged = committed[i]._replace(sseq=committed[i].sseq + 1)
-            log.entries[i] = (committed[i] if log.entries[i] == forged
-                              else forged)
+            forged = (committed[i]._replace(sseq=committed[i].sseq + 1)
+                      if b % 2 else committed[b // 2 % len(committed)])
+            log.entries[i] = (forged if log.entries[i] == committed[i]
+                              else committed[i])
+            continue
+        if op == "block":
+            k, j = places[a % len(places)]
+            if tree.blocks[k][j] == honest.blocks[k][j]:
+                k2, j2 = places[b % len(places)]
+                tree.blocks[k][j] = honest.blocks[k2][j2]
+            else:
+                tree.blocks[k][j] = honest.blocks[k][j]
+            # the right edge is folded afresh from the blocks as served
+            tree._edge_size = -1
             continue
         pub = published[a % len(published)]
-        assert pub.proves(pid, event) \
-            == NaiveSnapshot(log, pub.size).proves(pid, event)
+        if b % 2:
+            # a claim the log holds, though perhaps not in this snapshot
+            pid, event = claims[b // 2 % len(claims)]
+        verdict = pub.proves(pid, event)
+        # the plain walk over the proof as served, to the published root
+        served = NaiveSnapshot(log, pub.size)
+        served.root = pub.root
+        if tree.blocks == honest.blocks:
+            assert verdict == served.proves(pid, event)
+        else:
+            # a known node lets the memo skip a served sibling above it,
+            # so it may prove a claim whose served proof fails; it never
+            # proves one that the committed proof does not
+            index = log.claim_index(pid, event, pub.size)
+            sound = index is not None and MerkleTree.verify(
+                pub.root, leaf_hash(log.entries[index]),
+                honest.proof(index, pub.size))
+            assert served.proves(pid, event) <= verdict <= sound
         # only nodes of the committed tree are ever known, never a leaf
         assert pub.verified <= interior_nodes(leaves[:pub.size])
+        # and each known leaf is the committed leaf at its index
+        assert all(i < pub.size and leaf == leaves[i]
+                   for i, leaf in pub.leaves.items())
+
+
+def test_proof_is_bound_to_its_claim():
+    """A node copies a committed entry and its committed sibling over the
+    first pair of its log.  The walk for claim 0 then hashes the copied
+    leaf with the copied sibling into the known parent of leaves 4 and 5,
+    where it stops: only the check that the entry shown carries the
+    claim's packet id and event keeps the snapshot from proving claim 0
+    with entry 4."""
+    log = NodeLog()
+    for i in range(8):
+        log.append(entry(pid=i, ts=float(i)))
+    pub = log.publish()
+    assert pub.proves(4, EventKind.RECEIVED)
+    log.entries[0] = log.entries[4]
+    log.tree.blocks[0][1] = log.tree.blocks[0][5]
+    assert not NaiveSnapshot(log, pub.size).proves(0, EventKind.RECEIVED)
+    assert not pub.proves(0, EventKind.RECEIVED)
 
 
 def test_claim_names_one_entry_in_snapshot():

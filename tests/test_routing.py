@@ -12,6 +12,7 @@ from tap3sim.routing import (
     header_size,
     packet_size,
     pick_disjoint_paths,
+    relayed_header,
     select_paths,
 )
 
@@ -123,6 +124,40 @@ def test_copy_is_deep_for_route_record():
     dup = pkt.copy()
     dup.route_record.append(99)
     assert 99 not in pkt.route_record
+
+
+def test_copy_is_unsized_and_unencoded():
+    pkt = rand_packet(random.Random(12))
+    pkt.size, pkt.header = packet_size(pkt), header_bytes(pkt)
+    dup = pkt.copy()
+    assert dup.size is None and dup.header is None
+    assert (pkt.size, pkt.header) == (packet_size(pkt), header_bytes(pkt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seqs=st.tuples(*[WIDE] * 8), route=ROUTE, fwd=ALIAS, rev=ALIAS,
+       src=ADDRESS, dst=ADDRESS, relays=ROUTE.filter(bool))
+@example(seqs=(0,) * 8, route=[], fwd=bytes(32), rev=b"r" * 32, src=None,
+         dst=None, relays=[2 ** 16 + i for i in range(300)])
+def test_relayed_header_matches_a_fresh_encoding(seqs, route, fwd, rev, src,
+                                                  dst, relays):
+    """Each relay of a route-request chain derives its copy's header from
+    its parent's, as `Simulation.on_rreq` does; at every hop the result
+    is the copy's encoding written out field by field.  A chain of more
+    than 255 hops whose ids pass 2**16 wraps both the route-length byte
+    and the entries."""
+    sseq, oseq, dseq, req_oseq, packet_id, flow_id, rnd, path_id = seqs
+    pkt = Packet(PacketKind.RREQ, flow_id, packet_id, round=rnd,
+                 forward_alias=fwd, reverse_alias=rev, src_addr=src,
+                 dst_addr=dst, sseq=sseq, oseq=oseq, dseq=dseq,
+                 req_oseq=req_oseq, path_id=path_id, route_record=route)
+    pkt.header = header_bytes(pkt)
+    for nid in relays:
+        fwd_pkt = pkt.copy()
+        fwd_pkt.route_record.append(nid)
+        fwd_pkt.header = relayed_header(pkt.header, fwd_pkt.route_record)
+        assert fwd_pkt.header == loop_header_bytes(fwd_pkt, include_tag=False)
+        pkt = fwd_pkt
 
 
 def path(pid, relays, dseq, t=0.0, rnd=1, broken=False):

@@ -583,6 +583,30 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
     assert observed(twin, twin.run()) == observed(sim, res)
 
 
+@pytest.mark.parametrize("protocol", [ProtocolKind.TAP3, ProtocolKind.S_MPRF])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_runs_equal_the_naive_twin(protocol, seed):
+    """The differential check on the benchmark's sparse shape (60 nodes on
+    600 x 600 m, 100 s), whose route requests cross long relay chains and
+    whose audits cover paths of several relays, which the small draws
+    above rarely reach: every `RunResult` field and the packet ledger
+    equal `NaiveSimulation`'s."""
+    cfg = replace(shaped(protocol, seed, "sparse"), sim_duration=100.0)
+    sim = Simulation(cfg, trace=True, check_privacy=True)
+    res = sim.run()
+    twin = NaiveSimulation(cfg, trace=True, check_privacy=True)
+    assert vars(twin.run()) == vars(res)
+    assert twin.packet_state == sim.packet_state
+    # a destination heard a request over four relays or more, and an
+    # audit covered a path of three relays or more
+    assert max(len(relays) for flow in sim.flows
+               for _, candidates in flow.rounds.values()
+               for _, _, relays in candidates) >= 4
+    if protocol.trust_layer:
+        assert max(len(record["relays"])
+                   for record in res.audit_export["paths"]) >= 3
+
+
 def test_timed_out_round_does_not_hold_back_rediscovery():
     """Tap3 at seed 19, pause 10: flow 3's source rejects every reply of a
     refresh round while its older paths still carry the traffic.  When
@@ -978,6 +1002,30 @@ def test_every_hop_carries_its_frames_own_size(monkeypatch, protocol):
     assert all(len(s) == 1 for (kind, _), s in sizes.items()
                if kind != "RREQ")
     assert any(len(s) > 1 for s in sizes.values())
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_every_frame_carries_its_own_header(monkeypatch, protocol):
+    """From its first send on, a pseudonymous RREQ, RREP or RREP_ACK frame
+    carries its own encoding, whether an endpoint tagged it, a relay
+    derived it from its parent's or `transmit` encoded it, also with the
+    privacy scan off; no other frame, and no MPRF frame, is encoded."""
+    scanned = {PacketKind.RREQ, PacketKind.RREP, PacketKind.RREP_ACK}
+    seen = collections.Counter()
+    transmit = Simulation.transmit
+
+    def checked_transmit(self, sender, to, pkt, control):
+        ok = transmit(self, sender, to, pkt, control)
+        if protocol.uses_pseudonyms and pkt.kind in scanned:
+            assert pkt.header == loop_header_bytes(pkt, include_tag=False)
+            seen[pkt.kind] += 1
+        else:
+            assert pkt.header is None
+        return ok
+
+    monkeypatch.setattr(Simulation, "transmit", checked_transmit)
+    run_scenario(shaped(protocol, 1, "sparse"))
+    assert set(seen) == (scanned if protocol.uses_pseudonyms else set())
 
 
 def test_event_in_the_past_is_an_error():
