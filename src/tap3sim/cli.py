@@ -15,13 +15,14 @@ Exit codes: 0 success, 1 usage/configuration error, 2 run failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import math
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import logaudit
 from .metrics import (
@@ -42,8 +43,12 @@ from .sim import (
 )
 
 TRACE_HEADER = "# tap3sim trace v1"
+PACKET_COLUMNS = "time,kind,from,to,packet_id,path_id,bytes"
+VERDICT_COLUMNS = "node_id,sseq,oseq,dseq_delta,distance,threshold,label"
 AUDIT_COLUMNS = "flow_id,verdict,active_pos,passive_positions"
-# An exported log entry (`logaudit.entry_to_list`) and a path record as
+_PACKET = "%.6f,%s,%d,%d,%d,%d,%d\n"
+_VERDICT = "%d,%g,%g,%g,%.9g,%.9g,%s\n"
+# A log entry in its `logaudit.entry_to_list` form, and a path record, as
 # `json.dumps(x, sort_keys=True, separators=(",", ":"))` writes them: the
 # aliases are hex, `%d` and `%r` give `int.__repr__` and `float.__repr__`,
 # and every timestamp is finite.  `tests/test_cli.py` pins the equality.
@@ -51,16 +56,19 @@ _ENTRY = '["%s",%d,%d,%d,%d,%d,"%s",%r]'
 _PATH = '{"control":[%s],"data":[%s],"dst":%d,"flow":%d,"relays":[%s]}'
 
 
-def _entries_text(entries: list) -> str:
-    """The exported entries' JSON, without the enclosing brackets."""
-    return ",".join(map(_ENTRY.__mod__, map(tuple, entries)))
+def _entries_text(entries: Iterable, hex_of: Callable) -> str:
+    """The entries' JSON list without brackets; `hex_of` gives the hex."""
+    return ",".join([
+        _ENTRY % (hex_of(alias), pid, event, sseq, oseq, dseq, hex_of(prev), t)
+        for alias, pid, event, sseq, oseq, dseq, prev, t in entries])
 
 
-def _path_text(record: dict) -> str:
-    """One path record's JSON, its keys in sorted order."""
-    return _PATH % (_entries_text(record["control"]),
-                    _entries_text(record["data"]), record["dst"],
-                    record["flow"], ",".join(map(str, record["relays"])))
+def _path_text(record: tuple, hex_of: Callable) -> str:
+    """One path record's JSON object, its keys in sorted order."""
+    flow, dst, relays, control, data = record
+    return _PATH % (_entries_text((control,), hex_of),
+                    _entries_text(data, hex_of), dst, flow,
+                    ",".join(map(str, relays)))
 
 
 class UsageError(Exception):
@@ -160,31 +168,29 @@ def _load_config(path: str):
 
 
 def write_trace_file(path: str, result: RunResult) -> None:
-    """Write the trace a line at a time.  Its last line is the audit log,
-    `json.dumps(result.audit_export, sort_keys=True, separators=(",", ":"))`
-    of the export `Simulation.run` builds, written one node's log and one
-    path record at a time through the `_ENTRY` and `_PATH` templates, so
-    the whole trace is never held in memory."""
+    """The one encoder of a trace, written a line at a time.  Its last
+    line, a TAP3 run's audit log, is `json.dumps` (sorted keys, no
+    spaces) of the `entry_to_list` form of its logs and path records,
+    streamed a log and a record at a time, each alias's hex made once."""
     with open(path, "w") as out:
-        out.writelines(f"{line}\n" for line in itertools.chain(
-            [TRACE_HEADER, "# packets",
-             "time,kind,from,to,packet_id,path_id,bytes"],
-            result.packet_rows,
-            ["# verdicts",
-             "node_id,sseq,oseq,dseq_delta,distance,threshold,label"],
-            result.verdict_rows,
-            ["# audits", AUDIT_COLUMNS],
-            result.audit_rows))
-        export = result.audit_export
-        if export is not None:
-            nodes = export["nodes"]
+        out.write(f"{TRACE_HEADER}\n# packets\n{PACKET_COLUMNS}\n")
+        out.writelines(map(_PACKET.__mod__, result.packet_rows))
+        out.write(f"# verdicts\n{VERDICT_COLUMNS}\n")
+        out.writelines(map(_VERDICT.__mod__, result.verdict_rows))
+        out.write(f"# audits\n{AUDIT_COLUMNS}\n")
+        out.writelines(f"{report.csv_row(flow)}\n"
+                       for flow, report in result.audit_rows)
+        if result.audit_export is not None:
+            logs, paths = result.audit_export
+            hex_of = functools.cache(bytes.hex)
             out.write('# audit-log\n{"nodes":{')
             out.writelines(
-                f'{"," if i else ""}"{nid}":[{_entries_text(nodes[nid])}]'
-                for i, nid in enumerate(sorted(nodes)))
+                f'{"," if i else ""}"{nid}":['
+                f'{_entries_text(logs[nid], hex_of)}]'
+                for i, nid in enumerate(sorted(logs, key=str)))
             out.write('},"paths":[')
-            out.writelines(f"{',' if i else ''}{_path_text(record)}"
-                           for i, record in enumerate(export["paths"]))
+            out.writelines(f"{',' if i else ''}{_path_text(record, hex_of)}"
+                           for i, record in enumerate(paths))
             out.write("]}\n")
 
 
@@ -311,6 +317,17 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     return reports
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the audit log, whose keys must not repeat: plain
+    `json.loads` keeps a repeated key's last value, another log."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for key, n in Counter(k for k, _ in pairs).items()
+                   if n > 1)
+        raise UsageError(f"recorded audit log repeats the key {key!r}")
+    return obj
+
+
 def _cmd_audit(args) -> int:
     # read up to the line after the first `# audit-log` marker
     text = None
@@ -326,7 +343,7 @@ def _cmd_audit(args) -> int:
         raise UsageError(f"cannot read trace {args.trace}: {exc}") from exc
     if text is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
-    export = json.loads(text)
+    export = json.loads(text, object_pairs_hook=_unique_keys)
     if export is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
     reports = replay_audits(export)

@@ -455,8 +455,8 @@ def audit_route(route_logs: Sequence[Optional[PublishedLog]],
 
 
 def entry_to_list(entry: LogEntry) -> list:
-    """Plain-data form of a log entry for trace export; the event is its
-    plain int code."""
+    """A log entry's form in a trace's audit log, which `cli._ENTRY`
+    writes; the event is its plain int code."""
     return [entry.node_alias.hex(), entry.packet_id, int(entry.event),
             entry.sseq, entry.oseq, entry.dseq,
             entry.prev_hop_alias.hex(), entry.timestamp]

@@ -83,8 +83,3 @@ def advance_window(window: TrainingWindow,
     out.train()
     return out
 
-
-def verdict_csv_row(node_id: int, sample: SeqVector, verdict: Verdict,
-                    threshold: float) -> str:
-    return (f"{node_id},{sample.sseq:g},{sample.oseq:g},{sample.dseq_delta:g},"
-            f"{verdict.distance:.9g},{threshold:.9g},{verdict.label.value}")

@@ -79,8 +79,6 @@ DATA = PacketKind.DATA
 RERR = PacketKind.RERR
 # `tuple.__new__` read once, as above: it builds a `LogEntry` in C
 _tuple_new = tuple.__new__
-# the event code that a traced audit's data records carry
-_FORWARDED_CODE = int(FORWARDED)
 
 # a data packet's ledger state until `Simulation._settle` gives it a fate
 IN_FLIGHT = "in_flight"
@@ -386,7 +384,10 @@ class RunResult:
     buffered_end (still waiting for a route when the run ended) or
     in_flight_end (still on its way).  The six counters are filled once,
     at the end of `Simulation.run`, from the packet ledger, so they always
-    sum to `sent`."""
+    sum to `sent`.  A traced run keeps tuples in its trace's column order
+    (`(flow id, AuditReport)` per audit); a traced TAP3 run exports
+    `(non-empty logs by node id, paths)`, with a `(flow id, destination,
+    relays, control entry, data entries)` record per path audit."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -400,15 +401,15 @@ class RunResult:
         self.control_tx = 0
         self.data_tx = 0
         self.delays: list[float] = []
-        self.packet_rows: list[str] = []
-        self.verdict_rows: list[str] = []
-        self.audit_rows: list[str] = []
+        self.packet_rows: list[tuple] = []
+        self.verdict_rows: list[tuple] = []
+        self.audit_rows: list[tuple[int, logaudit.AuditReport]] = []
         self.privacy_checks = 0
         self.privacy_violations = 0
         self.classifier_flags: set[tuple[int, int]] = set()
         self.audit_active: set[int] = set()
         self.audit_passive: set[int] = set()
-        self.audit_export: Optional[dict] = None
+        self.audit_export: Optional[tuple[dict, list[tuple]]] = None
 
 
 class collector_paused:
@@ -488,7 +489,7 @@ class Simulation:
                               for f in self.flows]
         # data packet id -> IN_FLIGHT or its fate: the only record of them
         self.packet_state: dict[int, str] = {}
-        self._audit_records: list[dict] = []
+        self._audit_records: list[tuple] = []
 
     # -- setup --------------------------------------------------------------
 
@@ -551,12 +552,6 @@ class Simulation:
             if encoded in fields:
                 self.result.privacy_violations += 1
 
-    def _trace(self, t: float, pkt: Packet, frm: int, to: int,
-               size: int) -> None:
-        self.result.packet_rows.append(
-            f"{t:.6f},{pkt.kind.text},{frm},{to},{pkt.packet_id},"
-            f"{pkt.path_id},{size}")
-
     def transmit(self, sender: int, to: Optional[int], pkt: Packet,
                  control: bool) -> bool:
         """Queue a frame on the sender's radio.  Unicast returns False when
@@ -595,7 +590,9 @@ class Simulation:
         if control and self.check_privacy:
             self._privacy_scan(pkt)
         if self.trace:
-            self._trace(start, pkt, sender, -1 if to is None else to, size)
+            self.result.packet_rows.append((
+                start, pkt.kind.text, sender, -1 if to is None else to,
+                pkt.packet_id, pkt.path_id, size))
         events, dispatch = self._events, self.dispatch
         if to is None:
             nodes, now = self.nodes, self.now
@@ -658,8 +655,9 @@ class Simulation:
             mon.next_merge = self.now + self.train_end
         verdict = seqmon.classify(sample, window)
         if self.trace:
-            self.result.verdict_rows.append(seqmon.verdict_csv_row(
-                node.id, sample, verdict, window.threshold))
+            self.result.verdict_rows.append((
+                node.id, *sample, verdict.distance, window.threshold,
+                verdict.label.value))
         # the batch holds only samples this window judged normal, and the
         # window changes only here, when the batch is merged and emptied
         if verdict.label is seqmon.Label.NORMAL:
@@ -1077,10 +1075,9 @@ class Simulation:
         hops_up = n * (n + 1) // 2 + (n + 1)
         self.result.control_tx += hops_down + hops_up
         if self.trace:
-            req = f"{self.now:.6f},AUDIT_REQ,{flow.src},-1,0,0,64"
-            self.result.packet_rows.extend([req] * hops_down)
-            resp = f"{self.now:.6f},COMMIT,-1,{flow.src},0,0,96"
-            self.result.packet_rows.extend([resp] * hops_up)
+            self.result.packet_rows += (
+                [(self.now, "AUDIT_REQ", flow.src, -1, 0, 0, 64)] * hops_down
+                + [(self.now, "COMMIT", -1, flow.src, 0, 0, 96)] * hops_up)
 
     def run_audits(self, flow: Flow) -> None:
         """Audit every path with data records older than the settle time.
@@ -1105,19 +1102,20 @@ class Simulation:
                 continue
             self._charge_audit_traffic(flow, relays)
             control = flow.tau_c_control[key[0]]
-            if self.trace:
-                # the `entry_to_list` form of the source's Forwarded entry
-                # for each record: a DATA frame carries zero counters, and
-                # the source is its own previous hop
-                alias = self.nodes[flow.src].log_alias.hex()
-                self._audit_records.append({
-                    "flow": flow.flow_id, "dst": flow.dst, "relays": relays,
-                    "control": [logaudit.entry_to_list(control)],
-                    "data": [[alias, pid, _FORWARDED_CODE, 0, 0, 0, alias, t]
-                             for pid, t in tau_data]})
             report = logaudit.audit_route(
                 [published(r) for r in relays], published(flow.dst),
                 [control.packet_id], sorted(pid for pid, _ in tau_data))
+            if self.trace:
+                self.result.audit_rows.append((flow.flow_id, report))
+                # the source's Forwarded entry for each record: a DATA
+                # frame carries zero counters, and the source is its own
+                # previous hop
+                alias = self.nodes[flow.src].log_alias
+                self._audit_records.append((
+                    flow.flow_id, flow.dst, relays, control,
+                    [_tuple_new(LogEntry, (alias, pid, FORWARDED, 0, 0, 0,
+                                           alias, t))
+                     for pid, t in tau_data]))
             if report.verdict != logaudit.FELLOW:
                 nid = (flow.dst if report.target_lied
                        else relays[report.active_attacker - 1])
@@ -1128,8 +1126,6 @@ class Simulation:
                 suspects = flow.suspects.difference(relays) | accused
                 self.result.audit_passive.update(accused)
             flow.update_routes(suspects=suspects)
-            if self.trace:
-                self.result.audit_rows.append(report.csv_row(flow.flow_id))
         if any(r in flow.suspects for p in flow.paths for r in p.relays):
             self._rediscover(flow)
 
@@ -1179,18 +1175,9 @@ class Simulation:
                 setattr(self.result, fate, fates[fate])
             self.result.in_flight_end = fates[IN_FLIGHT]
             if self.trace and self.trust_layer:
-                # each entry's `entry_to_list` form, with every alias's
-                # hex computed once per run
-                hexes = {n.log_alias: n.log_alias.hex() for n in self.nodes}
-                self.result.audit_export = {
-                    "nodes": {str(n.id): [
-                        [hexes[alias], pid, int(event), sseq, oseq, dseq,
-                         hexes[prev], t]
-                        for alias, pid, event, sseq, oseq, dseq, prev, t
-                        in n.log.entries]
-                        for n in self.nodes if n.log.entries},
-                    "paths": self._audit_records,
-                }
+                self.result.audit_export = (
+                    {n.id: n.log.entries for n in self.nodes if n.log.entries},
+                    self._audit_records)
             return self.result
 
 

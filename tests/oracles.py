@@ -273,7 +273,9 @@ class NaiveSimulation(Simulation):
         if control and self.check_privacy:
             self._privacy_scan(pkt)
         if self.trace:
-            self._trace(start, pkt, sender, -1 if to is None else to, size)
+            self.result.packet_rows.append((
+                start, pkt.kind.text, sender, -1 if to is None else to,
+                pkt.packet_id, pkt.path_id, size))
         for n, d in heard:
             self.schedule(start + ttx + d / SPEED_OF_LIGHT,
                           functools.partial(self.dispatch, n, pkt, sender))

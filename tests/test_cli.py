@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -232,6 +233,16 @@ def _padded_node_key(export):
     return export, f"recorded log of node 0{nid}"
 
 
+def _repeated_node_key(export):
+    """The last node's key again, with an empty log: a reader that keeps
+    a repeated key's last value replays another log than the recorded
+    one.  Returned as text, since a dict cannot hold the key twice."""
+    nid = list(export["nodes"])[-1]
+    text = json.dumps(export).replace('}, "paths": ',
+                                      f', "{nid}": []}}, "paths": ', 1)
+    return text, f"repeats the key '{nid}'"
+
+
 @pytest.fixture(scope="module")
 def desk_trace_lines(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("desk40")
@@ -253,7 +264,8 @@ def desk_trace_lines(tmp_path_factory):
                                      _bool_relay, _float_destination,
                                      _relays_as_string, _padded_node_key,
                                      _short_alias, _long_alias,
-                                     _non_hex_alias, _integer_alias],
+                                     _non_hex_alias, _integer_alias,
+                                     _repeated_node_key],
                          ids=["repeated-claim", "timestamp-back",
                               "null-relays", "path-without-flow",
                               "nodes-list", "export-list",
@@ -264,7 +276,8 @@ def desk_trace_lines(tmp_path_factory):
                               "bool-relay", "float-destination",
                               "relays-as-string", "padded-node-key",
                               "31-byte-alias", "33-byte-alias",
-                              "non-hex-alias", "integer-alias"])
+                              "non-hex-alias", "integer-alias",
+                              "repeated-node-key"])
 def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
                                        malform):
     """A trace whose recorded logs or paths cannot be rebuilt, or whose
@@ -275,7 +288,7 @@ def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
     export = json.loads(lines[at])
     assert export["paths"]
     export, where = malform(export)
-    lines[at] = json.dumps(export)
+    lines[at] = export if isinstance(export, str) else json.dumps(export)
     trace = tmp_path / "bad.trace"
     trace.write_text("\n".join(lines) + "\n")
     assert main(["audit", "--trace", str(trace)]) == 1
@@ -587,17 +600,32 @@ def fresh_alias_reports(export):
             for record in export["paths"]]
 
 
+def written_export(result) -> dict:
+    """The audit log of the run's trace, as `tap3sim audit` reads it back
+    from the written file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp, "run.trace")
+        write_trace_file(str(trace), result)
+        lines = trace.read_text().splitlines()
+    return json.loads(lines[lines.index("# audit-log") + 1])
+
+
+def live_rows(result) -> list[str]:
+    return [report.csv_row(flow) for flow, report in result.audit_rows]
+
+
+def replayed_rows(result) -> list[str]:
+    """The rows that the replay of the run's written trace prints."""
+    export = written_export(result)
+    return [report.csv_row(record["flow"]) for record, report
+            in zip(export["paths"], replay_audits(export), strict=True)]
+
+
 def test_replay_with_shared_aliases_matches_fresh_aliases():
-    export = run_scenario(desk_profile(seed=3), trace=True).audit_export
+    export = written_export(run_scenario(desk_profile(seed=3), trace=True))
     reports = replay_audits(export)
     assert reports
     assert reports == fresh_alias_reports(export)
-
-
-def replayed_rows(result):
-    paths = result.audit_export["paths"]
-    return [report.csv_row(record["flow"]) for record, report
-            in zip(paths, replay_audits(result.audit_export), strict=True)]
 
 
 def test_replayed_audits_match_honest_runs():
@@ -606,18 +634,18 @@ def test_replayed_audits_match_honest_runs():
                   max_speed=0.0)
     result = run_scenario(cfg, trace=True)
     assert result.audit_export is not None
-    reports = replay_audits(result.audit_export)
+    reports = replay_audits(written_export(result))
     assert reports
     assert all(r.verdict == FELLOW for r in reports)
     assert not any(r.passive_attackers for r in reports)
-    assert replayed_rows(result) == result.audit_rows
+    assert replayed_rows(result) == live_rows(result)
     # mobile desk runs with all three attackers: relays that lose a link
     # log Dropped, and the replay reproduces every live audit row
     for seed in range(1, 6):
         result = run_scenario(desk_profile(seed=seed), trace=True)
         assert result.audit_rows
         assert "\n".join(replayed_rows(result)) == \
-            "\n".join(result.audit_rows), seed
+            "\n".join(live_rows(result)), seed
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -630,8 +658,9 @@ def test_replayed_audits_match_runs_with_a_log_forger(seed):
                   rng_seed=seed)
     result = run_scenario(cfg, trace=True)
     assert result.audit_rows
-    assert replayed_rows(result) == result.audit_rows
-    assert any(e[1] >= 1_000_000 for e in result.audit_export["nodes"]["3"])
+    assert replayed_rows(result) == live_rows(result)
+    logs, _ = result.audit_export
+    assert any(e.packet_id >= 1_000_000 for e in logs[3])
 
 
 def _audit_rows(lines):
@@ -690,31 +719,46 @@ class SendRecordingSimulation(Simulation):
 def test_exported_data_records_are_the_sources_forwarded_entries():
     cfg = replace(desk_profile(seed=2), sim_duration=60.0)
     traced = SendRecordingSimulation(cfg, trace=True)
-    export = traced.run().audit_export
-    rows = [row for record in export["paths"] for row in record["data"]]
-    assert rows
-    assert rows == [entry_to_list(traced.sent_entries[row[1]])
-                    for row in rows]
+    _, paths = traced.run().audit_export
+    entries = [e for *_, data in paths for e in data]
+    assert entries
+    assert entries == [traced.sent_entries[e.packet_id] for e in entries]
 
 
 # ---------------------------------------------------------------------------
-# the trace writer streams what the one-string writer wrote
+# the trace writer streams what a one-string encoder writes
+
+def json_export(audit_export) -> dict:
+    """The run's exported logs and path records in their JSON form:
+    every entry as `entry_to_list` gives it, node ids as strings."""
+    logs, paths = audit_export
+    return {"nodes": {str(nid): list(map(entry_to_list, entries))
+                      for nid, entries in logs.items()},
+            "paths": [{"flow": flow, "dst": dst, "relays": relays,
+                       "control": [entry_to_list(control)],
+                       "data": list(map(entry_to_list, data))}
+                      for flow, dst, relays, control, data in paths]}
+
 
 def one_string_trace(result) -> str:
-    """The trace as the writer once built it: every line and the whole
-    audit log joined into one string."""
+    """The reference trace, built apart from the writer: the row formats
+    as the simulator once wrote them, and `json.dumps` of the audit log's
+    `entry_to_list` form, all joined into one string."""
     lines = [TRACE_HEADER, "# packets",
              "time,kind,from,to,packet_id,path_id,bytes"]
-    lines += result.packet_rows
+    lines += [f"{t:.6f},{kind},{frm},{to},{pid},{path_id},{size}"
+              for t, kind, frm, to, pid, path_id, size in result.packet_rows]
     lines += ["# verdicts",
               "node_id,sseq,oseq,dseq_delta,distance,threshold,label"]
-    lines += result.verdict_rows
+    lines += [f"{nid},{sseq:g},{oseq:g},{delta:g},{dist:.9g},{limit:.9g},"
+              f"{label}" for nid, sseq, oseq, delta, dist, limit, label
+              in result.verdict_rows]
     lines += ["# audits", AUDIT_COLUMNS]
-    lines += result.audit_rows
+    lines += live_rows(result)
     if result.audit_export is not None:
         lines += ["# audit-log",
-                  json.dumps(result.audit_export, sort_keys=True,
-                             separators=(",", ":"))]
+                  json.dumps(json_export(result.audit_export),
+                             sort_keys=True, separators=(",", ":"))]
     return "\n".join(lines) + "\n"
 
 
@@ -742,40 +786,46 @@ def traced_result():
 def test_streamed_trace_equals_one_string_trace(tmp_path, traced_result,
                                                 name):
     result = traced_result(name)
+    assert result.packet_rows
     assert (result.audit_export is None) == (name == "desk-mprf")
+    if result.audit_export is not None:
+        assert result.verdict_rows and result.audit_rows
+        # "10" sorts before "2": the key order is not the id order
+        assert {2, 10} <= set(result.audit_export[0])
     trace = tmp_path / "run.trace"
     write_trace_file(str(trace), result)
     assert trace.read_bytes() == one_string_trace(result).encode()
 
 
-# what the writer's templates take: an exported entry's aliases are the
-# hex of 32 bytes and its timestamp finite; ids, counters and times range
-# past anything a run records
-_HEX = st.binary(min_size=32, max_size=32).map(bytes.hex)
+# what the writer's templates take: an entry's aliases are 32 bytes and
+# its timestamp finite; ids, counters and times range past anything a
+# run records
+_ALIASES = st.binary(min_size=32, max_size=32)
 _IDS = st.integers(0, 2**64 - 1)
-_ENTRIES = st.tuples(
-    _HEX, _IDS, st.sampled_from(EventKind), st.integers(-2**80, 2**80),
-    st.integers(-2**80, 2**80), st.integers(-2**80, 2**80), _HEX,
-    st.floats(allow_nan=False, allow_infinity=False)).map(list)
-_PATHS = st.fixed_dictionaries({
-    "flow": _IDS, "dst": _IDS, "relays": st.lists(_IDS, max_size=4),
-    "control": st.lists(_ENTRIES, min_size=1, max_size=2),
-    "data": st.lists(_ENTRIES, max_size=3)})
+_ENTRIES = st.builds(
+    LogEntry, _ALIASES, _IDS, st.sampled_from(EventKind),
+    st.integers(-2**80, 2**80), st.integers(-2**80, 2**80),
+    st.integers(-2**80, 2**80), _ALIASES,
+    st.floats(allow_nan=False, allow_infinity=False))
+_PATHS = st.tuples(_IDS, _IDS, st.lists(_IDS, max_size=4), _ENTRIES,
+                   st.lists(_ENTRIES, max_size=3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(entries=st.lists(_ENTRIES, max_size=3), record=_PATHS)
-@example(entries=[], record={"flow": 0, "dst": 2**64 - 1, "relays": [],
-                             "control": [[("ab" * 32), 1, EventKind.RECEIVED,
-                                          -1, 2**80, 0, "cd" * 32, -0.0]],
-                             "data": []})
+@example(entries=[], record=(0, 2**64 - 1, [], LogEntry(
+    b"\xab" * 32, 1, EventKind.RECEIVED, -1, 2**80, 0, b"\xcd" * 32, -0.0),
+    []))
 def test_trace_templates_write_what_the_json_encoder_writes(entries, record):
     """The writer's entry and path-record text is the audit log's
-    encoding, `json.dumps(x, sort_keys=True, separators=(",", ":"))`."""
+    encoding, `json.dumps(x, sort_keys=True, separators=(",", ":"))` of
+    the `entry_to_list` form."""
     encode = functools.partial(json.dumps, sort_keys=True,
                                separators=(",", ":"))
-    assert f"[{_entries_text(entries)}]" == encode(entries)
-    assert _path_text(record) == encode(record)
+    assert f"[{_entries_text(entries, bytes.hex)}]" == \
+        encode(list(map(entry_to_list, entries)))
+    assert _path_text(record, bytes.hex) == \
+        encode(json_export(({}, [record]))["paths"][0])
 
 
 def transient_peak(write, path, result) -> int:

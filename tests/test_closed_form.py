@@ -9,6 +9,7 @@ drops every data packet at the first relay, or with a log forger there.
 Every expected number below is derived from the schedule constants and
 the frame format."""
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from tap3sim.crypto import DIGEST_LEN
+from tap3sim.logaudit import FORWARDED, NOT_FELLOW, RECEIVED, AuditReport
 from tap3sim.metrics import report_from_result
 from tap3sim.routing import Packet, PacketKind, ProtocolKind, packet_size
 from tap3sim.sim import (
@@ -31,8 +33,12 @@ from tap3sim.sim import (
     AttackerSpec,
     AttackKind,
     ScenarioConfig,
+    Simulation,
+    SimNode,
     run_scenario,
 )
+
+from test_cli import live_rows, replayed_rows
 
 SPACING = 200.0
 DURATION = 120.0
@@ -121,7 +127,7 @@ def test_static_chain_matches_closed_form(protocol, k):
                for d in res.delays[1:])
     assert res.delays[0] > expected_delay
 
-    kinds = [row.split(",")[1] for row in res.packet_rows]
+    kinds = [row[1] for row in res.packet_rows]
     rounds = len(round_starts(cfg))
     assert rounds == (4 if protocol is ProtocolKind.TAP3 else 12)
     for kind in ("RREQ", "RREP", "RREP_ACK"):
@@ -242,3 +248,49 @@ def test_static_chain_with_log_forger_matches_closed_form(protocol, k):
     assert res.dropped_noroute == waiting - SEND_BUFFER_CAP == 317
     assert res.audit_passive == {1}
     assert not res.audit_active
+
+
+class ControlForgingChain(Simulation):
+    """Each relay logs the route request it takes as Received and
+    Forwarded, the records the reverse scan asks every relay to prove
+    for the source's control packets.  The chain's last relay logs them
+    under forged ids, and so does the destination with its own records,
+    so the destination check fails and the scan stops at the last
+    relay."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        dst = self.nodes[self.flows[0].dst]
+        dst.log_event = functools.partial(SimNode.log_event, dst,
+                                          forge=True)
+
+    def on_rreq(self, node, pkt, frm):
+        key = (pkt.flow_id, pkt.round)
+        held = key in node.rev_routes
+        super().on_rreq(node, pkt, frm)
+        dst = self.flows[pkt.flow_id].dst
+        if node.id != dst and not held and key in node.rev_routes:
+            for event in (RECEIVED, FORWARDED):
+                node.log_event(pkt.packet_id, event, pkt, self.now,
+                               self.nodes[frm].log_alias,
+                               forge=node.id == dst - 1)
+
+
+@pytest.mark.parametrize("k", [3, 4, 8])
+def test_live_active_verdict_names_the_last_relay(k):
+    """The first audit tick finds the destination unable to prove its
+    records of the route request, and the reverse scan stops at the last
+    relay, whose records are forged: position k - 2 on the chain's
+    relays 1 … k - 2, which is node k - 2.  Every later path runs
+    through the suspect, so no later data is sent and nothing else is
+    audited.  The replay of the trace gives the same row."""
+    cfg = replace(chain_config(ProtocolKind.TAP3, k), sim_duration=40.0)
+    sim = ControlForgingChain(cfg, trace=True,
+                              positions=[(SPACING * i, 0.0)
+                                         for i in range(k)])
+    res = sim.run()
+    assert res.audit_rows == [(0, AuditReport(NOT_FELLOW,
+                                              active_attacker=k - 2))]
+    assert res.audit_active == {k - 2}
+    assert not res.audit_passive
+    assert replayed_rows(res) == live_rows(res)

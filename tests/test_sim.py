@@ -11,7 +11,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tap3sim.cli import replay_audits
 from tap3sim.crypto import encode_node_id
 from tap3sim.logaudit import DuplicateEntryError, EventKind
 from tap3sim.metrics import report_from_result
@@ -45,6 +44,7 @@ from oracles import (
     leg_position,
     loop_header_bytes,
 )
+from test_cli import live_rows, replayed_rows
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +338,7 @@ def test_two_node_flow_delivers_everything(protocol):
     assert res.delivered == res.sent
     # steady-state delay is one store-and-forward hop: serialization at the
     # link rate plus propagation over 100 m
-    data_sizes = {int(r.split(",")[-1]) for r in res.packet_rows
-                  if r.split(",")[1] == "DATA"}
+    data_sizes = {r[6] for r in res.packet_rows if r[1] == "DATA"}
     assert len(data_sizes) == 1
     expected = data_sizes.pop() * 8.0 / LINK_RATE_BPS + 100.0 / SPEED_OF_LIGHT
     mode, count = collections.Counter(
@@ -376,7 +375,7 @@ def test_runs_are_deterministic():
 def test_trace_rows_tie_out_with_counters():
     cfg = replace(desk_profile(seed=4), sim_duration=80.0)
     res = run_scenario(cfg, trace=True)
-    kinds = [r.split(",")[1] for r in res.packet_rows]
+    kinds = [r[1] for r in res.packet_rows]
     assert kinds.count("DATA") == res.data_tx
     assert len(kinds) - kinds.count("DATA") == res.control_tx
 
@@ -575,10 +574,7 @@ def test_random_small_scenarios_keep_run_invariants(cfg):
         assert res.privacy_violations == 0
         assert res.privacy_checks > 0 or cfg.flows == 0
     if cfg.protocol is ProtocolKind.TAP3:
-        paths = res.audit_export["paths"]
-        assert [report.csv_row(record["flow"]) for record, report
-                in zip(paths, replay_audits(res.audit_export))] \
-            == res.audit_rows
+        assert replayed_rows(res) == live_rows(res)
     twin = NaiveSimulation(cfg, trace=True, check_privacy=True)
     assert observed(twin, twin.run()) == observed(sim, res)
 
@@ -603,8 +599,8 @@ def test_sparse_runs_equal_the_naive_twin(protocol, seed):
                for _, candidates in flow.rounds.values()
                for _, _, relays in candidates) >= 4
     if protocol.trust_layer:
-        assert max(len(record["relays"])
-                   for record in res.audit_export["paths"]) >= 3
+        assert max(len(relays)
+                   for _, _, relays, _, _ in res.audit_export[1]) >= 3
 
 
 def test_timed_out_round_does_not_hold_back_rediscovery():
@@ -988,8 +984,8 @@ def test_every_hop_carries_its_frames_own_size(monkeypatch, protocol):
     res = run_scenario(cfg, trace=True,
                        positions=[(200.0 * i, 0.0) for i in range(CHAIN)])
     kinds = {k.text for k in PacketKind}
-    rows = [(kind, int(pid), int(size)) for _, kind, _, _, pid, _, size
-            in (row.split(",") for row in res.packet_rows) if kind in kinds]
+    rows = [(kind, pid, size) for _, kind, _, _, pid, _, size
+            in res.packet_rows if kind in kinds]
     assert rows == sent
     # every kind is there, and each crosses more than one hop
     hops = collections.Counter((kind, pid) for kind, pid, _ in rows)
