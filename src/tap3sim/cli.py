@@ -279,11 +279,8 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     node or path."""
     if not isinstance(export, dict):
         raise UsageError("recorded audit log is not a JSON object")
-    nodes, paths = export.get("nodes", {}), export.get("paths", [])
-    if not isinstance(nodes, dict):
-        raise UsageError("recorded audit log: 'nodes' is not a JSON object")
-    if not isinstance(paths, list):
-        raise UsageError("recorded audit log: 'paths' is not a JSON list")
+    nodes = _part(export, "nodes", dict, "object")
+    paths = _part(export, "paths", list, "list")
     published = {}
     aliases: dict = {}      # alias hex -> its one digest in this replay
     for nid, entries in nodes.items():
@@ -317,6 +314,16 @@ def replay_audits(export: dict) -> list[logaudit.AuditReport]:
     return reports
 
 
+def _part(export: dict, key: str, kind: type, name: str):
+    """The export's `key`, which must be there and be a JSON `name`."""
+    if key not in export:
+        raise UsageError(f"recorded audit log has no {key!r}")
+    value = export[key]
+    if not isinstance(value, kind):
+        raise UsageError(f"recorded audit log: {key!r} is not a JSON {name}")
+    return value
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object of the audit log, whose keys must not repeat: plain
     `json.loads` keeps a repeated key's last value, another log."""
@@ -329,26 +336,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _cmd_audit(args) -> int:
-    # read up to the line after the first `# audit-log` marker
+    # read up to the line after the first `# audit-log` marker, and keep
+    # that one line only until it is decoded
     text = None
     try:
         with open(args.trace) as trace:
             for line in trace:
                 if line.removesuffix("\n") == "# audit-log":
-                    line = next(trace, None)
-                    if line is not None:
-                        text = line.removesuffix("\n")
+                    text = next(trace, None)
                     break
     except OSError as exc:
         raise UsageError(f"cannot read trace {args.trace}: {exc}") from exc
     if text is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
     export = json.loads(text, object_pairs_hook=_unique_keys)
+    del text
     if export is None:
         raise UsageError(f"{args.trace} contains no recorded audit logs")
     reports = replay_audits(export)
     sys.stdout.write(AUDIT_COLUMNS + "\n")
-    for record, report in zip(export.get("paths", []), reports):
+    for record, report in zip(export["paths"], reports):
         sys.stdout.write(report.csv_row(record["flow"]) + "\n")
     return 0
 

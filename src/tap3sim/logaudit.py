@@ -438,19 +438,19 @@ class AuditReport(NamedTuple):
 
 def audit_route(route_logs: Sequence[Optional[PublishedLog]],
                 dest_published: Optional[PublishedLog],
-                tau_c_control: Sequence[int],
-                tau_c_data: Sequence[int]) -> AuditReport:
+                control_pids: Sequence[int],
+                data_pids: Sequence[int]) -> AuditReport:
     """Destination check first; its verdict dispatches to the active-attack
     scan (reverse) or the passive-dropper scan (forward).  The two
     arguments are the sorted, distinct ids of the control and the data
     packets the source Forwarded on the route."""
-    verdict = check_destination(tau_c_control, dest_published)
+    verdict = check_destination(control_pids, dest_published)
     if verdict != FELLOW:
-        pos = detect_active_attacker(route_logs, tau_c_control)
+        pos = detect_active_attacker(route_logs, control_pids)
         if pos > len(route_logs):
             return AuditReport(NOT_FELLOW, target_lied=True)
         return AuditReport(NOT_FELLOW, active_attacker=pos)
-    passive = detect_passive_attackers(route_logs, tau_c_data)
+    passive = detect_passive_attackers(route_logs, data_pids)
     return AuditReport(FELLOW, passive_attackers=passive)
 
 

@@ -57,8 +57,8 @@ class Packet:
     set at its first tag or its first send, so no hop encodes it again;
     a route-request relay's copy derives its own from its parent's
     (`relayed_header`).  A broadcast (always a route request) is
-    delivered only to the nodes in the listener record of its (flow,
-    round) (`Simulation.rreq_listeners`): a node that already holds the
+    delivered only to the nodes in its round's listener record
+    (`sim.Round.listeners`): a node that already holds the
     request and is not the flow's destination would drop the copy
     unread, and it still holds the request when the copy would arrive,
     so leaving the copy out changes nothing."""

@@ -319,6 +319,29 @@ class SimNode:
         self.log.append(self.log_entry(real_pid, event, pkt, now, prev_alias))
 
 
+class RoundCause(Enum):
+    """Why a source starts a discovery round (`Simulation.start_round`)."""
+    START = "start"         # the flow starts
+    REFRESH = "refresh"     # the refresh timer
+    RETRY = "retry"         # `discovery_check` found the round outstanding
+    LOSS = "loss"           # no usable path is left
+
+
+class Round:
+    """A discovery round, made by `start_round`: its cause, its listener
+    record (ids of the nodes that would still act on a copy, ascending),
+    the source's Forwarded entry for its request (trust layer only), and
+    the destination's first copy of the request and candidate paths."""
+
+    def __init__(self, cause: RoundCause, listeners: dict[int, None],
+                 control: Optional[LogEntry]):
+        self.cause = cause
+        self.listeners = listeners
+        self.control = control
+        self.request: Optional[Packet] = None
+        self.candidates: list[tuple] = []
+
+
 class Flow:
     def __init__(self, flow_id: int, src: int, dst: int, key: bytes,
                  start_time: float, ps_chain: PseudonymChain,
@@ -343,9 +366,6 @@ class Flow:
         # `select_paths` over `paths` and `suspects`, or None once
         # `update_routes` has dropped it (see `Simulation._usable_paths`)
         self.usable: Optional[list[PathInfo]] = None
-        # round -> the source's Forwarded entry for its route request;
-        # filled under the trust layer only, for `Simulation.run_audits`
-        self.tau_c_control: dict[int, LogEntry] = {}
         # (round, path id) -> (relays, a (packet id, send time) record of
         # every data packet the source Forwarded on that path and has not
         # audited yet, oldest first)
@@ -355,12 +375,11 @@ class Flow:
         # every send of the flow (see `Simulation.schedule_cbr`)
         self.cbr_seq = 0
         # the destination's state for this flow: its trapdoor index (TAP3
-        # only), its reply counter, and round -> (the first copy of the
-        # round's route request, whose arrival schedules the round's
-        # reply; the candidate paths heard so far)
+        # only) and its reply counter
         self.trapdoor = trapdoor
         self.dest_dseq = 0
-        self.rounds: dict[int, tuple[Packet, list]] = {}
+        # round number -> its record
+        self.rounds: dict[int, Round] = {}
 
     def update_routes(self, paths: Optional[list[PathInfo]] = None,
                       broken: Sequence[PathInfo] = (),
@@ -455,8 +474,6 @@ class Simulation:
         self._events: list = []
         self._event_seq = 0
         self._next_pid = 0
-        # a route request's (flow, round) -> its listener record
-        self.rreq_listeners: dict[tuple, dict[int, None]] = {}
         self.result = RunResult(config)
         # the training epoch; attacks activate when it ends (`_attack`)
         self.train_end = TRAIN_FRACTION * config.sim_duration
@@ -557,9 +574,9 @@ class Simulation:
         """Queue a frame on the sender's radio.  Unicast returns False when
         the next hop is out of range (link-layer sensing).  A broadcast is
         always a route request; it reaches the in-range nodes of its
-        (flow, round) listener record (`rreq_listeners`), visited in id
-        order, and no other node's position is looked up.  A node outside
-        the record would only drop the copy on arrival, so leaving it
+        round's listener record (`Round.listeners`), visited in id order,
+        and no other node's position is looked up.  A node outside the
+        record would only drop the copy on arrival, so leaving it
         unscheduled changes no state, and every other event keeps its time
         and its order.  Every receiver gets `pkt` itself: frames are read-only
         once transmitted (see `Packet`), so a frame is sized at its first
@@ -598,7 +615,8 @@ class Simulation:
             nodes, now = self.nodes, self.now
             here = node.mobility.position(now)
             radio_range = self.config.radio_range
-            for other in self.rreq_listeners[pkt.flow_id, pkt.round]:
+            listeners = self.flows[pkt.flow_id].rounds[pkt.round].listeners
+            for other in listeners:
                 if other == sender:
                     continue
                 dist = math.dist(here, nodes[other].mobility.position(now))
@@ -675,21 +693,23 @@ class Simulation:
     # -- route discovery ----------------------------------------------------
 
     def start_flow(self, flow: Flow) -> None:
-        self.start_discovery(flow)
+        self.start_round(flow, RoundCause.START)
         self.schedule_cbr(flow, flow.start_time)
         self.schedule(flow.start_time + self.refresh_period,
-                      lambda: self.refresh_route(flow))
+                      lambda: self.start_round(flow, RoundCause.REFRESH))
         if self.trust_layer:
             self.schedule(flow.start_time + AUDIT_PERIOD,
                           lambda: self.audit_tick(flow))
 
-    def refresh_route(self, flow: Flow) -> None:
-        if self.now + DRAIN_WINDOW < self.config.sim_duration:
-            self.start_discovery(flow)
-            self.schedule(self.now + self.refresh_period,
-                          lambda: self.refresh_route(flow))
-
-    def start_discovery(self, flow: Flow) -> None:
+    def start_round(self, flow: Flow, cause: RoundCause) -> None:
+        """The one start of a discovery round.  A LOSS round waits while
+        one is outstanding; a REFRESH round needs DRAIN_WINDOW left and
+        re-arms the refresh timer after the round's own pushes."""
+        if cause is RoundCause.LOSS and flow.discovering:
+            return
+        refresh = cause is RoundCause.REFRESH
+        if refresh and self.now + DRAIN_WINDOW >= self.config.sim_duration:
+            return
         flow.round += 1
         rnd = flow.round
         src_node = self.nodes[flow.src]
@@ -706,21 +726,21 @@ class Simulation:
         else:
             pkt.src_addr = flow.src
             pkt.dst_addr = flow.dst
-        if self.trust_layer:
-            flow.tau_c_control[rnd] = src_node.log_entry(pid, FORWARDED, pkt,
-                                                         self.now)
-        # The request's listener record, under its (flow, round), which
-        # `flow.round` rising on every call keeps unique: the ids of the
-        # nodes that would still act on a copy, in ascending order.  Every
-        # node but the source starts in it.  A node leaves when it takes the
-        # request in `on_rreq`, except the flow's destination: a trapdoor
-        # miss makes it take the request as a relay, but it stays and
-        # checks later copies.
-        self.rreq_listeners[flow.flow_id, rnd] = dict.fromkeys(
-            nid for nid in range(len(self.nodes)) if nid != flow.src)
+        control = (src_node.log_entry(pid, FORWARDED, pkt, self.now)
+                   if self.trust_layer else None)
+        # Every node but the source starts in the listener record.  A node
+        # leaves when it takes the request in `on_rreq`, except the flow's
+        # destination: a trapdoor miss makes it take the request as a
+        # relay, but it stays and checks later copies.
+        flow.rounds[rnd] = Round(cause, dict.fromkeys(
+            nid for nid in range(len(self.nodes)) if nid != flow.src),
+            control)
         flow.discovering = True
         self.transmit(flow.src, None, pkt, control=True)
         self.schedule(self.now + RREP_WAIT, lambda: self.discovery_check(flow, rnd))
+        if refresh:
+            self.schedule(self.now + self.refresh_period,
+                          lambda: self.start_round(flow, RoundCause.REFRESH))
 
     def discovery_check(self, flow: Flow, rnd: int) -> None:
         # `_source_accept` clears the flag before it keeps a path of the round
@@ -732,17 +752,11 @@ class Simulation:
             flow.backoff = min(flow.backoff * 2.0, BACKOFF_CAP)
             if self.now + delay < self.config.sim_duration:
                 self.schedule(self.now + delay,
-                              lambda: self.start_discovery(flow))
+                              lambda: self.start_round(flow, RoundCause.RETRY))
         else:
             # older paths still carry the traffic: the round is over, so a
             # later path break or buffered packet may start the next one
             flow.discovering = False
-
-    def _rediscover(self, flow: Flow) -> None:
-        """Start a round unless one is outstanding: the one rediscovery
-        rule of `_send_or_buffer`, `on_rerr` and `run_audits`."""
-        if not flow.discovering:
-            self.start_discovery(flow)
 
     def _is_destination(self, node: SimNode, flow: Flow, pkt: Packet) -> bool:
         """The node id, and under the trust layer the trapdoor.  The id is
@@ -753,32 +767,32 @@ class Simulation:
             or trapdoor_check(flow.trapdoor, pkt.forward_alias) is not None)
 
     def on_rreq(self, node: SimNode, pkt: Packet, frm: int) -> None:
-        """A copy's (flow, round) names its request in both the listener
-        record and the reverse routes.  A node outside the record already
-        holds the request and drops the copy (RFC 3561 section 6.5).  The
-        record only shrinks, so a copy that is inert when it is sent is
-        still inert when it arrives.  Dropping it also skips raising
+        """A copy's (flow, round) names its request in both the round's
+        listener record and the reverse routes.  A node outside the record
+        already holds the request and drops the copy (RFC 3561 section
+        6.5).  The record only shrinks, so a copy that is inert when it is
+        sent is still inert when it arrives.  Dropping it also skips raising
         `max_dseq_seen` to its `dseq`, which is sound because every copy of
         one request carries the same `dseq` and a node raised the field to
         it when it took the request.  A destination that took the request
         as a relay stays in the record, since a late copy of an older round
         can slide its trapdoor window over this round's alias; its reverse
         route marks it taken."""
-        key = (pkt.flow_id, pkt.round)
-        listeners = self.rreq_listeners[key]
+        flow = self.flows[pkt.flow_id]
+        record = flow.rounds[pkt.round]
+        listeners = record.listeners
         if node.id not in listeners:
             return
         node.max_dseq_seen = max(node.max_dseq_seen, pkt.dseq)
-        flow = self.flows[pkt.flow_id]
         if self._is_destination(node, flow, pkt):
-            rounds = flow.rounds
-            if pkt.round not in rounds:
-                rounds[pkt.round] = (pkt, [])
+            if record.request is None:
+                record.request = pkt
                 self.schedule(self.now + RREP_COLLECT_WINDOW,
                               lambda: self.dest_reply(node, flow, pkt.round))
-            rounds[pkt.round][1].append(
+            record.candidates.append(
                 (len(pkt.route_record), self.now, list(pkt.route_record)))
             return
+        key = (pkt.flow_id, pkt.round)
         if key in node.rev_routes:
             return
         if node.id != flow.dst:
@@ -825,10 +839,11 @@ class Simulation:
 
     def dest_reply(self, node: SimNode, flow: Flow, rnd: int) -> None:
         """Answer round `rnd` at the flow's destination.  `on_rreq`
-        schedules it on the round's first candidate path; the round's record
-        stays, so no later copy schedules it again."""
-        rreq, cands = flow.rounds[rnd]
-        chosen = pick_disjoint_paths(cands, MAX_PATHS, HOP_SLACK)
+        schedules it on the round's first candidate path; the round keeps
+        that copy, so no later copy schedules it again."""
+        record = flow.rounds[rnd]
+        rreq = record.request
+        chosen = pick_disjoint_paths(record.candidates, MAX_PATHS, HOP_SLACK)
         replied_pid = rreq.packet_id
         node.log_event(replied_pid, RECEIVED, rreq, self.now)
         node.log_event(replied_pid, REPLIED, rreq, self.now)
@@ -977,7 +992,7 @@ class Simulation:
             old_pid, _ = flow.pending.popleft()
             self._settle(old_pid, "dropped_noroute")
         flow.pending.append((pid, origin))
-        self._rediscover(flow)
+        self.start_round(flow, RoundCause.LOSS)
 
     def _send_data(self, flow: Flow, pid: int, origin: float,
                    path: PathInfo) -> bool:
@@ -1053,7 +1068,7 @@ class Simulation:
                 p for p in flow.paths
                 if p.round == pkt.round and p.path_id == pkt.path_id])
             if not self._usable_paths(flow):
-                self._rediscover(flow)
+                self.start_round(flow, RoundCause.LOSS)
             return
         prev = node.rev_routes[pkt.flow_id, pkt.round].prev_hop
         self.transmit(node.id, prev, pkt, control=True)
@@ -1101,7 +1116,7 @@ class Simulation:
             if not tau_data:
                 continue
             self._charge_audit_traffic(flow, relays)
-            control = flow.tau_c_control[key[0]]
+            control = flow.rounds[key[0]].control
             report = logaudit.audit_route(
                 [published(r) for r in relays], published(flow.dst),
                 [control.packet_id], sorted(pid for pid, _ in tau_data))
@@ -1127,7 +1142,7 @@ class Simulation:
                 self.result.audit_passive.update(accused)
             flow.update_routes(suspects=suspects)
         if any(r in flow.suspects for p in flow.paths for r in p.relays):
-            self._rediscover(flow)
+            self.start_round(flow, RoundCause.LOSS)
 
     # -- main loop ----------------------------------------------------------
 

@@ -132,6 +132,18 @@ def _export_as_list(export):
     return [], "recorded audit log is not a JSON object"
 
 
+def _export_without_nodes(export):
+    # read as no logs, every path would replay as NOT_FELLOW,target
+    del export["nodes"]
+    return export, "has no 'nodes'"
+
+
+def _export_without_paths(export):
+    # read as no paths, the replay would print only its header
+    del export["paths"]
+    return export, "has no 'paths'"
+
+
 def _first_entry(export, field, value):
     """Set one field of the first entry of the first recorded log."""
     entries = next(iter(export["nodes"].values()))
@@ -265,7 +277,9 @@ def desk_trace_lines(tmp_path_factory):
                                      _relays_as_string, _padded_node_key,
                                      _short_alias, _long_alias,
                                      _non_hex_alias, _integer_alias,
-                                     _repeated_node_key],
+                                     _repeated_node_key,
+                                     _export_without_nodes,
+                                     _export_without_paths],
                          ids=["repeated-claim", "timestamp-back",
                               "null-relays", "path-without-flow",
                               "nodes-list", "export-list",
@@ -277,7 +291,8 @@ def desk_trace_lines(tmp_path_factory):
                               "relays-as-string", "padded-node-key",
                               "31-byte-alias", "33-byte-alias",
                               "non-hex-alias", "integer-alias",
-                              "repeated-node-key"])
+                              "repeated-node-key", "export-without-nodes",
+                              "export-without-paths"])
 def test_audit_rejects_malformed_trace(tmp_path, capsys, desk_trace_lines,
                                        malform):
     """A trace whose recorded logs or paths cannot be rebuilt, or whose

@@ -66,8 +66,8 @@ def send_times(cfg: ScenarioConfig) -> list[float]:
 def round_starts(cfg: ScenarioConfig) -> list[float]:
     """Flow start opens round 1; a refresh runs every period after it and
     opens a round while it is more than DRAIN_WINDOW before the end
-    (`refresh_route`).  TAP3 refreshes on its pseudonym rotation, the
-    baselines on AODV's route timeout."""
+    (`Simulation.start_round`).  TAP3 refreshes on its pseudonym
+    rotation, the baselines on AODV's route timeout."""
     period = (ROUTE_REFRESH if cfg.protocol is ProtocolKind.TAP3
               else BASELINE_ROUTE_TIMEOUT)
     refreshes = itertools.takewhile(

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from tap3sim.routing import ProtocolKind
-from tap3sim.sim import ScenarioConfig, Simulation
+from tap3sim.sim import RoundCause, ScenarioConfig, Simulation
 
 from test_closed_form import SPACING, round_starts
 
@@ -55,9 +55,10 @@ def test_lattice_has_155_connected_topologies():
                              str(CELLS.index(c)) for c in cells))
 def test_static_topology_without_attacker_runs_clean(protocol, cells):
     """Every packet is delivered, no one is flagged or accused, the flow
-    starts exactly the rounds of its refresh schedule, and every path
-    the source keeps is a simple path from the source to the destination
-    over the lattice's links."""
+    starts exactly the rounds of its refresh schedule (its START round and
+    one REFRESH round per later start), and every path the source keeps
+    is a simple path from the source to the destination over the
+    lattice's links."""
     cfg = ScenarioConfig(node_count=len(cells), area_x=2 * SPACING,
                          area_y=2 * SPACING, max_speed=0.0,
                          sim_duration=40.0, flows=1, radio_range=RANGE,
@@ -68,7 +69,10 @@ def test_static_topology_without_attacker_runs_clean(protocol, cells):
     assert not res.classifier_flags
     assert not (res.audit_active or res.audit_passive)
     (flow,) = sim.flows
-    assert flow.round == len(round_starts(cfg))
+    starts = len(round_starts(cfg))
+    assert flow.round == starts
+    assert [r.cause for r in flow.rounds.values()] == (
+        [RoundCause.START] + [RoundCause.REFRESH] * (starts - 1))
     assert flow.paths
     for path in flow.paths:
         hops = [flow.src, *path.relays, flow.dst]

@@ -23,6 +23,8 @@ from tap3sim.sim import (
     Flow,
     Monitor,
     RevEntry,
+    Round,
+    RoundCause,
     RunResult,
     desk_profile,
 )
@@ -110,6 +112,7 @@ def _flow() -> Flow:
 DEFAULT_BUILT = {
     "Flow": _flow,
     "Monitor": Monitor,
+    "Round": lambda: Round(RoundCause.START, {}, None),
     "RunResult": lambda: RunResult(desk_profile()),
     "SweepResult": SweepResult,
     "TrainingWindow": TrainingWindow,
@@ -129,6 +132,7 @@ def test_default_built_records_share_no_container(name):
 PARAMETERS = {
     Flow: "flow_id src dst key start_time ps_chain pd_chain trapdoor",
     Monitor: "",
+    Round: "cause listeners control",
     RunResult: "config",
     SweepResult: "",
     TrainingWindow: "samples",

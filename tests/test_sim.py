@@ -31,6 +31,7 @@ from tap3sim.sim import (
     AttackKind,
     ConfigError,
     Mobility,
+    RoundCause,
     ScenarioConfig,
     Simulation,
     collector_paused,
@@ -465,13 +466,20 @@ class DiscoveryCheckedSimulation(Simulation):
     that no two kept paths share a (round, path id), which `_source_accept`
     does not test.  Each time a data packet is sent or buffered, checks
     that no packet waits behind a round that timed out with no retry
-    scheduled, unless that retry would have fallen after the run's end."""
+    scheduled, unless that retry would have fallen after the run's end.
+    Each time `start_round` is called, checks its cause: START opens a
+    flow's first round at its start time; REFRESH opens a round exactly
+    when DRAIN_WINDOW is left; RETRY opens one exactly when a retry that
+    `discovery_check` scheduled for an outstanding round falls due; LOSS
+    never opens one while a round is outstanding."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # (flow id, round) of each round that timed out outstanding ->
         # whether it stayed outstanding with no retry scheduled
         self.timed_out = {}
+        # (flow id, time) of each retry scheduled and not yet due
+        self.retries = collections.Counter()
 
     def discovery_check(self, flow, rnd):
         outstanding = flow.round == rnd and flow.discovering
@@ -483,6 +491,25 @@ class DiscoveryCheckedSimulation(Simulation):
             self.timed_out[flow.flow_id, rnd] = (
                 flow.discovering and self._event_seq == seq
                 and self.now + backoff < self.config.sim_duration)
+            if self._event_seq != seq:
+                self.retries[flow.flow_id, self.now + backoff] += 1
+
+    def start_round(self, flow, cause):
+        rnd, outstanding = flow.round, flow.discovering
+        super().start_round(flow, cause)
+        started = flow.round != rnd
+        if started:
+            assert flow.rounds[flow.round].cause is cause
+        if cause is RoundCause.START:
+            assert started and rnd == 0 and self.now == flow.start_time
+        elif cause is RoundCause.REFRESH:
+            assert started == (self.now + DRAIN_WINDOW
+                               < self.config.sim_duration)
+        elif cause is RoundCause.RETRY:
+            assert started and self.retries[flow.flow_id, self.now] > 0
+            self.retries[flow.flow_id, self.now] -= 1
+        else:
+            assert not (started and outstanding)
 
     def _send_or_buffer(self, flow, pid, origin):
         super()._send_or_buffer(flow, pid, origin)
@@ -596,8 +623,8 @@ def test_sparse_runs_equal_the_naive_twin(protocol, seed):
     # a destination heard a request over four relays or more, and an
     # audit covered a path of three relays or more
     assert max(len(relays) for flow in sim.flows
-               for _, candidates in flow.rounds.values()
-               for _, _, relays in candidates) >= 4
+               for record in flow.rounds.values()
+               for _, _, relays in record.candidates) >= 4
     if protocol.trust_layer:
         assert max(len(relays)
                    for _, _, relays, _, _ in res.audit_export[1]) >= 3
@@ -702,17 +729,17 @@ def test_late_copy_of_an_older_round_makes_a_missed_round_match():
     sim.transmit = lambda sender, to, pkt, control: requests.setdefault(
         pkt.round, pkt)
     for _ in range(17):
-        sim.start_discovery(flow)
+        sim.start_round(flow, RoundCause.RETRY)
     assert sorted(requests) == list(range(1, 18))
     # round 17's alias lies past the window [1, 17): taken as a relay
     sim.dispatch(flow.dst, requests[17].copy(), flow.src)
-    assert 17 not in flow.rounds
+    assert flow.rounds[17].request is None
     assert (flow.flow_id, 17) in sim.nodes[flow.dst].rev_routes
     # round 16 matches and slides the window to [16, 32)
     sim.dispatch(flow.dst, requests[16].copy(), flow.src)
-    assert 16 in flow.rounds
+    assert flow.rounds[16].request is not None
     sim.dispatch(flow.dst, requests[17].copy(), flow.src)
-    assert 17 in flow.rounds
+    assert flow.rounds[17].request is not None
 
 
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
@@ -724,7 +751,7 @@ def test_late_request_copy_is_not_answered_again(protocol):
     sim.run()
     flow = sim.flows[0]
     dst = sim.nodes[flow.dst]
-    rreq, cands = flow.rounds[1]
+    rreq, cands = flow.rounds[1].request, flow.rounds[1].candidates
     heard, oseq = len(cands), dst.oseq
     assert flow.paths and oseq > 0      # the round was answered
     sim.dispatch(dst.id, rreq, flow.src)
@@ -796,9 +823,10 @@ class Timeline(Simulation):
         self.most_pending_sends = max(self.most_pending_sends,
                                       *pending.values(), 0)
 
-    def refresh_route(self, flow):
-        self._record("refresh", flow.flow_id)
-        super().refresh_route(flow)
+    def start_round(self, flow, cause):
+        if cause is RoundCause.REFRESH:
+            self._record("refresh", flow.flow_id)
+        super().start_round(flow, cause)
 
     def audit_tick(self, flow):
         self._record("audit", flow.flow_id)
@@ -1042,7 +1070,8 @@ def test_baseline_runs_build_no_trust_layer_state(protocol):
         assert node.monitor is None
         assert node.log is None
     for flow in sim.flows:
-        assert flow.tau_c_control == {}
+        assert flow.rounds
+        assert all(r.control is None for r in flow.rounds.values())
         assert flow.audit_queue == {}
 
 
